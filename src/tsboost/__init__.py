@@ -1,6 +1,5 @@
 """Boosted-oriented probabilistic clustering of time series."""
 
-from ._kernels import BACKEND
 from .boost import BoostConfig, ClusterResult, run_boost
 from .core import Dataset, TimeSeriesRecord, harden, validate_dataset, validate_membership
 from .distance import (
@@ -34,7 +33,6 @@ from .simgen import SimConfig, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BoostConfig",
     "ClusterResult",
     "Dataset",

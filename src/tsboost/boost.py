@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import Dataset, validate_dataset
 from .distance import DistanceKind, distance_matrix
-from .errors import ConfigError, DegenerateBeta, FlatCriterion
+from .errors import ConfigError, DegenerateBeta
 from .pdclust import loss_beta, pd_probabilities
 from . import pspline
 
@@ -72,7 +72,10 @@ def thread_count():
     raw = os.environ.get("TSBOOST_THREADS")
     if raw is None or raw.strip() == "":
         return 1
-    count = int(raw)
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ConfigError(f"TSBOOST_THREADS must be an integer, got {raw!r}") from None
     if count == 0:
         return os.cpu_count() or 1
     return max(count, 1)
@@ -112,17 +115,6 @@ def draw_cluster_sample(column_weights, sample_size, rng):
     return rng.choice(w.shape[0], size=sample_size, replace=True, p=w / w.sum())
 
 
-def _smooth_curve(y, basis, penalty, criterion):
-    """Criterion-selected fit; degenerate criteria fall back to max smoothing."""
-    try:
-        fit, _ = pspline.smooth_series(y, basis, penalty, criterion)
-        return fit
-    except FlatCriterion:
-        grid = criterion.grid if isinstance(criterion, pspline.LambdaCriterion) \
-            else pspline.default_lambda_grid()
-        return pspline.fit_pspline(y, basis, penalty, grid[-1])
-
-
 def estimate_center(values, sample, basis, penalty, criterion):
     """Center fit from a resampled multiset of series indices.
 
@@ -136,7 +128,7 @@ def estimate_center(values, sample, basis, penalty, criterion):
         raise ValueError("sample must be nonempty")
     counts = np.bincount(sample, minlength=values.shape[0]).astype(float)
     pooled = (counts @ values) / counts.sum()
-    return _smooth_curve(pooled, basis, penalty, criterion)
+    return pspline.smooth_series(pooled, basis, penalty, criterion)[0]
 
 
 def update_center_adaptive(history, basis, penalty, criterion):
@@ -160,7 +152,7 @@ def update_center_adaptive(history, basis, penalty, criterion):
             return pspline.SplineFit(
                 basis=basis, penalty=penalty, lam=0.0, coef=coef, fitted=B @ coef
             )
-    return _smooth_curve(mean_curve, basis, penalty, criterion)
+    return pspline.smooth_series(mean_curve, basis, penalty, criterion)[0]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ report) and ``smooth`` (single-series P-spline fit). Every run writes a
 phase timings. All numbers are serialized in shortest round-trip decimal
 form, so rereading an emitted CSV reproduces the in-memory values exactly.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error.
+Exit codes: 0 success, 1 usage or configuration error, 2 data or input-file
+error.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from . import __version__
 from .boost import BoostConfig, run_boost
 from .core import Dataset, harden, validate_dataset
 from .distance import DistanceKind
-from .errors import ConfigError, DataError, FlatCriterion, ParseError
+from .errors import ConfigError, DataError, IoError, ParseError
 from .evaluate import classic_rand, confusion_matrix, fuzzy_rand, reference_partition
 from .fcm import FcmConfig, run_fcm
 from .pdclust import bc_index
@@ -49,6 +50,13 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _open_input(path):
+    try:
+        return open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
 def _parse_float(token, path, line_no):
     try:
         return float(token)
@@ -59,7 +67,7 @@ def _parse_float(token, path, line_no):
 def read_wide(path):
     """Wide CSV (header id,t1..tn) -> Dataset on an equally spaced [0,1] domain."""
     ids, rows = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -84,7 +92,7 @@ def read_wide(path):
 def read_long(path):
     """Long CSV (header id,t,value) -> Dataset; the domain comes from the file."""
     per_series = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -122,7 +130,7 @@ def read_dataset(path, fmt="wide"):
 def read_labels(path):
     """Labels CSV (header id,label) -> (ids, labels)."""
     ids, labels = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -143,7 +151,7 @@ def read_labels(path):
 def read_membership(path):
     """Membership CSV (header id,p1..pK) -> (ids, (N, K) matrix)."""
     ids, rows = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -184,7 +192,12 @@ def _write_manifest(out_dir, command, settings, inputs, timings):
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_simulate(args):
-    sizes = tuple(int(tok) for tok in args.sizes.split(","))
+    try:
+        sizes = tuple(int(tok) for tok in args.sizes.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"--sizes expects comma-separated integers, got {args.sizes!r}"
+        ) from None
     config = SimConfig(
         sizes=sizes, n_points=args.n, sigma2_u=args.sigma2_u,
         ar_coef=args.ar_coef, ar_var=args.ar_var, seed=args.seed,
@@ -349,16 +362,7 @@ def cmd_smooth(args):
         record = matches[0]
     basis = pspline.build_basis(data.domain, degree=args.degree)
     penalty = pspline.difference_penalty(basis.n_bases, args.penalty_order)
-    try:
-        fit, selection = pspline.smooth_series(record.values, basis, penalty, args.criterion)
-    except FlatCriterion:
-        # degenerate profile (e.g. constant series): fall back to max smoothing
-        grid = pspline.default_lambda_grid()
-        fit = pspline.fit_pspline(record.values, basis, penalty, grid[-1])
-        selection = pspline.LambdaSelection(
-            lam=float(grid[-1]), criterion=args.criterion,
-            lambdas=np.empty(0), scores=np.empty(0),
-        )
+    fit, selection = pspline.smooth_series(record.values, basis, penalty, args.criterion)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
@@ -451,7 +455,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,17 +2,16 @@
 
 Three measures sit behind one dispatch: plain Euclidean, the Penrose shape
 distance (level-insensitive) and the Euclidean distance between periodogram
-ordinates (spectral shape). The periodogram is the direct-summation DFT
-modulus at the positive Fourier frequencies f_j = 2*pi*j/n, j = 1..n//2;
-the DC term is excluded, which makes the spectral distance invariant to
-adding a constant.
+ordinates (spectral shape). The periodogram is the DFT modulus squared over
+n at the positive Fourier frequencies f_j = 2*pi*j/n, j = 1..n//2, computed
+by FFT; the DC term is excluded, which makes the spectral distance invariant
+to adding a constant.
 """
 
 import enum
 
 import numpy as np
 
-from ._kernels import cdist_euclidean, cdist_penrose_radicand, periodogram_ordinates
 from .errors import LengthMismatch, NegativeRadicand, SeriesTooShort
 
 _RADICAND_CLAMP = -1e-12
@@ -32,6 +31,20 @@ def _pair(y, c):
     return y, c
 
 
+def _cdist_euclidean(Y, C):
+    diff = Y[:, None, :] - C[None, :, :]
+    return np.sqrt(np.einsum("ikj,ikj->ik", diff, diff))
+
+
+def _penrose_radicand(Y, C):
+    """Matrix of (dbar^2 - q^2) values, before the n/(n-1) scale and sqrt."""
+    n = Y.shape[1]
+    diff = Y[:, None, :] - C[None, :, :]
+    dbar2 = np.einsum("ikj,ikj->ik", diff, diff) / n
+    q2 = np.subtract.outer(Y.sum(axis=1), C.sum(axis=1)) ** 2 / (n * n)
+    return dbar2 - q2
+
+
 def euclidean(y, c):
     y, c = _pair(y, c)
     return float(np.sqrt(np.sum((y - c) ** 2)))
@@ -43,7 +56,7 @@ def penrose_shape(y, c):
     n = y.shape[0]
     if n < 2:
         raise SeriesTooShort("Penrose shape distance needs n >= 2")
-    rad = float(cdist_penrose_radicand(y[None, :], c[None, :])[0, 0])
+    rad = float(_penrose_radicand(y[None, :], c[None, :])[0, 0])
     return float(np.sqrt(_clamp_radicand(rad) * n / (n - 1)))
 
 
@@ -55,11 +68,15 @@ def _clamp_radicand(rad):
 
 
 def periodogram(y):
-    """Periodogram ordinates at f_j = 2*pi*j/n, j = 1..n//2."""
+    """Periodogram ordinates at f_j = 2*pi*j/n, j = 1..n//2, along the last axis."""
     y = np.asarray(y, dtype=float)
-    if y.shape[0] < 4:
+    n = y.shape[-1]
+    if n < 4:
         raise SeriesTooShort("periodogram needs n >= 4")
-    return periodogram_ordinates(y)
+    # numpy's FFT indexes from t = 0; the series index starts at t = 1, which
+    # only rotates the phase and leaves the modulus unchanged
+    spectrum = np.fft.rfft(y, axis=-1)[..., 1 : n // 2 + 1]
+    return (spectrum.real**2 + spectrum.imag**2) / n
 
 
 def periodogram_distance(y, c):
@@ -76,19 +93,15 @@ def distance_matrix(values, centers, kind):
             f"series length {Y.shape[1]} vs center length {C.shape[1]}"
         )
     if kind == DistanceKind.EUCLIDEAN:
-        return cdist_euclidean(Y, C)
+        return _cdist_euclidean(Y, C)
     if kind == DistanceKind.PENROSE_SHAPE:
         n = Y.shape[1]
         if n < 2:
             raise SeriesTooShort("Penrose shape distance needs n >= 2")
-        rad = cdist_penrose_radicand(Y, C)
+        rad = _penrose_radicand(Y, C)
         if np.any(rad < _RADICAND_CLAMP):
             raise NegativeRadicand("negative radicand beyond round-off")
         return np.sqrt(np.maximum(rad, 0.0) * n / (n - 1))
     if kind == DistanceKind.PERIODOGRAM:
-        if Y.shape[1] < 4:
-            raise SeriesTooShort("periodogram needs n >= 4")
-        PY = np.vstack([periodogram_ordinates(row) for row in Y])
-        PC = np.vstack([periodogram_ordinates(row) for row in C])
-        return cdist_euclidean(PY, PC)
+        return _cdist_euclidean(periodogram(Y), periodogram(C))
     raise ValueError(f"unknown distance kind {kind!r}")

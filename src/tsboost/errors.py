@@ -107,4 +107,4 @@ class ParseError(DataError):
 
 
 class IoError(TsboostError):
-    pass
+    """An input file is missing or cannot be opened; the CLI exits with 2."""

@@ -16,7 +16,6 @@ from .distance import distance_matrix
 from .errors import DimensionMismatch, SizeMismatch
 from .pdclust import pd_probabilities
 from . import pspline
-from .boost import _smooth_curve
 
 
 def fuzzy_equivalence(p, q):
@@ -95,7 +94,7 @@ def reference_partition(data: Dataset, true_labels, kind, degree=pspline.DEFAULT
     centers = []
     for label in np.unique(labels):
         pooled = values[labels == label].mean(axis=0)
-        centers.append(_smooth_curve(pooled, basis, penalty, crit).fitted)
+        centers.append(pspline.smooth_series(pooled, basis, penalty, crit)[0].fitted)
     centers = np.vstack(centers)
     membership = pd_probabilities(distance_matrix(values, centers, kind))
     return membership, centers

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import bspline_design
 from .errors import (
     DomainTooShort,
     EDSaturated,
@@ -44,6 +43,38 @@ def default_lambda_grid(num=50, low=1e-6, high=1e6):
     return np.logspace(math.log10(low), math.log10(high), num)
 
 
+def bspline_design(x, knots, degree):
+    """Design matrix B with B[r, j] = B_j(x[r]) for the padded knot vector.
+
+    Cox-de Boor recursion per evaluation point; the knot vector is padded so
+    every x lies strictly inside the full-support region.
+    """
+    nb = knots.shape[0] - degree - 1
+    out = np.zeros((x.shape[0], nb))
+    left = np.empty(degree + 1)
+    right = np.empty(degree + 1)
+    vals = np.empty(degree + 1)
+    for r in range(x.shape[0]):
+        xr = x[r]
+        # interval index i with knots[i] <= xr < knots[i+1], clamped so the
+        # right domain endpoint falls in the last proper interval
+        i = degree
+        while i < nb - 1 and xr >= knots[i + 1]:
+            i += 1
+        vals[0] = 1.0
+        for j in range(1, degree + 1):
+            left[j] = xr - knots[i + 1 - j]
+            right[j] = knots[i + j] - xr
+            saved = 0.0
+            for k in range(j):
+                tmp = vals[k] / (right[k + 1] + left[j - k])
+                vals[k] = saved + right[k + 1] * tmp
+                saved = left[j - k] * tmp
+            vals[j] = saved
+        out[r, i - degree : i + 1] = vals
+    return out
+
+
 @dataclass(frozen=True)
 class SplineBasis:
     degree: int
@@ -58,7 +89,8 @@ class SplineBasis:
 
     def design(self, x):
         """Evaluate the basis at arbitrary points inside the domain span."""
-        return bspline_design(np.asarray(x, dtype=float), self.knots, self.degree)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return bspline_design(x, self.knots, self.degree)
 
 
 @dataclass(frozen=True)
@@ -353,7 +385,17 @@ def _argmin_checked(scores):
 
 
 def smooth_series(y, basis, penalty, criterion, weights=None):
-    """Select lambda by the given criterion and return (fit, selection)."""
-    selection = select_lambda(y, basis, penalty, criterion, weights)
+    """Select lambda by the given criterion and return (fit, selection).
+
+    A degenerate profile (FlatCriterion, e.g. a constant series) falls back
+    to the largest grid lambda, with an empty diagnostic profile.
+    """
+    if isinstance(criterion, str):
+        criterion = LambdaCriterion(criterion)
+    try:
+        selection = select_lambda(y, basis, penalty, criterion, weights)
+    except FlatCriterion:
+        lam = float(criterion.grid[-1])
+        selection = LambdaSelection(lam, criterion.name, np.empty(0), np.empty(0))
     fit = fit_pspline(y, basis, penalty, selection.lam, weights)
     return fit, selection

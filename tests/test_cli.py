@@ -141,11 +141,20 @@ class TestCluster:
         assert membership.shape == (12, 3)
         assert np.max(np.abs(membership.sum(axis=1) - 1.0)) < 1e-9
 
-    def test_config_error_exit_code(self, tmp_path, toy_csv):
-        out = tmp_path / "x"
-        code = main(["cluster", "--input", str(toy_csv), "--out", str(out),
-                     "--k", "99"])
-        assert code == 1
+    @pytest.mark.parametrize("case", ["k-above-n", "bad-sizes", "bad-threads"])
+    def test_config_error_exit_code(self, tmp_path, toy_csv, monkeypatch, capsys, case):
+        out = str(tmp_path / "x")
+        cluster = ["cluster", "--input", str(toy_csv), "--out", out]
+        argv = {
+            "k-above-n": cluster + ["--k", "99"],
+            "bad-sizes": ["simulate", "--out", out, "--sizes", "1,2,x"],
+            "bad-threads": cluster + ["--k", "3", "--iters", "2", "--restarts", "2"],
+        }[case]
+        if case == "bad-threads":
+            monkeypatch.setenv("TSBOOST_THREADS", "abc")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_data_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -153,6 +162,16 @@ class TestCluster:
         code = main(["cluster", "--input", str(bad), "--out", str(tmp_path / "y"),
                      "--k", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
+    def test_unreadable_input_exit_code(self, tmp_path, capsys, name):
+        # a missing file and a directory both fail to open
+        path = tmp_path / name
+        code = main(["cluster", "--input", str(path), "--out", str(tmp_path / "y"),
+                     "--k", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_usage_error_exit_code(self):
         assert main(["cluster", "--k", "2"]) == 1  # missing required flags

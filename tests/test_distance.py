@@ -79,13 +79,15 @@ class TestPeriodogram:
         assert np.max(others) < 1e-10 * ords[0]
 
     def test_direct_summation_oracle(self, rng):
-        n = 32
-        y = rng.normal(size=n)
-        ords = periodogram(y)
-        for j in range(1, n // 2 + 1):
-            f = 2 * np.pi * j / n
-            acc = sum(y[t - 1] * np.exp(-1j * t * f) for t in range(1, n + 1))
-            assert abs(ords[j - 1] - abs(acc) ** 2 / n) < 1e-10
+        # odd n checks that the FFT slice stops at floor(n/2)
+        for n in (8, 20, 32, 33):
+            y = rng.normal(size=n)
+            ords = periodogram(y)
+            assert ords.shape == (n // 2,)
+            for j in range(1, n // 2 + 1):
+                f = 2 * np.pi * j / n
+                acc = sum(y[t - 1] * np.exp(-1j * t * f) for t in range(1, n + 1))
+                assert abs(ords[j - 1] - abs(acc) ** 2 / n) < 1e-10
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
