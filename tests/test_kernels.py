@@ -1,77 +1,23 @@
-"""Backend parity: the compiled kernels and the pure-numpy fallbacks must
-agree to round-off. The fallback is exercised in a subprocess because the
-backend is chosen once, when the package is imported."""
-
-import os
-import subprocess
-import sys
+"""The periodogram kernel against numpy's full complex FFT, for single series
+and for a stack of series transformed in one call."""
 
 import numpy as np
 
-from tsboost import _kernels
-
-CHILD = """
-import sys
-import numpy as np
-from tsboost import _kernels
-
-assert _kernels.BACKEND == "numpy", _kernels.BACKEND
-rng = np.random.default_rng(2024)
-x = np.sort(rng.uniform(0, 1, size=30))
-knots = np.linspace(-0.3, 1.3, 17)
-Y = rng.normal(size=(6, 24))
-C = rng.normal(size=(3, 24))
-np.savez(
-    sys.argv[1],
-    design=_kernels.bspline_design(x, knots, 3),
-    pgram=_kernels.periodogram_ordinates(Y[0]),
-    eucl=_kernels.cdist_euclidean(Y, C),
-    penrose=_kernels.cdist_penrose_radicand(Y, C),
-)
-"""
-
-
-def run_child(path, backend):
-    env = dict(os.environ, TSBOOST_BACKEND=backend)
-    return subprocess.run(
-        [sys.executable, "-c", CHILD, str(path)],
-        env=env, capture_output=True, text=True,
-    )
-
-
-def test_default_backend_is_numba():
-    assert _kernels.BACKEND == "numba"
-
-
-def test_numpy_fallback_matches_compiled(tmp_path):
-    out = tmp_path / "fallback.npz"
-    proc = run_child(out, "numpy")
-    assert proc.returncode == 0, proc.stderr
-    child = np.load(out)
-
-    rng = np.random.default_rng(2024)
-    x = np.sort(rng.uniform(0, 1, size=30))
-    knots = np.linspace(-0.3, 1.3, 17)
-    Y = rng.normal(size=(6, 24))
-    C = rng.normal(size=(3, 24))
-    assert np.max(np.abs(child["design"] - _kernels.bspline_design(x, knots, 3))) < 1e-12
-    assert np.max(np.abs(child["pgram"] - _kernels.periodogram_ordinates(Y[0]))) < 1e-10
-    assert np.max(np.abs(child["eucl"] - _kernels.cdist_euclidean(Y, C))) < 1e-10
-    assert np.max(np.abs(child["penrose"] - _kernels.cdist_penrose_radicand(Y, C))) < 1e-10
-
-
-def test_unknown_backend_rejected(tmp_path):
-    proc = run_child(tmp_path / "x.npz", "fortran")
-    assert proc.returncode != 0
-    assert "TSBOOST_BACKEND" in proc.stderr
+from tsboost import periodogram
 
 
 def test_periodogram_matches_fft():
     rng = np.random.default_rng(5)
     for n in (8, 20, 33):
         y = rng.normal(size=n)
-        ords = _kernels.periodogram_ordinates(y)
+        ords = periodogram(y)
         # numpy's FFT indexes from t = 0; our series index starts at t = 1,
         # which only rotates the phase and leaves the modulus unchanged
         fft = np.abs(np.fft.fft(y))[1 : n // 2 + 1] ** 2 / n
+        assert ords.shape == fft.shape
         assert np.max(np.abs(ords - fft)) < 1e-10
+
+        Y = rng.normal(size=(4, n))
+        rows = periodogram(Y)
+        for i in range(4):
+            assert np.max(np.abs(rows[i] - periodogram(Y[i]))) < 1e-12
