@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .boost import BoostConfig, run_boost
-from .core import Dataset, harden, validate_dataset
+from .core import Dataset, harden, validate_dataset, validate_membership
 from .distance import DistanceKind
 from .errors import ConfigError, DataError, IoError, ParseError
 from .evaluate import classic_rand, confusion_matrix, fuzzy_rand, reference_partition
@@ -149,7 +149,10 @@ def read_labels(path):
 
 
 def read_membership(path):
-    """Membership CSV (header id,p1..pK) -> (ids, (N, K) matrix)."""
+    """Membership CSV (header id,p1..pK) -> (ids, (N, K) matrix).
+
+    Rows must be probability vectors: entries in [0, 1] summing to 1.
+    """
     ids, rows = [], []
     with _open_input(path) as fh:
         reader = csv.reader(fh)
@@ -169,7 +172,10 @@ def read_membership(path):
             rows.append([_parse_float(tok, path, line_no) for tok in row[1:]])
     if not rows:
         raise ParseError(f"{path}: no rows found")
-    return ids, np.asarray(rows)
+    try:
+        return ids, validate_membership(rows)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _digest(path):

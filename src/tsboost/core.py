@@ -95,9 +95,10 @@ def validate_membership(P) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim != 2:
         raise ValueError("membership matrix must be 2-dimensional")
-    if np.any(P < 0) or np.any(P > 1):
+    # written as negated in-range tests so that NaN entries fail them too
+    if not np.all((P >= 0) & (P <= 1)):
         raise ValueError("membership entries must lie in [0, 1]")
-    if np.any(np.abs(P.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+    if not np.all(np.abs(P.sum(axis=1) - 1.0) <= ROW_SUM_TOL):
         raise ValueError("membership rows must sum to 1")
     return P
 

@@ -8,9 +8,11 @@ P_{i,k} * d_{i,k} = constant per series, which yields
 The row-wise products are evaluated in log space when all distances are
 positive; exact zero distances short-circuit (probability mass splits
 uniformly over the coinciding centers). The BC index is the K^K-scaled
-mean row product of probabilities; beta is its un-normalized sum and the
-boosting loss.
+mean row product of probabilities, evaluated in log space; beta is its
+un-normalized sum and the boosting loss.
 """
+
+import math
 
 import numpy as np
 
@@ -48,7 +50,13 @@ def bc_index(P):
 
 
 def loss_beta(P):
-    """Boosting loss: sum_i (prod_k P_{i,k}) K^K, in [0, N]."""
+    """Boosting loss: sum_i (prod_k P_{i,k}) K^K, in [0, N].
+
+    Each row term is exp(sum_k log P_{i,k} + K log K), so K^K never overflows;
+    a zero entry contributes log 0 = -inf and hence a zero term.
+    """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     K = P.shape[1]
-    return float(np.sum(np.prod(P, axis=1)) * float(K) ** K)
+    with np.errstate(divide="ignore"):
+        logs = np.log(P).sum(axis=1) + K * math.log(K)
+    return float(np.sum(np.exp(logs)))

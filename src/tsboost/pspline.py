@@ -8,9 +8,10 @@ coefficients are
 
 with W a diagonal weight matrix (identity by default). Five smoothing
 parameter selectors are provided: AIC, leave-one-out CV, GCV, the L-curve
-corner and the V-curve. Selector scoring is vectorized over the whole
-lambda grid with batched solves; the bases involved stay small (m <= 44
-under the default knot rule) so dense normal equations are adequate.
+corner and the V-curve. They score the whole lambda grid from one
+Demmler-Reinsch factorisation per call, which turns every grid quantity
+into a diagonal scaling (see ``_spectrum``); ``fit_pspline`` stays a dense
+solve of the normal equations at one lambda.
 """
 
 import math
@@ -183,25 +184,45 @@ def _check_weights(weights, n):
     return w
 
 
-def _normal_parts(basis, penalty, y=None, weights=None):
+def _spectrum(basis, penalty, weights=None):
+    """Demmler-Reinsch diagonalisation of B'WB and D'D on a normalised pencil.
+
+    With C = B'WB + D'D = LL' and eigh(L^-1 B'WB L^-T) = U diag(mu) U', the
+    basis V = L^-T U gives V'B'WBV = diag(mu) and V'D'DV = diag(1 - mu), so
+    (B'WB + lambda D'D)^{-1} = V diag(1 / d) V' with d = mu + lambda (1 - mu).
+    C stays positive definite when B'WB is singular (m > n). Returns mu
+    (ascending, clipped to [0, 1]), V and Q = BV.
+    """
     B = basis.matrix
     Bw = B if weights is None else B * weights[:, None]
     BtWB = Bw.T @ B
-    DtD = penalty.matrix.T @ penalty.matrix
-    BtWy = None
-    if y is not None:
-        BtWy = Bw.T @ y
-    return B, BtWB, DtD, BtWy
+    try:
+        L = np.linalg.cholesky(BtWB + penalty.matrix.T @ penalty.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+    Linv = np.linalg.inv(L)
+    mu, U = np.linalg.eigh(Linv @ BtWB @ Linv.T)
+    V = Linv.T @ U
+    return np.clip(mu, 0.0, 1.0), V, B @ V
+
+
+def _divisors(mu, lam):
+    """d = mu + lambda (1 - mu) for one lambda; lambda = 0 needs B'WB nonsingular."""
+    if lam == 0 and mu[0] <= mu.shape[0] * np.finfo(float).eps:
+        raise SingularSystem("B'WB is numerically singular at lambda = 0")
+    return mu + lam * (1.0 - mu)
 
 
 def fit_pspline(y, basis, penalty, lam, weights=None):
-    """Penalized weighted least-squares spline fit at a fixed lambda."""
+    """Penalized weighted least-squares spline fit at a fixed lambda (dense solve)."""
     y = np.asarray(y, dtype=float)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     weights = _check_weights(weights, y.shape[0])
-    B, BtWB, DtD, BtWy = _normal_parts(basis, penalty, y, weights)
-    A = BtWB + lam * DtD
+    B = basis.matrix
+    Bw = B if weights is None else B * weights[:, None]
+    BtWy = Bw.T @ y
+    A = Bw.T @ B + lam * (penalty.matrix.T @ penalty.matrix)
     try:
         coef = np.linalg.solve(A, BtWy)
     except np.linalg.LinAlgError as exc:
@@ -216,16 +237,12 @@ def fit_pspline(y, basis, penalty, lam, weights=None):
 
 
 def effective_dimension(basis, penalty, lam, weights=None):
-    """trace[(B'WB + lambda D'D)^{-1} B'WB]; degrees of freedom of the smoother."""
+    """trace[(B'WB + lambda D'D)^{-1} B'WB] = sum mu / d; degrees of freedom of the smoother."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     weights = _check_weights(weights, basis.matrix.shape[0])
-    _, BtWB, DtD, _ = _normal_parts(basis, penalty, weights=weights)
-    try:
-        M = np.linalg.solve(BtWB + lam * DtD, BtWB)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return float(np.trace(M))
+    mu, _, _ = _spectrum(basis, penalty, weights)
+    return float(np.sum(mu / _divisors(mu, lam)))
 
 
 def score_aic(y, fit):
@@ -250,13 +267,9 @@ def score_gcv(y, fit):
 
 
 def _hat_diagonal(basis, penalty, lam, weights=None):
-    B, BtWB, DtD, _ = _normal_parts(basis, penalty, weights=weights)
-    BtW = B.T if weights is None else (B * weights[:, None]).T
-    try:
-        X = np.linalg.solve(BtWB + lam * DtD, BtW)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return np.einsum("nm,mn->n", B, X)
+    """diag[B (B'WB + lambda D'D)^{-1} B'W] = w * (Q^2)(1 / d)."""
+    mu, _, Q = _spectrum(basis, penalty, weights)
+    return (1.0 / _divisors(mu, lam)) @ (Q**2).T * (1.0 if weights is None else weights)
 
 
 def score_loocv(y, basis, penalty, lam, weights=None):
@@ -271,26 +284,19 @@ def score_loocv(y, basis, penalty, lam, weights=None):
 
 
 def _grid_profiles(y, basis, penalty, grid, weights):
-    """Coefficients, residual SS, penalty SS, ED and hat diagonals per grid point."""
-    B, BtWB, DtD, BtWy = _normal_parts(basis, penalty, y, weights)
-    G = grid.shape[0]
-    m = B.shape[1]
-    A = BtWB[None, :, :] + grid[:, None, None] * DtD[None, :, :]
-    try:
-        coef = np.linalg.solve(A, np.broadcast_to(BtWy, (G, m))[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    fitted = coef @ B.T
-    resid = y[None, :] - fitted
-    w = np.ones_like(y) if weights is None else weights
-    rss = np.sum(w[None, :] * resid**2, axis=1)
-    pen = np.sum((coef @ penalty.matrix.T) ** 2, axis=1)
-    M = np.linalg.solve(A, np.broadcast_to(BtWB, (G, m, m)))
-    ed = np.trace(M, axis1=1, axis2=2)
-    BtW = B.T if weights is None else (B * w[:, None]).T
-    X = np.linalg.solve(A, np.broadcast_to(BtW, (G,) + BtW.shape))
-    hdiag = np.einsum("nm,gmn->gn", B, X)
-    return resid, rss, pen, ed, hdiag
+    """Spectrum, divisors d (G, m), residuals, residual SS and penalty SS per grid point.
+
+    The coefficients at grid point g are a = V c with c = Q'Wy / d[g].
+    """
+    mu, V, Q = _spectrum(basis, penalty, weights)
+    d = mu + grid[:, None] * (1.0 - mu)
+    c = (Q.T @ (y if weights is None else weights * y)) / d
+    resid = y - c @ Q.T
+    rss = np.sum(resid**2 if weights is None else weights * resid**2, axis=1)
+    # ||D a||^2 through DV, not sum (1 - mu) c^2: on the penalty null space
+    # 1 - mu is round-off, which would floor the penalty SS at large lambda
+    pen = np.sum((c @ (penalty.matrix @ V).T) ** 2, axis=1)
+    return mu, Q, d, resid, rss, pen
 
 
 def select_lambda(y, basis, penalty, criterion, weights=None):
@@ -308,24 +314,26 @@ def select_lambda(y, basis, penalty, criterion, weights=None):
     weights = _check_weights(weights, y.shape[0])
     grid = criterion.grid
     n = y.shape[0]
-    resid, rss, pen, ed, hdiag = _grid_profiles(y, basis, penalty, grid, weights)
+    mu, Q, d, resid, rss, pen = _grid_profiles(y, basis, penalty, grid, weights)
 
     name = criterion.name
     if name in ("aic", "loocv", "gcv"):
         with np.errstate(divide="ignore", invalid="ignore"):
-            if name == "aic":
-                scores = np.where(rss / n > 1e-300, 2.0 * ed + n * np.log(rss / n), np.inf)
-            elif name == "gcv":
-                # GCV uses plain residuals even when the fit was weighted
-                plain_rss = np.sum(resid**2, axis=1)
-                scores = np.where(ed < n - 1e-9, plain_rss / (n - ed) ** 2, np.inf)
-            else:
+            if name == "loocv":
+                hdiag = (1.0 / d) @ (Q**2).T * (1.0 if weights is None else weights)
                 bad = np.any(hdiag >= 1.0 - 1e-12, axis=1)
                 cv = np.sum((resid / (1.0 - np.minimum(hdiag, 1.0 - 1e-12))) ** 2, axis=1)
                 scores = np.where(bad, np.inf, cv)
-        lambdas = grid
+            elif name == "aic":
+                ed = np.sum(mu / d, axis=1)
+                scores = np.where(rss / n > 1e-300, 2.0 * ed + n * np.log(rss / n), np.inf)
+            else:
+                ed = np.sum(mu / d, axis=1)
+                # GCV uses plain residuals even when the fit was weighted
+                plain_rss = np.sum(resid**2, axis=1)
+                scores = np.where(ed < n - 1e-9, plain_rss / (n - ed) ** 2, np.inf)
         pick = _argmin_checked(scores)
-        return LambdaSelection(float(grid[pick]), name, lambdas, scores)
+        return LambdaSelection(float(grid[pick]), name, grid, scores)
 
     psi = np.log(np.maximum(rss, 1e-300))
     phi = np.log(np.maximum(pen, 1e-300))

@@ -216,6 +216,25 @@ class TestEvaluate:
     def test_missing_reference(self, tmp_path, toy_csv):
         assert main(["evaluate", "--membership", str(toy_csv)]) in (1, 2)
 
+    @pytest.mark.parametrize("rows", [
+        pytest.param([[0.7, 0.3], [-0.5, 1.5], [2.0, 3.0]], id="outside-unit-interval"),
+        pytest.param([[0.7, 0.3], [0.5, 0.6], [0.2, 0.8]], id="row-sum"),
+        pytest.param([[0.7, 0.3], [float("nan"), 1.0], [0.2, 0.8]], id="nan"),
+    ])
+    def test_invalid_membership_exit_code(self, tmp_path, capsys, rows):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        for path, matrix in ((good, [[0.7, 0.3], [0.5, 0.5], [0.2, 0.8]]), (bad, rows)):
+            lines = ["id,p1,p2"] + [f"s{i},{a!r},{b!r}" for i, (a, b) in enumerate(matrix)]
+            path.write_text("\n".join(lines) + "\n")
+        for membership, reference in ((bad, good), (good, bad)):
+            code = main(["evaluate", "--membership", str(membership),
+                         "--reference-membership", str(reference)])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {bad}: membership ")
+            assert captured.err.count("\n") == 1
+            assert "bc =" not in captured.out
+
 
 class TestSmooth:
     def test_profile_row_counts(self, tmp_path, rng):

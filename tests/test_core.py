@@ -89,5 +89,7 @@ class TestValidateMembership:
             validate_membership(np.array([[0.5, 0.51]]))
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            validate_membership(np.array([[1.2, -0.2]]))
+        # NaN fails every comparison, so it must not slip through the range check
+        for bad in ([[1.2, -0.2]], [[0.5, 0.5], [np.nan, 1.0]]):
+            with pytest.raises(ValueError):
+                validate_membership(np.array(bad))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,11 @@ class TestBcIndex:
         for _ in range(50):
             P = rng.dirichlet(np.ones(3), size=9)
             assert 0.0 <= bc_index(P) <= 1.0
+
+    @pytest.mark.parametrize("k", [144, 400])
+    def test_many_clusters_do_not_overflow(self, k):
+        # K^K overflows a float from K = 144 on; the log-space sum does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(bc_index(np.full((3, k), 1.0 / k)) - 1.0) < 1e-9
+            assert bc_index(np.eye(k)[[0, 5, k - 1]]) == 0.0

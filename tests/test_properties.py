@@ -1,0 +1,73 @@
+"""Property tests for the invariants of PD clustering, the indices and the smoother."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from tsboost import bc_index, fuzzy_rand, pd_probabilities
+from tsboost.pspline import build_basis, difference_penalty, effective_dimension
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+shapes = st.tuples(st.integers(1, 12), st.integers(2, 6))
+
+
+def distance_matrices():
+    """Nonnegative (N, K) distances; exact zeros exercise the coincident-center branch."""
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    return shapes.flatmap(lambda s: arrays(float, s, elements=entry))
+
+
+def memberships(shape=shapes):
+    """Row-stochastic matrices, built by normalizing nonnegative rows."""
+    def normalize(raw):
+        raw = raw + (raw.sum(axis=1, keepdims=True) == 0)
+        return raw / raw.sum(axis=1, keepdims=True)
+
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    return shape.flatmap(lambda s: arrays(float, s, elements=entry)).map(normalize)
+
+
+@SETTINGS
+@given(distance_matrices())
+def test_pd_rows_are_stochastic_and_balance_distances(D):
+    P = pd_probabilities(D)
+    assert np.all(P >= 0)
+    assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-12
+    # PD principle: P_ik d_ik is the same for every cluster of row i
+    PD = P * D
+    spread = PD.max(axis=1) - PD.min(axis=1)
+    assert np.all(spread <= 1e-10 * PD.max(axis=1))
+
+
+@SETTINGS
+@given(memberships())
+def test_bc_lies_in_unit_interval(P):
+    # uniform rows give 1 up to the round-off of the log-space product
+    assert 0.0 <= bc_index(P) <= 1.0 + 1e-12
+
+
+@SETTINGS
+@given(st.data())
+def test_fuzzy_rand_symmetric_and_one_on_identity(data):
+    n = data.draw(st.integers(2, 10))
+    P = data.draw(memberships(st.tuples(st.just(n), st.integers(2, 5))))
+    Q = data.draw(memberships(st.tuples(st.just(n), st.integers(2, 5))))
+    assert fuzzy_rand(P, Q) == fuzzy_rand(Q, P)
+    assert fuzzy_rand(P, P) == 1.0
+
+
+@SETTINGS
+@given(n=st.integers(5, 40), degree=st.integers(0, 3), interior=st.integers(1, 12),
+       order=st.integers(1, 3))
+def test_effective_dimension_monotone_and_bounded(n, degree, interior, order):
+    basis = build_basis(np.linspace(0, 1, n), degree=degree, interior_knots=interior)
+    m = basis.n_bases
+    if order >= m:
+        order = m - 1
+    pen = difference_penalty(m, order)
+    eds = np.array([effective_dimension(basis, pen, lam) for lam in np.logspace(-6, 6, 25)])
+    assert np.all(np.diff(eds) <= 1e-9)
+    assert np.all(eds >= order - 1e-8)
+    assert np.all(eds <= np.linalg.matrix_rank(basis.matrix) + 1e-8)

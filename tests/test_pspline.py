@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from tsboost.errors import (
     EDSaturated,
     FlatCriterion,
     LeverageOne,
+    SingularSystem,
     ZeroResidual,
 )
 from tsboost.pspline import (
@@ -151,6 +154,20 @@ class TestEffectiveDimension:
         eds = [effective_dimension(basis, pen, lam) for lam in np.logspace(-8, 8, 30)]
         assert np.all(np.diff(eds) <= 1e-10)
 
+    def test_zero_lambda_rank_deficient_raises(self):
+        # m = 6 > n = 5: B'B is singular and has no inverse at lambda = 0
+        basis = build_basis(np.linspace(0, 1, 5))
+        pen = difference_penalty(basis.n_bases, 2)
+        assert basis.n_bases == 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem):
+                effective_dimension(basis, pen, 0.0)
+            with pytest.raises(SingularSystem):
+                pspline._hat_diagonal(basis, pen, 0.0)
+            # the lambda -> 0+ limit is rank(B) = 5
+            assert abs(effective_dimension(basis, pen, 1e-12) - 5.0) < 1e-6
+
     def test_matches_hat_trace(self):
         basis = build_basis(np.linspace(0, 1, 25), degree=3, interior_knots=5)
         pen = difference_penalty(basis.n_bases, 2)
@@ -278,19 +295,21 @@ class TestSelectLambda:
         y = np.sin(2 * np.pi * x) + rng.normal(0, 0.15, size=40)
         basis = build_basis(x, degree=3, interior_knots=8)
         pen = difference_penalty(basis.n_bases, 2)
-        grid = np.logspace(-3, 3, 12)
-        selection = select_lambda(y, basis, pen, LambdaCriterion("vcurve", grid=grid))
-        psi, phi = [], []
-        for lam in grid:
-            fit = fit_pspline(y, basis, pen, lam)
-            psi.append(np.log(np.sum((y - fit.fitted) ** 2)))
-            phi.append(np.log(np.sum((pen.matrix @ fit.coef) ** 2)))
-        u = np.log(grid)
-        du = np.diff(u)
-        expected = np.hypot(np.diff(psi) / du, np.diff(phi) / du)
-        assert selection.scores.shape == (11,)
-        assert np.max(np.abs(selection.scores - expected)) < 1e-8
-        assert np.max(np.abs(selection.lambdas - np.exp((u[:-1] + u[1:]) / 2))) < 1e-12
+        # the default grid reaches lambda = 1e6, where the penalty SS is tiny
+        # and must not be floored by round-off on the penalty null space
+        for grid in (np.logspace(-3, 3, 12), pspline.default_lambda_grid()):
+            selection = select_lambda(y, basis, pen, LambdaCriterion("vcurve", grid=grid))
+            psi, phi = [], []
+            for lam in grid:
+                fit = fit_pspline(y, basis, pen, lam)
+                psi.append(np.log(np.sum((y - fit.fitted) ** 2)))
+                phi.append(np.log(np.sum((pen.matrix @ fit.coef) ** 2)))
+            u = np.log(grid)
+            du = np.diff(u)
+            expected = np.hypot(np.diff(psi) / du, np.diff(phi) / du)
+            assert selection.scores.shape == (grid.size - 1,)
+            assert np.max(np.abs(selection.scores - expected)) < 1e-8
+            assert np.max(np.abs(selection.lambdas - np.exp((u[:-1] + u[1:]) / 2))) < 1e-12
 
     def test_minimizing_criteria_pick_grid_argmin(self, rng):
         x = np.linspace(0, 1, 60)
@@ -311,3 +330,67 @@ class TestSelectLambda:
         assert fit.lam == selection.lam
         refit = fit_pspline(y, basis, pen, selection.lam)
         assert np.array_equal(fit.fitted, refit.fitted)
+
+
+def dense_profiles(y, basis, pen, grid, weights):
+    """ED, hat diagonals and the five criterion profiles from per-lambda dense solves."""
+    B, D = basis.matrix, pen.matrix
+    n = y.shape[0]
+    w = np.ones(n) if weights is None else weights
+    BtWB = B.T @ (w[:, None] * B)
+    ed, hat, resid, rss, pss = [], [], [], [], []
+    for lam in grid:
+        A = BtWB + lam * D.T @ D
+        a = np.linalg.solve(A, B.T @ (w * y))
+        ed.append(np.trace(np.linalg.solve(A, BtWB)))
+        hat.append(np.diag(B @ np.linalg.solve(A, B.T * w)))
+        resid.append(y - B @ a)
+        rss.append(np.sum(w * resid[-1] ** 2))
+        pss.append(np.sum((D @ a) ** 2))
+    ed, hat, resid = np.array(ed), np.array(hat), np.array(resid)
+    psi, phi, u = np.log(rss), np.log(pss), np.log(grid)
+    dpsi, dphi = np.gradient(psi, u), np.gradient(phi, u)
+    d2psi, d2phi = np.gradient(dpsi, u), np.gradient(dphi, u)
+    scores = {
+        "aic": 2 * ed + n * np.log(np.array(rss) / n),
+        "gcv": np.sum(resid**2, axis=1) / (n - ed) ** 2,
+        "loocv": np.sum((resid / (1 - hat)) ** 2, axis=1),
+        "vcurve": np.hypot(np.diff(psi), np.diff(phi)) / np.diff(u),
+        "lcurve": (dpsi * d2phi - d2psi * dphi) / (dpsi**2 + dphi**2) ** 1.5,
+    }
+    return ed, hat, scores
+
+
+def close(actual, expected, rtol=1e-8):
+    """Normwise relative agreement of two arrays."""
+    return np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("case", ["n5-m6", "degree0-saturated", "n200-m44", "weighted"])
+def test_engine_matches_dense_solves(case):
+    rng = np.random.default_rng(7)
+    weights = None
+    if case == "n5-m6":
+        basis = build_basis(np.linspace(0, 1, 5))
+        assert basis.n_bases == 6
+    elif case == "degree0-saturated":
+        basis = degree0_basis(8, 7)
+        assert np.array_equal(basis.matrix, np.eye(8))
+    elif case == "n200-m44":
+        basis = build_basis(np.linspace(0, 1, 200))
+        assert basis.n_bases == 44
+    else:
+        basis = build_basis(np.linspace(0, 1, 30))
+        weights = rng.uniform(0.2, 3.0, size=30)
+        weights[4] = 0.0
+    n = basis.matrix.shape[0]
+    pen = difference_penalty(basis.n_bases, 2)
+    y = np.sin(5 * basis.domain) + rng.normal(0, 0.3, size=n)
+    grid = pspline.default_lambda_grid()
+    ed, hat, scores = dense_profiles(y, basis, pen, grid, weights)
+    for g in (0, 17, 33, 49):
+        assert close(effective_dimension(basis, pen, grid[g], weights), ed[g])
+        assert close(pspline._hat_diagonal(basis, pen, grid[g], weights), hat[g])
+    for name in pspline.CRITERIA:
+        selection = select_lambda(y, basis, pen, name, weights)
+        assert close(selection.scores, scores[name]), name
