@@ -3,9 +3,11 @@
 One restart alternates, for a fixed number of iterations: distance matrix
 against the current centers -> PD membership probabilities -> loss beta ->
 boosting weight matrix -> per-cluster weighted resampling with replacement
--> P-spline center fit on the resampled pool -> adaptive center update
-(smoothing of the mean over the center history). Several independent
-restarts are run and the one with the smallest final BC index wins.
+-> P-spline center fit on the resampled pool -> center update. Each center
+is the running mean of its per-iteration P-spline fits; those fits share one
+basis, so the mean is itself a spline in that basis and needs no further
+smoothing. Several independent restarts are run and the one with the
+smallest final BC index wins.
 
 Randomness is split into dedicated streams keyed by (seed, restart) for the
 initial centers and (seed, restart, iteration, cluster) for the resampling
@@ -131,30 +133,6 @@ def estimate_center(values, sample, basis, penalty, criterion):
     return pspline.smooth_series(pooled, basis, penalty, criterion)[0]
 
 
-def update_center_adaptive(history, basis, penalty, criterion):
-    """Adaptive center: smooth the mean of all past per-iteration centers.
-
-    At the first iteration the raw fitted center is returned unchanged. If
-    the history mean already lies in the spline space (zero least-squares
-    residual) the unpenalized projection is returned, since there is
-    nothing left to smooth.
-    """
-    if len(history) == 0:
-        raise ValueError("history must contain at least one center")
-    if len(history) == 1:
-        return history[0]
-    mean_curve = np.mean([fit.fitted for fit in history], axis=0)
-    B = basis.matrix
-    coef, _, rank, _ = np.linalg.lstsq(B, mean_curve, rcond=None)
-    if rank == B.shape[1]:
-        resid = np.linalg.norm(mean_curve - B @ coef)
-        if resid <= 1e-10 * max(np.linalg.norm(mean_curve), 1.0):
-            return pspline.SplineFit(
-                basis=basis, penalty=penalty, lam=0.0, coef=coef, fitted=B @ coef
-            )
-    return pspline.smooth_series(mean_curve, basis, penalty, criterion)[0]
-
-
 @dataclass(frozen=True)
 class _RestartOutcome:
     centers: np.ndarray
@@ -168,8 +146,8 @@ def _run_restart(values, basis, penalty, criterion, config, restart):
     k = config.n_clusters
     sample_size = config.sample_size or n_series
     init_rng = np.random.default_rng(np.random.SeedSequence((config.seed, restart)))
-    centers = values[init_rng.choice(n_series, size=k, replace=False)].copy()
-    history = [[] for _ in range(k)]
+    centers = values[init_rng.choice(n_series, size=k, replace=False)]
+    sums = np.zeros_like(centers)
     beta_trace, bc_trace = [], []
     for iteration in range(1, config.maxiter + 1):
         D = distance_matrix(values, centers, config.distance)
@@ -185,10 +163,8 @@ def _run_restart(values, basis, penalty, criterion, config, restart):
                 np.random.SeedSequence((config.seed, restart, iteration, cluster))
             )
             sample = draw_cluster_sample(W[:, cluster], sample_size, rng)
-            fit = estimate_center(values, sample, basis, penalty, criterion)
-            history[cluster].append(fit)
-            updated = update_center_adaptive(history[cluster], basis, penalty, criterion)
-            centers[cluster] = updated.fitted
+            sums[cluster] += estimate_center(values, sample, basis, penalty, criterion).fitted
+        centers = sums / iteration
     D = distance_matrix(values, centers, config.distance)
     P = pd_probabilities(D)
     return _RestartOutcome(

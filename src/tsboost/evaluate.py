@@ -3,10 +3,11 @@
 The fuzzy Rand index compares two fuzzy partitions through their pairwise
 equivalence degrees E(i, j) = 1 - 0.5 * L1(p_i, p_j): the index is one
 minus the mean absolute disagreement of E over the N(N-1)/2 unordered
-pairs. On crisp partitions it reduces to the classic Rand index. The
-reference partition rebuilds the "true" fuzzy solution the same way the
-clustering does: per-label pooled P-spline centers, then PD probabilities
-against them.
+pairs, accumulated over blocks of rows so memory stays linear in N. On
+crisp partitions it reduces to the classic Rand index. The reference
+partition rebuilds the "true" fuzzy solution the same way the clustering
+does: per-label pooled P-spline centers, then PD probabilities against
+them.
 """
 
 import numpy as np
@@ -16,6 +17,9 @@ from .distance import distance_matrix
 from .errors import DimensionMismatch, SizeMismatch
 from .pdclust import pd_probabilities
 from . import pspline
+
+# rows per block in the pairwise indices; bounds their memory to O(block * N * K)
+PAIR_BLOCK = 64
 
 
 def fuzzy_equivalence(p, q):
@@ -27,10 +31,21 @@ def fuzzy_equivalence(p, q):
     return float(1.0 - 0.5 * np.sum(np.abs(p - q)))
 
 
-def _pairwise_equivalence(P):
-    # E[i, j] = 1 - 0.5 * L1 distance of rows i and j
-    P = np.asarray(P, dtype=float)
-    return 1.0 - 0.5 * np.abs(P[:, None, :] - P[None, :, :]).sum(axis=2)
+def _pairwise_equivalence(rows, cols):
+    # E[i, j] = 1 - 0.5 * L1 distance of rows[i] and cols[j]
+    return 1.0 - 0.5 * np.abs(rows[:, None, :] - cols[None, :, :]).sum(axis=2)
+
+
+def _upper_blocks(n):
+    """Row blocks of the pairs j > i: yields (start, stop, mask).
+
+    The mask has shape (stop - start, n - start) and selects, for rows
+    start..stop-1, the columns j > i among columns start..n-1, so each block
+    holds O(PAIR_BLOCK * n) pairs instead of all N^2.
+    """
+    for start in range(0, n, PAIR_BLOCK):
+        stop = min(start + PAIR_BLOCK, n)
+        yield start, stop, np.arange(start, n) > np.arange(start, stop)[:, None]
 
 
 def fuzzy_rand(P, Q):
@@ -40,10 +55,12 @@ def fuzzy_rand(P, Q):
     if P.shape[0] != Q.shape[0]:
         raise SizeMismatch(f"partitions cover {P.shape[0]} vs {Q.shape[0]} objects")
     n = P.shape[0]
-    iu = np.triu_indices(n, k=1)
-    ep = _pairwise_equivalence(P)[iu]
-    eq = _pairwise_equivalence(Q)[iu]
-    return float(1.0 - np.abs(ep - eq).sum() / (n * (n - 1) / 2))
+    disagreement = 0.0
+    for start, stop, upper in _upper_blocks(n):
+        ep = _pairwise_equivalence(P[start:stop], P[start:])
+        eq = _pairwise_equivalence(Q[start:stop], Q[start:])
+        disagreement += np.abs(ep - eq)[upper].sum()
+    return float(1.0 - disagreement / (n * (n - 1) / 2))
 
 
 def classic_rand(a, b):
@@ -53,10 +70,12 @@ def classic_rand(a, b):
     if a.shape != b.shape:
         raise SizeMismatch(f"label vectors differ: {a.shape} vs {b.shape}")
     n = a.shape[0]
-    iu = np.triu_indices(n, k=1)
-    same_a = (a[:, None] == a[None, :])[iu]
-    same_b = (b[:, None] == b[None, :])[iu]
-    return float(np.mean(same_a == same_b))
+    agree = 0
+    for start, stop, upper in _upper_blocks(n):
+        same_a = a[start:stop, None] == a[None, start:]
+        same_b = b[start:stop, None] == b[None, start:]
+        agree += np.sum((same_a == same_b) & upper)
+    return float(agree / (n * (n - 1) / 2))
 
 
 def confusion_matrix(truth, predicted):

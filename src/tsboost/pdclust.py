@@ -53,10 +53,12 @@ def loss_beta(P):
     """Boosting loss: sum_i (prod_k P_{i,k}) K^K, in [0, N].
 
     Each row term is exp(sum_k log P_{i,k} + K log K), so K^K never overflows;
-    a zero entry contributes log 0 = -inf and hence a zero term.
+    a zero entry contributes log 0 = -inf and hence a zero term. A term is
+    capped at 1, its AM-GM bound for a probability row, which round-off on
+    near-uniform rows would otherwise exceed.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     K = P.shape[1]
     with np.errstate(divide="ignore"):
         logs = np.log(P).sum(axis=1) + K * math.log(K)
-    return float(np.sum(np.exp(logs)))
+    return float(np.sum(np.minimum(np.exp(logs), 1.0)))

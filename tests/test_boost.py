@@ -8,10 +8,9 @@ from tsboost.boost import (
     estimate_center,
     raw_weights,
     thread_count,
-    update_center_adaptive,
 )
 from tsboost.errors import ConfigError, DegenerateBeta
-from tsboost import pspline
+from tsboost import boost, pspline
 
 from conftest import two_level_dataset
 
@@ -121,32 +120,36 @@ class TestCenterEstimation:
             estimate_center(rng.normal(size=(4, 10)), [], basis, penalty, crit)
 
 
-class TestAdaptiveUpdate:
-    def test_first_iteration_passthrough(self, rng):
-        _, basis, penalty, crit = small_spline_setup()
-        fit = pspline.fit_pspline(rng.normal(size=10), basis, penalty, 1.0)
-        assert update_center_adaptive([fit], basis, penalty, crit) is fit
+class TestRunningMeanCenters:
+    @pytest.mark.parametrize("n, maxiter, repeated", [
+        (10, 8, False), (5, 8, False), (10, 1, False), (10, 8, True),
+    ], ids=["n10", "n5-more-bases-than-points", "first-iteration", "repeated-fit"])
+    def test_center_is_mean_of_its_fits(self, rng, monkeypatch, n, maxiter, repeated):
+        # every fit lies in one spline basis, so their mean needs no smoothing;
+        # at n=5 the default basis has more functions than points
+        k = 3
+        if repeated:
+            # identical series: every resampled pool, hence every fit, is the same
+            values = np.tile(rng.normal(size=n), (12, 1))
+        else:
+            values = rng.normal(size=(12, n)) + np.repeat([0.0, 3.0, 6.0], 4)[:, None]
+        data = Dataset.from_values(np.linspace(0, 1, n), values)
+        fits = []
 
-    def test_idempotent_on_repeated_history(self, rng):
-        _, basis, penalty, crit = small_spline_setup()
-        fit = pspline.fit_pspline(rng.normal(size=10), basis, penalty, 1.0)
-        updated = update_center_adaptive([fit, fit, fit], basis, penalty, crit)
-        assert np.max(np.abs(updated.fitted - fit.fitted)) < 1e-9
+        def recording(*args):
+            fit = estimate_center(*args)
+            fits.append(fit.fitted)
+            return fit
 
-    def test_history_mean_in_spline_space(self, rng):
-        # curves already representable in the basis: the update reduces to
-        # their pointwise mean
-        _, basis, penalty, crit = small_spline_setup()
-        fits = [pspline.fit_pspline(rng.normal(size=10), basis, penalty, 0.5)
-                for _ in range(4)]
-        updated = update_center_adaptive(fits, basis, penalty, crit)
-        mean_curve = np.mean([f.fitted for f in fits], axis=0)
-        assert np.max(np.abs(updated.fitted - mean_curve)) < 1e-9
-
-    def test_empty_history_rejected(self):
-        _, basis, penalty, crit = small_spline_setup()
-        with pytest.raises(ValueError):
-            update_center_adaptive([], basis, penalty, crit)
+        monkeypatch.setattr(boost, "estimate_center", recording)
+        result = run_boost(data, BoostConfig(n_clusters=k, maxiter=maxiter, restarts=1, seed=3))
+        assert len(fits) == k * result.beta_trace.shape[0] == k * maxiter
+        for cluster in range(k):
+            assert np.array_equal(result.centers[cluster], np.mean(fits[cluster::k], axis=0))
+        if maxiter == 1:
+            assert np.array_equal(result.centers, np.vstack(fits))
+        if repeated:
+            assert np.max(np.abs(result.centers - fits[0])) < 1e-12
 
 
 class TestRunBoost:

@@ -13,6 +13,7 @@ from tsboost import (
     reference_partition,
 )
 from tsboost.errors import DimensionMismatch, SizeMismatch
+from tsboost.evaluate import PAIR_BLOCK
 
 
 def crisp(labels, k):
@@ -29,6 +30,29 @@ def rand_by_enumeration(a, b):
             agree += (a[i] == a[j]) == (b[i] == b[j])
             total += 1
     return agree / total
+
+
+def rand_indices_by_full_matrices(P, Q, a, b):
+    # every N x N pair at once, the unblocked definition
+    n = len(P)
+    iu = np.triu_indices(n, k=1)
+    ep = 1.0 - 0.5 * np.abs(P[:, None, :] - P[None, :, :]).sum(axis=2)
+    eq = 1.0 - 0.5 * np.abs(Q[:, None, :] - Q[None, :, :]).sum(axis=2)
+    fuzzy = 1.0 - np.abs(ep[iu] - eq[iu]).mean()
+    classic = ((a[:, None] == a[None, :]) == (b[:, None] == b[None, :]))[iu].mean()
+    return fuzzy, classic
+
+
+class TestBlockedPairs:
+    @pytest.mark.parametrize("n", [2, PAIR_BLOCK + 1, 2 * PAIR_BLOCK + 22])
+    def test_matches_full_matrix_oracle(self, rng, n):
+        P = rng.dirichlet(np.ones(3), size=n)
+        Q = rng.dirichlet(np.ones(5), size=n)
+        a = rng.integers(1, 4, size=n)
+        b = rng.integers(1, 3, size=n)
+        fuzzy, classic = rand_indices_by_full_matrices(P, Q, a, b)
+        assert abs(fuzzy_rand(P, Q) - fuzzy) < 1e-12
+        assert abs(classic_rand(a, b) - classic) < 1e-12
 
 
 class TestFuzzyEquivalence:

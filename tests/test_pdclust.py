@@ -78,6 +78,13 @@ class TestBcIndex:
             P = np.full((7, k), 1.0 / k)
             assert abs(bc_index(P) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("k", [6, 10])
+    def test_uniform_rows_do_not_exceed_one(self, k):
+        # the log-space row product of 1/K entries rounds above 1 at these K
+        P = np.full((7, k), 1.0 / k)
+        assert 1.0 - 1e-12 <= bc_index(P) <= 1.0
+        assert loss_beta(P) <= 7.0
+
     def test_hand_case(self):
         P = np.array([[0.5, 0.5], [1.0, 0.0]])
         assert abs(bc_index(P) - 0.5) < 1e-15
