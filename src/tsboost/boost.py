@@ -38,11 +38,7 @@ class BoostConfig:
     restarts: int = 10
     distance: DistanceKind = DistanceKind.EUCLIDEAN
     seed: int = 0
-    degree: int = pspline.DEFAULT_DEGREE
-    penalty_order: int = pspline.DEFAULT_PENALTY_ORDER
     criterion: str = "vcurve"
-    interior_knots: int | None = None
-    sample_size: int | None = None  # series drawn per cluster; default N
 
     def __post_init__(self):
         if self.n_clusters < 2:
@@ -144,7 +140,6 @@ class _RestartOutcome:
 def _run_restart(values, basis, penalty, criterion, config, restart):
     n_series = values.shape[0]
     k = config.n_clusters
-    sample_size = config.sample_size or n_series
     init_rng = np.random.default_rng(np.random.SeedSequence((config.seed, restart)))
     centers = values[init_rng.choice(n_series, size=k, replace=False)]
     sums = np.zeros_like(centers)
@@ -162,7 +157,7 @@ def _run_restart(values, basis, penalty, criterion, config, restart):
             rng = np.random.default_rng(
                 np.random.SeedSequence((config.seed, restart, iteration, cluster))
             )
-            sample = draw_cluster_sample(W[:, cluster], sample_size, rng)
+            sample = draw_cluster_sample(W[:, cluster], n_series, rng)
             sums[cluster] += estimate_center(values, sample, basis, penalty, criterion).fitted
         centers = sums / iteration
     D = distance_matrix(values, centers, config.distance)
@@ -183,10 +178,8 @@ def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
         raise ConfigError(
             f"need K < N, got K={config.n_clusters}, N={data.n_series}"
         )
-    basis = pspline.build_basis(
-        data.domain, degree=config.degree, interior_knots=config.interior_knots
-    )
-    penalty = pspline.difference_penalty(basis.n_bases, config.penalty_order)
+    basis = pspline.build_basis(data.domain)
+    penalty = pspline.difference_penalty(basis.n_bases)
     criterion = pspline.LambdaCriterion(config.criterion)
 
     def job(restart):

@@ -7,8 +7,8 @@ report) and ``smooth`` (single-series P-spline fit). Every run writes a
 phase timings. All numbers are serialized in shortest round-trip decimal
 form, so rereading an emitted CSV reproduces the in-memory values exactly.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data or input-file
-error.
+Exit codes: 0 success, 1 usage or configuration error, 2 any other package
+error (bad data, an unreadable input file or a run that cannot proceed).
 """
 
 import argparse
@@ -25,7 +25,7 @@ from . import __version__
 from .boost import BoostConfig, run_boost
 from .core import Dataset, harden, validate_dataset, validate_membership
 from .distance import DistanceKind
-from .errors import ConfigError, DataError, IoError, ParseError
+from .errors import ConfigError, IoError, ParseError, TsboostError
 from .evaluate import classic_rand, confusion_matrix, fuzzy_rand, reference_partition
 from .fcm import FcmConfig, run_fcm
 from .pdclust import bc_index
@@ -366,8 +366,11 @@ def cmd_smooth(args):
         if not matches:
             raise ConfigError(f"series id {args.series_id!r} not found in {args.input}")
         record = matches[0]
-    basis = pspline.build_basis(data.domain, degree=args.degree)
-    penalty = pspline.difference_penalty(basis.n_bases, args.penalty_order)
+    try:
+        basis = pspline.build_basis(data.domain, degree=args.degree)
+        penalty = pspline.difference_penalty(basis.n_bases, args.penalty_order)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     fit, selection = pspline.smooth_series(record.values, basis, penalty, args.criterion)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -461,7 +464,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, IoError) as exc:
+    except TsboostError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Data errors (bad input files or malformed arrays) derive from ``DataError``
-so the CLI can map them to a distinct exit code; configuration and usage
-problems derive from ``ConfigError``.
+Configuration and usage problems derive from ``ConfigError``, which the CLI
+maps to exit code 1; data errors (bad input files or malformed arrays)
+derive from ``DataError``. The CLI maps every other ``TsboostError`` to
+exit code 2.
 """
 
 
@@ -46,16 +47,8 @@ class SingularSystem(TsboostError):
     pass
 
 
-class ZeroResidual(TsboostError):
-    """Perfect interpolation: the AIC log term diverges."""
-
-
 class LeverageOne(TsboostError):
     """A hat-matrix diagonal reached 1; the LOO-CV shortcut is undefined."""
-
-
-class EDSaturated(TsboostError):
-    """Effective dimension reached n; the GCV denominator vanishes."""
 
 
 class FlatCriterion(TsboostError):

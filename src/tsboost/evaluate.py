@@ -93,10 +93,10 @@ def confusion_matrix(truth, predicted):
     return table, t_labels, p_labels
 
 
-def reference_partition(data: Dataset, true_labels, kind, degree=pspline.DEFAULT_DEGREE,
-                        penalty_order=pspline.DEFAULT_PENALTY_ORDER, criterion="vcurve",
-                        interior_knots=None):
+def reference_partition(data: Dataset, true_labels, kind, criterion="vcurve"):
     """True fuzzy partition: pooled P-spline centers per label, then PD probabilities.
+
+    The centers use the same default basis and penalty as ``run_boost``.
 
     Returns (membership, centers) with clusters ordered by sorted label value.
     """
@@ -107,8 +107,8 @@ def reference_partition(data: Dataset, true_labels, kind, degree=pspline.DEFAULT
             f"{labels.shape[0]} labels for {data.n_series} series"
         )
     values = data.values()
-    basis = pspline.build_basis(data.domain, degree=degree, interior_knots=interior_knots)
-    penalty = pspline.difference_penalty(basis.n_bases, penalty_order)
+    basis = pspline.build_basis(data.domain)
+    penalty = pspline.difference_penalty(basis.n_bases)
     crit = pspline.LambdaCriterion(criterion)
     centers = []
     for label in np.unique(labels):

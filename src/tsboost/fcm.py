@@ -26,10 +26,11 @@ class FcmConfig:
     def __post_init__(self):
         if self.n_clusters < 2:
             raise ConfigError("need at least 2 clusters")
-        if self.fuzzifier <= 1.0:
-            raise ConfigError("fuzzifier must be > 1")
-        if self.epsilon <= 0 or self.max_sweeps < 1:
-            raise ConfigError("epsilon must be > 0 and max_sweeps >= 1")
+        # negated in-range tests, so that NaN fails them too
+        if not 1.0 < self.fuzzifier < np.inf:
+            raise ConfigError("fuzzifier must be finite and > 1")
+        if not 0.0 < self.epsilon < np.inf or self.max_sweeps < 1:
+            raise ConfigError("epsilon must be finite and > 0, and max_sweeps >= 1")
 
 
 @dataclass(frozen=True)

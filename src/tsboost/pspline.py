@@ -4,14 +4,17 @@ A rich equidistant-knot B-spline basis is combined with a d-th order
 difference penalty on the coefficients; the penalized least-squares
 coefficients are
 
-    a = (B' W B + lambda * D' D)^{-1} B' W y
+    a = (B' B + lambda * D' D)^{-1} B' y.
 
-with W a diagonal weight matrix (identity by default). Five smoothing
-parameter selectors are provided: AIC, leave-one-out CV, GCV, the L-curve
-corner and the V-curve. They score the whole lambda grid from one
-Demmler-Reinsch factorisation per call, which turns every grid quantity
-into a diagonal scaling (see ``_spectrum``); ``fit_pspline`` stays a dense
-solve of the normal equations at one lambda.
+Five smoothing parameter selectors are provided: AIC, leave-one-out CV,
+GCV, the L-curve corner and the V-curve. ``select_lambda`` scores the whole
+lambda grid from one Demmler-Reinsch factorisation per call, which turns
+every grid quantity into a diagonal scaling (see ``_spectrum``), and takes
+the coefficients at the chosen lambda from the same factorisation, so
+``smooth_series`` needs no second solve. ``fit_pspline`` is the dense solve
+of the (optionally weighted) normal equations at one fixed lambda: the
+reference the spectral path is tested against, and the fit used when a
+criterion profile is flat.
 """
 
 import math
@@ -19,14 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DomainTooShort,
-    EDSaturated,
-    FlatCriterion,
-    LeverageOne,
-    SingularSystem,
-    ZeroResidual,
-)
+from .errors import DomainTooShort, FlatCriterion, LeverageOne, SingularSystem
 
 DEFAULT_DEGREE = 3
 DEFAULT_PENALTY_ORDER = 2
@@ -107,7 +103,6 @@ class SplineFit:
     lam: float
     coef: np.ndarray
     fitted: np.ndarray
-    weights: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -128,12 +123,14 @@ class LambdaCriterion:
 
 @dataclass(frozen=True)
 class LambdaSelection:
-    """Selected smoothing parameter plus the per-grid diagnostic profile."""
+    """Selected smoothing parameter, the per-grid diagnostic profile and the
+    spline coefficients at the selected lambda."""
 
     lam: float
     criterion: str
     lambdas: np.ndarray  # points at which scores are attributed
     scores: np.ndarray
+    coef: np.ndarray
 
 
 def build_basis(domain, degree=DEFAULT_DEGREE, interior_knots=None):
@@ -173,52 +170,52 @@ def difference_penalty(n_bases, order=DEFAULT_PENALTY_ORDER):
     return PenaltyMatrix(order=order, matrix=D)
 
 
-def _check_weights(weights, n):
-    if weights is None:
-        return None
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"weights must have length {n}")
-    if np.any(w < 0) or not np.any(w > 0):
-        raise ValueError("weights must be nonnegative and not all zero")
-    return w
+def _spectrum(basis, penalty):
+    """Demmler-Reinsch diagonalisation of B'B and D'D on a normalised pencil.
 
-
-def _spectrum(basis, penalty, weights=None):
-    """Demmler-Reinsch diagonalisation of B'WB and D'D on a normalised pencil.
-
-    With C = B'WB + D'D = LL' and eigh(L^-1 B'WB L^-T) = U diag(mu) U', the
-    basis V = L^-T U gives V'B'WBV = diag(mu) and V'D'DV = diag(1 - mu), so
-    (B'WB + lambda D'D)^{-1} = V diag(1 / d) V' with d = mu + lambda (1 - mu).
-    C stays positive definite when B'WB is singular (m > n). Returns mu
+    With C = B'B + D'D = LL' and eigh(L^-1 B'B L^-T) = U diag(mu) U', the
+    basis V = L^-T U gives V'B'BV = diag(mu) and V'D'DV = diag(1 - mu), so
+    (B'B + lambda D'D)^{-1} = V diag(1 / d) V' with d = mu + lambda (1 - mu).
+    C stays positive definite when B'B is singular (m > n). Returns mu
     (ascending, clipped to [0, 1]), V and Q = BV.
     """
     B = basis.matrix
-    Bw = B if weights is None else B * weights[:, None]
-    BtWB = Bw.T @ B
+    BtB = B.T @ B
     try:
-        L = np.linalg.cholesky(BtWB + penalty.matrix.T @ penalty.matrix)
+        L = np.linalg.cholesky(BtB + penalty.matrix.T @ penalty.matrix)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     Linv = np.linalg.inv(L)
-    mu, U = np.linalg.eigh(Linv @ BtWB @ Linv.T)
+    mu, U = np.linalg.eigh(Linv @ BtB @ Linv.T)
     V = Linv.T @ U
     return np.clip(mu, 0.0, 1.0), V, B @ V
 
 
 def _divisors(mu, lam):
-    """d = mu + lambda (1 - mu) for one lambda; lambda = 0 needs B'WB nonsingular."""
+    """d = mu + lambda (1 - mu) for one lambda; lambda = 0 needs B'B nonsingular."""
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
     if lam == 0 and mu[0] <= mu.shape[0] * np.finfo(float).eps:
-        raise SingularSystem("B'WB is numerically singular at lambda = 0")
+        raise SingularSystem("B'B is numerically singular at lambda = 0")
     return mu + lam * (1.0 - mu)
 
 
 def fit_pspline(y, basis, penalty, lam, weights=None):
-    """Penalized weighted least-squares spline fit at a fixed lambda (dense solve)."""
+    """Penalized weighted least-squares spline fit at a fixed lambda (dense solve).
+
+    The reference for the spectral path of ``select_lambda``; ``weights``
+    (nonnegative, one per point) give a weighted fit, e.g. a leave-one-out
+    refit with one zero weight.
+    """
     y = np.asarray(y, dtype=float)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    weights = _check_weights(weights, y.shape[0])
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (y.shape[0],):
+            raise ValueError(f"weights must have length {y.shape[0]}")
+        if np.any(weights < 0) or not np.any(weights > 0):
+            raise ValueError("weights must be nonnegative and not all zero")
     B = basis.matrix
     Bw = B if weights is None else B * weights[:, None]
     BtWy = Bw.T @ y
@@ -230,76 +227,34 @@ def fit_pspline(y, basis, penalty, lam, weights=None):
     rel = np.linalg.norm(A @ coef - BtWy) / max(np.linalg.norm(BtWy), 1e-300)
     if not np.all(np.isfinite(coef)) or rel > 1e-6:
         raise SingularSystem("normal equations are numerically singular")
-    return SplineFit(
-        basis=basis, penalty=penalty, lam=float(lam), coef=coef,
-        fitted=B @ coef, weights=weights,
-    )
+    return SplineFit(basis=basis, penalty=penalty, lam=float(lam), coef=coef, fitted=B @ coef)
 
 
-def effective_dimension(basis, penalty, lam, weights=None):
-    """trace[(B'WB + lambda D'D)^{-1} B'WB] = sum mu / d; degrees of freedom of the smoother."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    weights = _check_weights(weights, basis.matrix.shape[0])
-    mu, _, _ = _spectrum(basis, penalty, weights)
+def effective_dimension(basis, penalty, lam):
+    """trace[(B'B + lambda D'D)^{-1} B'B] = sum mu / d; degrees of freedom of the smoother."""
+    mu, _, _ = _spectrum(basis, penalty)
     return float(np.sum(mu / _divisors(mu, lam)))
 
 
-def score_aic(y, fit):
-    """AIC(lambda) = 2 ED + 2 n ln(sigma_hat)."""
+def _hat_diagonal(basis, penalty, lam):
+    """diag[B (B'B + lambda D'D)^{-1} B'] = (Q^2)(1 / d)."""
+    mu, _, Q = _spectrum(basis, penalty)
+    return (Q**2) @ (1.0 / _divisors(mu, lam))
+
+
+def score_loocv(y, basis, penalty, lam):
+    """Leave-one-out CV via the hat-matrix shortcut; h and the fit share one spectrum."""
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    sigma2 = float(np.sum((y - fit.fitted) ** 2)) / n
-    if sigma2 <= 1e-300:
-        raise ZeroResidual("residuals vanish; AIC log term diverges")
-    ed = effective_dimension(fit.basis, fit.penalty, fit.lam, fit.weights)
-    return 2.0 * ed + n * math.log(sigma2)
-
-
-def score_gcv(y, fit):
-    """GCV(lambda) = sum_j [(y_j - yhat_j) / (n - ED)]^2."""
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    ed = effective_dimension(fit.basis, fit.penalty, fit.lam, fit.weights)
-    if ed >= n - 1e-9:
-        raise EDSaturated(f"effective dimension {ed} saturates n = {n}")
-    return float(np.sum((y - fit.fitted) ** 2)) / (n - ed) ** 2
-
-
-def _hat_diagonal(basis, penalty, lam, weights=None):
-    """diag[B (B'WB + lambda D'D)^{-1} B'W] = w * (Q^2)(1 / d)."""
-    mu, _, Q = _spectrum(basis, penalty, weights)
-    return (1.0 / _divisors(mu, lam)) @ (Q**2).T * (1.0 if weights is None else weights)
-
-
-def score_loocv(y, basis, penalty, lam, weights=None):
-    """Leave-one-out CV via the hat-matrix shortcut."""
-    y = np.asarray(y, dtype=float)
-    weights = _check_weights(weights, y.shape[0])
-    h = _hat_diagonal(basis, penalty, lam, weights)
+    mu, _, Q = _spectrum(basis, penalty)
+    d = _divisors(mu, lam)
+    h = (Q**2) @ (1.0 / d)
     if np.any(h >= 1.0 - 1e-12):
         raise LeverageOne("a hat diagonal reached 1; LOO-CV undefined")
-    fit = fit_pspline(y, basis, penalty, lam, weights)
-    return float(np.sum(((y - fit.fitted) / (1.0 - h)) ** 2))
+    resid = y - Q @ ((Q.T @ y) / d)
+    return float(np.sum((resid / (1.0 - h)) ** 2))
 
 
-def _grid_profiles(y, basis, penalty, grid, weights):
-    """Spectrum, divisors d (G, m), residuals, residual SS and penalty SS per grid point.
-
-    The coefficients at grid point g are a = V c with c = Q'Wy / d[g].
-    """
-    mu, V, Q = _spectrum(basis, penalty, weights)
-    d = mu + grid[:, None] * (1.0 - mu)
-    c = (Q.T @ (y if weights is None else weights * y)) / d
-    resid = y - c @ Q.T
-    rss = np.sum(resid**2 if weights is None else weights * resid**2, axis=1)
-    # ||D a||^2 through DV, not sum (1 - mu) c^2: on the penalty null space
-    # 1 - mu is round-off, which would floor the penalty SS at large lambda
-    pen = np.sum((c @ (penalty.matrix @ V).T) ** 2, axis=1)
-    return mu, Q, d, resid, rss, pen
-
-
-def select_lambda(y, basis, penalty, criterion, weights=None):
+def select_lambda(y, basis, penalty, criterion):
     """Pick the smoothing parameter from the criterion's grid.
 
     AIC, LOO-CV and GCV return the grid point minimizing the score. The
@@ -307,20 +262,28 @@ def select_lambda(y, basis, penalty, criterion, weights=None):
     phi = log ||D a||^2 along the log-lambda grid and returns the interval
     midpoint (geometric mean) with the smallest speed; the L-curve returns
     the grid point of maximum discrete curvature of (psi, phi).
+
+    Every profile and the returned coefficients at the chosen lambda come
+    from one ``_spectrum``: at grid point g, a = V c with c = Q'y / d[g].
     """
     if isinstance(criterion, str):
         criterion = LambdaCriterion(criterion)
     y = np.asarray(y, dtype=float)
-    weights = _check_weights(weights, y.shape[0])
     grid = criterion.grid
     n = y.shape[0]
-    mu, Q, d, resid, rss, pen = _grid_profiles(y, basis, penalty, grid, weights)
+    mu, V, Q = _spectrum(basis, penalty)
+    Qty = Q.T @ y
+    d = mu + grid[:, None] * (1.0 - mu)
+    c = Qty / d
+    resid = y - c @ Q.T
+    rss = np.sum(resid**2, axis=1)
 
     name = criterion.name
+    lambdas = grid
     if name in ("aic", "loocv", "gcv"):
         with np.errstate(divide="ignore", invalid="ignore"):
             if name == "loocv":
-                hdiag = (1.0 / d) @ (Q**2).T * (1.0 if weights is None else weights)
+                hdiag = (1.0 / d) @ (Q**2).T
                 bad = np.any(hdiag >= 1.0 - 1e-12, axis=1)
                 cv = np.sum((resid / (1.0 - np.minimum(hdiag, 1.0 - 1e-12))) ** 2, axis=1)
                 scores = np.where(bad, np.inf, cv)
@@ -329,33 +292,35 @@ def select_lambda(y, basis, penalty, criterion, weights=None):
                 scores = np.where(rss / n > 1e-300, 2.0 * ed + n * np.log(rss / n), np.inf)
             else:
                 ed = np.sum(mu / d, axis=1)
-                # GCV uses plain residuals even when the fit was weighted
-                plain_rss = np.sum(resid**2, axis=1)
-                scores = np.where(ed < n - 1e-9, plain_rss / (n - ed) ** 2, np.inf)
+                scores = np.where(ed < n - 1e-9, rss / (n - ed) ** 2, np.inf)
         pick = _argmin_checked(scores)
-        return LambdaSelection(float(grid[pick]), name, grid, scores)
-
-    psi = np.log(np.maximum(rss, 1e-300))
-    phi = np.log(np.maximum(pen, 1e-300))
-    u = np.log(grid)
-    if name == "vcurve":
-        du = np.diff(u)
-        v = np.hypot(np.diff(psi) / du, np.diff(phi) / du)
-        lambdas = np.exp((u[:-1] + u[1:]) / 2.0)
-        pick = _corner_argmin(v)
-        return LambdaSelection(float(lambdas[pick]), name, lambdas, v)
-    # lcurve: signed curvature of the (psi, phi) path; the corner of the "L"
-    # is the maximum-curvature point with this orientation
-    dpsi = np.gradient(psi, u)
-    dphi = np.gradient(phi, u)
-    d2psi = np.gradient(dpsi, u)
-    d2phi = np.gradient(dphi, u)
-    denom = np.maximum((dpsi**2 + dphi**2) ** 1.5, 1e-300)
-    kappa = (dpsi * d2phi - d2psi * dphi) / denom
-    if float(np.max(kappa) - np.min(kappa)) < 1e-14:
-        raise FlatCriterion("curvature profile is flat across the grid")
-    pick = int(np.argmax(kappa))
-    return LambdaSelection(float(grid[pick]), name, grid, kappa)
+    else:
+        # ||D a||^2 through DV, not sum (1 - mu) c^2: on the penalty null space
+        # 1 - mu is round-off, which would floor the penalty SS at large lambda
+        pen = np.sum((c @ (penalty.matrix @ V).T) ** 2, axis=1)
+        psi = np.log(np.maximum(rss, 1e-300))
+        phi = np.log(np.maximum(pen, 1e-300))
+        u = np.log(grid)
+        if name == "vcurve":
+            du = np.diff(u)
+            scores = np.hypot(np.diff(psi) / du, np.diff(phi) / du)
+            lambdas = np.exp((u[:-1] + u[1:]) / 2.0)
+            pick = _corner_argmin(scores)
+        else:
+            # lcurve: signed curvature of the (psi, phi) path; the corner of
+            # the "L" is the maximum-curvature point with this orientation
+            dpsi = np.gradient(psi, u)
+            dphi = np.gradient(phi, u)
+            d2psi = np.gradient(dpsi, u)
+            d2phi = np.gradient(dphi, u)
+            denom = np.maximum((dpsi**2 + dphi**2) ** 1.5, 1e-300)
+            scores = (dpsi * d2phi - d2psi * dphi) / denom
+            if float(np.max(scores) - np.min(scores)) < 1e-14:
+                raise FlatCriterion("curvature profile is flat across the grid")
+            pick = int(np.argmax(scores))
+    lam = float(lambdas[pick])
+    coef = V @ (Qty / _divisors(mu, lam))
+    return LambdaSelection(lam, name, lambdas, scores, coef)
 
 
 def _corner_argmin(v):
@@ -392,18 +357,19 @@ def _argmin_checked(scores):
     return int(np.argmin(masked))
 
 
-def smooth_series(y, basis, penalty, criterion, weights=None):
+def smooth_series(y, basis, penalty, criterion):
     """Select lambda by the given criterion and return (fit, selection).
 
-    A degenerate profile (FlatCriterion, e.g. a constant series) falls back
-    to the largest grid lambda, with an empty diagnostic profile.
+    The fit is built from the selection's coefficients. A degenerate profile
+    (FlatCriterion, e.g. a constant series) falls back to a dense fit at the
+    largest grid lambda, with an empty diagnostic profile.
     """
     if isinstance(criterion, str):
         criterion = LambdaCriterion(criterion)
     try:
-        selection = select_lambda(y, basis, penalty, criterion, weights)
+        selection = select_lambda(y, basis, penalty, criterion)
     except FlatCriterion:
-        lam = float(criterion.grid[-1])
-        selection = LambdaSelection(lam, criterion.name, np.empty(0), np.empty(0))
-    fit = fit_pspline(y, basis, penalty, selection.lam, weights)
+        fit = fit_pspline(y, basis, penalty, criterion.grid[-1])
+        return fit, LambdaSelection(fit.lam, criterion.name, np.empty(0), np.empty(0), fit.coef)
+    fit = SplineFit(basis, penalty, selection.lam, selection.coef, basis.matrix @ selection.coef)
     return fit, selection

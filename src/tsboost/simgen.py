@@ -31,8 +31,10 @@ class SimConfig:
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         if len(self.sizes) != 6 or any(s < 1 for s in self.sizes):
             raise ConfigError("need 6 positive cluster sizes")
-        if min(self.sigma2_e, self.sigma2_v, self.sigma2_u, self.ar_var) <= 0:
-            raise ConfigError("variances must be positive")
+        # negated in-range test, so that NaN fails it too
+        variances = (self.sigma2_e, self.sigma2_v, self.sigma2_u, self.ar_var)
+        if not all(0.0 < v < np.inf for v in variances):
+            raise ConfigError("variances must be finite and positive")
         if not abs(self.ar_coef) < 1:
             raise ConfigError("AR(1) coefficient must satisfy |phi| < 1")
         if self.n_points < 2:

@@ -141,14 +141,24 @@ class TestCluster:
         assert membership.shape == (12, 3)
         assert np.max(np.abs(membership.sum(axis=1) - 1.0)) < 1e-9
 
-    @pytest.mark.parametrize("case", ["k-above-n", "bad-sizes", "bad-threads"])
+    @pytest.mark.parametrize("case", [
+        "k-above-n", "bad-sizes", "bad-threads", "fuzzifier-nan", "sigma2-u-nan",
+        "sigma2-u-inf", "penalty-order-0", "penalty-order-9", "negative-degree",
+    ])
     def test_config_error_exit_code(self, tmp_path, toy_csv, monkeypatch, capsys, case):
         out = str(tmp_path / "x")
         cluster = ["cluster", "--input", str(toy_csv), "--out", out]
+        smooth = ["smooth", "--input", str(toy_csv), "--out", out]
         argv = {
             "k-above-n": cluster + ["--k", "99"],
             "bad-sizes": ["simulate", "--out", out, "--sizes", "1,2,x"],
             "bad-threads": cluster + ["--k", "3", "--iters", "2", "--restarts", "2"],
+            "fuzzifier-nan": cluster + ["--k", "3", "--algorithm", "fcm", "--fuzzifier", "nan"],
+            "sigma2-u-nan": ["simulate", "--out", out, "--sigma2-u", "nan"],
+            "sigma2-u-inf": ["simulate", "--out", out, "--sigma2-u", "inf"],
+            "penalty-order-0": smooth + ["--penalty-order", "0"],
+            "penalty-order-9": smooth + ["--penalty-order", "9"],
+            "negative-degree": smooth + ["--degree", "-1"],
         }[case]
         if case == "bad-threads":
             monkeypatch.setenv("TSBOOST_THREADS", "abc")
@@ -162,6 +172,14 @@ class TestCluster:
         code = main(["cluster", "--input", str(bad), "--out", str(tmp_path / "y"),
                      "--k", "2"])
         assert code == 2
+
+    def test_run_error_exit_code(self, tmp_path, toy_csv, capsys):
+        # a huge fuzzifier underflows every membership weight: EmptyCluster
+        code = main(["cluster", "--input", str(toy_csv), "--out", str(tmp_path / "y"),
+                     "--k", "3", "--algorithm", "fcm", "--fuzzifier", "1e308"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
     def test_unreadable_input_exit_code(self, tmp_path, capsys, name):

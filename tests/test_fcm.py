@@ -17,6 +17,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             FcmConfig(n_clusters=2, epsilon=0.0)
 
+    @pytest.mark.parametrize("field", ["fuzzifier", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            FcmConfig(n_clusters=2, **{field: value})
+
 
 class TestCenters:
     def test_one_hot_gives_plain_means(self, rng):

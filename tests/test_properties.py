@@ -10,7 +10,14 @@ from hypothesis.extra.numpy import arrays
 
 from tsboost import bc_index, fuzzy_rand, pd_probabilities
 from tsboost.cli import _fmt, _write_csv, read_membership, read_wide
-from tsboost.pspline import build_basis, difference_penalty, effective_dimension
+from tsboost.pspline import (
+    CRITERIA,
+    build_basis,
+    difference_penalty,
+    effective_dimension,
+    fit_pspline,
+    smooth_series,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -74,6 +81,24 @@ def test_effective_dimension_monotone_and_bounded(n, degree, interior, order):
     assert np.all(np.diff(eds) <= 1e-9)
     assert np.all(eds >= order - 1e-8)
     assert np.all(eds <= np.linalg.matrix_rank(basis.matrix) + 1e-8)
+
+
+@SETTINGS
+@given(n=st.integers(5, 40), degree=st.integers(0, 3), interior=st.integers(1, 12),
+       order=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_spectral_fit_matches_dense_solve(n, degree, interior, order, seed):
+    # the fit smooth_series takes from the selection's spectrum equals the
+    # dense normal-equation solve at the selected lambda, also for m > n
+    basis = build_basis(np.linspace(0, 1, n), degree=degree, interior_knots=interior)
+    m = basis.n_bases
+    pen = difference_penalty(m, min(order, m - 1))
+    rng = np.random.default_rng(seed)
+    y = np.sin(5 * basis.domain) + rng.normal(0, 0.3, size=n)
+    for name in CRITERIA:
+        fit, selection = smooth_series(y, basis, pen, name)
+        dense = fit_pspline(y, basis, pen, selection.lam)
+        for got, want in ((fit.fitted, dense.fitted), (fit.coef, dense.coef)):
+            assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want)), name
 
 
 def _write_table(path, header, ids, matrix):

@@ -23,6 +23,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimConfig(sigma2_u=-0.1)
 
+    @pytest.mark.parametrize("field", ["sigma2_e", "sigma2_v", "sigma2_u", "ar_var"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_variance_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            SimConfig(**{field: value})
+
 
 class TestGenerate:
     def test_default_shape(self):
