@@ -1,23 +1,28 @@
 """Boosted-oriented probabilistic clustering.
 
-One restart alternates, for a fixed number of iterations: distance matrix
-against the current centers -> PD membership probabilities -> loss beta ->
-boosting weight matrix -> per-cluster weighted resampling with replacement
--> P-spline center fit on the resampled pool -> center update. Each center
-is the running mean of its per-iteration P-spline fits; those fits share one
-basis, so the mean is itself a spline in that basis and needs no further
-smoothing. Several independent restarts are run and the one with the
-smallest final BC index wins.
+The R restarts run in lockstep for a fixed number of iterations. Each
+iteration takes every restart at once through: distance matrix against the
+current centers -> PD membership probabilities -> loss beta -> boosting
+weight matrix, as (R, N, K) arrays; then weighted resampling with
+replacement of each of the R*K (restart, cluster) columns
+(``resample_counts``) -> one batched P-spline center fit of the R*K pooled
+means (``estimate_centers``) -> center update. The spline spectrum is
+factored once per run. Each center is the running mean of its
+per-iteration P-spline fits; those fits share one basis, so the mean is
+itself a spline in that basis and needs no further smoothing. The restart
+with the smallest final BC index wins.
+
+A restart whose loss falls below PERFECT_PARTITION_TOL stops; its rows are
+still carried through the batched steps and discarded. Every batched call
+therefore has R*K rows in every iteration: the round-off of a batched
+matrix product depends on its row count, and this way no restart's result
+depends on when another one stopped.
 
 Randomness is split into dedicated streams keyed by (seed, restart) for the
 initial centers and (seed, restart, iteration, cluster) for the resampling
-draws, so results are bit-identical regardless of execution schedule. The
-``TSBOOST_THREADS`` environment variable caps restart-level parallelism
-(unset or 1 = sequential, 0 = one thread per CPU).
+draws.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,34 +71,22 @@ class ClusterResult:
     config: BoostConfig
 
 
-def thread_count():
-    raw = os.environ.get("TSBOOST_THREADS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"TSBOOST_THREADS must be an integer, got {raw!r}") from None
-    if count == 0:
-        return os.cpu_count() or 1
-    return max(count, 1)
-
-
 def raw_weights(D, P, beta):
     """Un-normalized boosting weights beta^(gamma * Gamma).
 
     gamma_{i,k} = d_{i,k} / max_h d_{i,h}; Gamma is +1 at the row's
     highest-probability cluster (lowest index on ties) and -1 elsewhere.
+    D and P are (..., N, K) and beta holds one value per leading index.
     """
     D = np.asarray(D, dtype=float)
     P = np.asarray(P, dtype=float)
-    if beta <= 0:
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta <= 0):
         raise DegenerateBeta("beta must be positive; a zero loss means a perfect partition")
-    rowmax = D.max(axis=1)
-    gamma = np.where(rowmax[:, None] > 0, D / np.where(rowmax > 0, rowmax, 1.0)[:, None], 1.0)
-    indicator = np.full(D.shape, -1.0)
-    indicator[np.arange(D.shape[0]), np.argmax(P, axis=1)] = 1.0
-    return float(beta) ** (gamma * indicator)
+    rowmax = D.max(axis=-1, keepdims=True)
+    gamma = np.where(rowmax > 0, D / np.where(rowmax > 0, rowmax, 1.0), 1.0)
+    own = np.arange(D.shape[-1]) == np.argmax(P, axis=-1)[..., None]
+    return beta[..., None, None] ** (gamma * np.where(own, 1.0, -1.0))
 
 
 def compute_weights(D, P, beta):
@@ -103,106 +96,104 @@ def compute_weights(D, P, beta):
     distribution over the series for one cluster.
     """
     w = raw_weights(D, P, beta)
-    w /= w.sum(axis=1, keepdims=True)
-    return w / w.sum(axis=0, keepdims=True)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w / w.sum(axis=-2, keepdims=True)
 
 
-def draw_cluster_sample(column_weights, sample_size, rng):
-    """Indices drawn with replacement, index i with probability column_weights[i]."""
-    w = np.asarray(column_weights, dtype=float)
-    return rng.choice(w.shape[0], size=sample_size, replace=True, p=w / w.sum())
+def resample_counts(weights, rngs):
+    """(rows, N) counts of N draws with replacement, one row per weight row.
+
+    Row j draws index i with probability weights[j, i] / sum(weights[j]) on
+    stream rngs[j], by the inverse CDF of N uniforms: the same arithmetic as
+    ``Generator.choice(N, N, p=weights[j] / weights[j].sum())``, so the
+    draws equal that call's on the same stream.
+    """
+    w = np.asarray(weights, dtype=float)
+    rows, n = w.shape
+    total = w.sum(axis=1, keepdims=True)
+    if not (np.all(w >= 0) and np.all((total > 0) & (total < np.inf))):
+        raise ValueError("weights must be nonnegative with a positive finite sum per row")
+    cdf = (w / total).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    draws = np.empty((rows, n), dtype=np.intp)
+    for row, rng in enumerate(rngs):
+        draws[row] = cdf[row].searchsorted(rng.random(n), side="right")
+    draws += n * np.arange(rows)[:, None]
+    return np.bincount(draws.ravel(), minlength=rows * n).reshape(rows, n)
 
 
-def estimate_center(values, sample, basis, penalty, criterion):
-    """Center fit from a resampled multiset of series indices.
+def estimate_centers(values, counts, basis, spectrum, criterion):
+    """Center fits (rows, n) from resampled multisets of series, one per row of counts.
 
     All points of the sampled series are pooled, a series drawn r times
     counting r-fold; on a shared domain this collapses to smoothing the
     multiplicity-weighted mean series (multiplicities normalized so the fit
-    does not depend on the total draw count).
+    does not depend on the total draw count). All rows select their lambda
+    in one batch from ``spectrum``, the factorisation of basis and penalty.
     """
-    sample = np.asarray(sample, dtype=int)
-    if sample.size == 0:
-        raise ValueError("sample must be nonempty")
-    counts = np.bincount(sample, minlength=values.shape[0]).astype(float)
-    pooled = (counts @ values) / counts.sum()
-    return pspline.smooth_series(pooled, basis, penalty, criterion)[0]
-
-
-@dataclass(frozen=True)
-class _RestartOutcome:
-    centers: np.ndarray
-    membership: np.ndarray
-    bc_final: float
-    trace: RestartTrace
-
-
-def _run_restart(values, basis, penalty, criterion, config, restart):
-    n_series = values.shape[0]
-    k = config.n_clusters
-    init_rng = np.random.default_rng(np.random.SeedSequence((config.seed, restart)))
-    centers = values[init_rng.choice(n_series, size=k, replace=False)]
-    sums = np.zeros_like(centers)
-    beta_trace, bc_trace = [], []
-    for iteration in range(1, config.maxiter + 1):
-        D = distance_matrix(values, centers, config.distance)
-        P = pd_probabilities(D)
-        beta = loss_beta(P)
-        beta_trace.append(beta)
-        bc_trace.append(beta / n_series)
-        if beta < PERFECT_PARTITION_TOL:
-            break
-        W = compute_weights(D, P, beta)
-        for cluster in range(k):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((config.seed, restart, iteration, cluster))
-            )
-            sample = draw_cluster_sample(W[:, cluster], n_series, rng)
-            sums[cluster] += estimate_center(values, sample, basis, penalty, criterion).fitted
-        centers = sums / iteration
-    D = distance_matrix(values, centers, config.distance)
-    P = pd_probabilities(D)
-    return _RestartOutcome(
-        centers=centers,
-        membership=P,
-        bc_final=loss_beta(P) / n_series,
-        trace=RestartTrace(beta=np.asarray(beta_trace), bc=np.asarray(bc_trace)),
-    )
+    counts = np.asarray(counts, dtype=float)
+    total = counts.sum(axis=1, keepdims=True)
+    if not np.all(total > 0):
+        raise ValueError("every sample must be nonempty")
+    pooled = (counts @ values) / total
+    return pspline.select_rows(pooled, spectrum, criterion).coef @ basis.matrix.T
 
 
 def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
     """Run the full multi-restart algorithm and keep the best-BC restart."""
     validate_dataset(data)
     values = data.values()
-    if not config.n_clusters < data.n_series:
-        raise ConfigError(
-            f"need K < N, got K={config.n_clusters}, N={data.n_series}"
-        )
+    n_series = data.n_series
+    k, restarts, seed = config.n_clusters, config.restarts, config.seed
+    if not k < n_series:
+        raise ConfigError(f"need K < N, got K={k}, N={n_series}")
     basis = pspline.build_basis(data.domain)
     penalty = pspline.difference_penalty(basis.n_bases)
+    spectrum = pspline._spectrum(basis, penalty)
     criterion = pspline.LambdaCriterion(config.criterion)
 
-    def job(restart):
-        return _run_restart(values, basis, penalty, criterion, config, restart)
+    centers = np.stack([
+        values[np.random.default_rng(np.random.SeedSequence((seed, r)))
+               .choice(n_series, size=k, replace=False)]
+        for r in range(restarts)
+    ])
+    sums = np.zeros_like(centers)
+    active = np.ones(restarts, dtype=bool)
+    betas = [[] for _ in range(restarts)]
+    for iteration in range(1, config.maxiter + 1):
+        D = distance_matrix(values, centers, config.distance)
+        P = pd_probabilities(D)
+        beta = loss_beta(P)
+        for r in np.flatnonzero(active):
+            betas[r].append(beta[r])
+        active &= ~(beta < PERFECT_PARTITION_TOL)
+        if not active.any():
+            break
+        # stopped restarts take beta 1 and all-ones counts; their fits are discarded
+        W = compute_weights(D, P, np.where(active, beta, 1.0))
+        columns = W.transpose(0, 2, 1).reshape(restarts * k, n_series)
+        drawn = np.repeat(active, k)
+        counts = np.ones_like(columns)
+        counts[drawn] = resample_counts(columns[drawn], [
+            np.random.default_rng(np.random.SeedSequence((seed, r, iteration, cluster)))
+            for r in np.flatnonzero(active) for cluster in range(k)
+        ])
+        fitted = estimate_centers(values, counts, basis, spectrum, criterion)
+        sums[active] += fitted.reshape(centers.shape)[active]
+        centers[active] = sums[active] / iteration
 
-    workers = min(thread_count(), config.restarts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, range(config.restarts)))
-    else:
-        outcomes = [job(r) for r in range(config.restarts)]
-
-    finals = np.array([o.bc_final for o in outcomes])
+    P = pd_probabilities(distance_matrix(values, centers, config.distance))
+    finals = loss_beta(P) / n_series
     best = int(np.argmin(finals))
-    winner = outcomes[best]
+    traces = tuple(RestartTrace(beta=np.asarray(b), bc=np.asarray(b) / n_series) for b in betas)
     return ClusterResult(
-        centers=winner.centers,
-        membership=winner.membership,
-        bc_final=winner.bc_final,
-        beta_trace=winner.trace.beta,
-        bc_trace=winner.trace.bc,
+        centers=centers[best],
+        membership=P[best],
+        bc_final=float(finals[best]),
+        beta_trace=traces[best].beta,
+        bc_trace=traces[best].bc,
         restart_index=best,
         restart_final_bc=finals,
-        traces=tuple(o.trace for o in outcomes),
+        traces=traces,
         config=config,
     )

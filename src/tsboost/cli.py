@@ -8,7 +8,8 @@ phase timings. All numbers are serialized in shortest round-trip decimal
 form, so rereading an emitted CSV reproduces the in-memory values exactly.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 any other package
-error (bad data, an unreadable input file or a run that cannot proceed).
+error (bad data, an input that cannot be read, an output that cannot be
+written or a run that cannot proceed).
 """
 
 import argparse
@@ -25,7 +26,7 @@ from . import __version__
 from .boost import BoostConfig, run_boost
 from .core import Dataset, harden, validate_dataset, validate_membership
 from .distance import DistanceKind
-from .errors import ConfigError, IoError, ParseError, TsboostError
+from .errors import ConfigError, DomainTooShort, IoError, ParseError, TsboostError
 from .evaluate import classic_rand, confusion_matrix, fuzzy_rand, reference_partition
 from .fcm import FcmConfig, run_fcm
 from .pdclust import bc_index
@@ -44,10 +45,28 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _output_dir(path):
+    """Create the --out directory of a command (with parents); IoError if it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"{out}: cannot create output directory: {exc.strerror or exc}") from None
+    return out
+
+
+def _open_output(path):
+    """Open an output file for writing; IoError if it cannot be."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
 def _open_input(path):
@@ -190,7 +209,7 @@ def _write_manifest(out_dir, command, settings, inputs, timings):
         manifest[f"digest_{Path(path).name}"] = _digest(path)
     for phase, seconds in timings.items():
         manifest[f"timing_{phase}"] = round(seconds, 6)
-    with open(Path(out_dir) / "manifest.json", "w", encoding="utf-8") as fh:
+    with _open_output(Path(out_dir) / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -211,8 +230,7 @@ def cmd_simulate(args):
     t0 = time.perf_counter()
     data, labels = generate(config)
     t1 = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     n = data.n_points
     _write_csv(
         out / "series.csv",
@@ -265,8 +283,7 @@ def cmd_cluster(args):
     t0 = time.perf_counter()
     data = read_dataset(args.input, args.format)
     t1 = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     settings = {
         "algorithm": args.algorithm, "input": str(args.input), "format": args.format,
         "k": args.k, "seed": args.seed,
@@ -351,7 +368,7 @@ def cmd_evaluate(args):
         report["confusion_matrix"] = table.tolist()
         report["confusion_truth_labels"] = [str(t) for t in t_labels]
         report["confusion_predicted_labels"] = [str(p) for p in p_labels]
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_output(args.out) as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0
@@ -366,14 +383,15 @@ def cmd_smooth(args):
         if not matches:
             raise ConfigError(f"series id {args.series_id!r} not found in {args.input}")
         record = matches[0]
+    # --degree and --penalty-order are options, so a basis they cannot build
+    # is a configuration error, also when the domain is too short for it
     try:
         basis = pspline.build_basis(data.domain, degree=args.degree)
         penalty = pspline.difference_penalty(basis.n_bases, args.penalty_order)
-    except ValueError as exc:
+    except (ValueError, DomainTooShort) as exc:
         raise ConfigError(str(exc)) from None
     fit, selection = pspline.smooth_series(record.values, basis, penalty, args.criterion)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     _write_csv(
         out / "fit.csv", ["t", "y", "fitted"],
         ([_fmt(t), _fmt(y), _fmt(f)] for t, y, f in

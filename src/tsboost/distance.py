@@ -85,13 +85,21 @@ def periodogram_distance(y, c):
 
 
 def distance_matrix(values, centers, kind):
-    """(N, K) matrix of distances between series rows and center rows."""
+    """(N, K) matrix of distances between series rows and center rows.
+
+    Centers with leading axes, such as (R, K, n) for R restarts, give one
+    matrix per leading index: (R, N, K).
+    """
     Y = np.atleast_2d(np.asarray(values, dtype=float))
     C = np.atleast_2d(np.asarray(centers, dtype=float))
-    if Y.shape[1] != C.shape[1]:
+    if Y.shape[1] != C.shape[-1]:
         raise LengthMismatch(
-            f"series length {Y.shape[1]} vs center length {C.shape[1]}"
+            f"series length {Y.shape[1]} vs center length {C.shape[-1]}"
         )
+    if C.ndim > 2:
+        # one leading index at a time: the (N, K, n) difference tensor then
+        # stays as large as in an unstacked call, not R times larger
+        return np.stack([distance_matrix(Y, c, kind) for c in C])
     if kind == DistanceKind.EUCLIDEAN:
         return _cdist_euclidean(Y, C)
     if kind == DistanceKind.PENROSE_SHAPE:

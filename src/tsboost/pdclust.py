@@ -20,15 +20,19 @@ from .errors import NegativeDistance
 
 
 def pd_probabilities(distances):
-    """Membership probability matrix from an (N, K) distance matrix."""
+    """Membership probability matrix from an (N, K) distance matrix.
+
+    A stack of distance matrices (..., N, K) gives a stack of probability
+    matrices; each row is computed on its own.
+    """
     D = np.atleast_2d(np.asarray(distances, dtype=float))
     if np.any(D < 0) or not np.all(np.isfinite(D)):
         raise NegativeDistance("distances must be finite and nonnegative")
-    if D.shape[1] < 2:
+    if D.shape[-1] < 2:
         raise ValueError("need at least 2 clusters")
     P = np.empty_like(D)
     zero = D == 0.0
-    coincident = zero.any(axis=1)
+    coincident = zero.any(axis=-1)
     if coincident.any():
         z = zero[coincident]
         P[coincident] = z / z.sum(axis=1, keepdims=True)
@@ -52,13 +56,15 @@ def bc_index(P):
 def loss_beta(P):
     """Boosting loss: sum_i (prod_k P_{i,k}) K^K, in [0, N].
 
-    Each row term is exp(sum_k log P_{i,k} + K log K), so K^K never overflows;
+    A stack of (N, K) matrices gives an array with one loss per matrix. Each
+    row term is exp(sum_k log P_{i,k} + K log K), so K^K never overflows;
     a zero entry contributes log 0 = -inf and hence a zero term. A term is
     capped at 1, its AM-GM bound for a probability row, which round-off on
     near-uniform rows would otherwise exceed.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    K = P.shape[1]
+    K = P.shape[-1]
     with np.errstate(divide="ignore"):
-        logs = np.log(P).sum(axis=1) + K * math.log(K)
-    return float(np.sum(np.minimum(np.exp(logs), 1.0)))
+        logs = np.log(P).sum(axis=-1) + K * math.log(K)
+    total = np.sum(np.minimum(np.exp(logs), 1.0), axis=-1)
+    return float(total) if P.ndim == 2 else total

@@ -7,18 +7,21 @@ coefficients are
     a = (B' B + lambda * D' D)^{-1} B' y.
 
 Five smoothing parameter selectors are provided: AIC, leave-one-out CV,
-GCV, the L-curve corner and the V-curve. ``select_lambda`` scores the whole
-lambda grid from one Demmler-Reinsch factorisation per call, which turns
-every grid quantity into a diagonal scaling (see ``_spectrum``), and takes
-the coefficients at the chosen lambda from the same factorisation, so
-``smooth_series`` needs no second solve. ``fit_pspline`` is the dense solve
-of the (optionally weighted) normal equations at one fixed lambda: the
-reference the spectral path is tested against, and the fit used when a
-criterion profile is flat.
+GCV, the L-curve corner and the V-curve. ``_spectrum`` factors a (basis,
+penalty) pair once (Demmler-Reinsch), which turns every grid quantity into
+a diagonal scaling. ``select_rows`` is the one selection engine: it scores
+the whole lambda grid for a batch of series at once and takes each row's
+coefficients at its chosen lambda from the same factorisation, so the
+boosted loop factors one spectrum per run and smooths all cluster centers
+of an iteration in one call. ``select_lambda`` and ``smooth_series`` are
+its one-series case. ``fit_pspline`` is the dense solve of the (optionally
+weighted) normal equations at one fixed lambda, the reference the spectral
+path is tested against.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,7 +180,7 @@ def _spectrum(basis, penalty):
     basis V = L^-T U gives V'B'BV = diag(mu) and V'D'DV = diag(1 - mu), so
     (B'B + lambda D'D)^{-1} = V diag(1 / d) V' with d = mu + lambda (1 - mu).
     C stays positive definite when B'B is singular (m > n). Returns mu
-    (ascending, clipped to [0, 1]), V and Q = BV.
+    (ascending, clipped to [0, 1]), V, Q = BV and DV.
     """
     B = basis.matrix
     BtB = B.T @ B
@@ -188,7 +191,7 @@ def _spectrum(basis, penalty):
     Linv = np.linalg.inv(L)
     mu, U = np.linalg.eigh(Linv @ BtB @ Linv.T)
     V = Linv.T @ U
-    return np.clip(mu, 0.0, 1.0), V, B @ V
+    return np.clip(mu, 0.0, 1.0), V, B @ V, penalty.matrix @ V
 
 
 def _divisors(mu, lam):
@@ -203,7 +206,7 @@ def _divisors(mu, lam):
 def fit_pspline(y, basis, penalty, lam, weights=None):
     """Penalized weighted least-squares spline fit at a fixed lambda (dense solve).
 
-    The reference for the spectral path of ``select_lambda``; ``weights``
+    The reference for the spectral path of ``select_rows``; ``weights``
     (nonnegative, one per point) give a weighted fit, e.g. a leave-one-out
     refit with one zero weight.
     """
@@ -232,20 +235,20 @@ def fit_pspline(y, basis, penalty, lam, weights=None):
 
 def effective_dimension(basis, penalty, lam):
     """trace[(B'B + lambda D'D)^{-1} B'B] = sum mu / d; degrees of freedom of the smoother."""
-    mu, _, _ = _spectrum(basis, penalty)
+    mu, _, _, _ = _spectrum(basis, penalty)
     return float(np.sum(mu / _divisors(mu, lam)))
 
 
 def _hat_diagonal(basis, penalty, lam):
     """diag[B (B'B + lambda D'D)^{-1} B'] = (Q^2)(1 / d)."""
-    mu, _, Q = _spectrum(basis, penalty)
+    mu, _, Q, _ = _spectrum(basis, penalty)
     return (Q**2) @ (1.0 / _divisors(mu, lam))
 
 
 def score_loocv(y, basis, penalty, lam):
     """Leave-one-out CV via the hat-matrix shortcut; h and the fit share one spectrum."""
     y = np.asarray(y, dtype=float)
-    mu, _, Q = _spectrum(basis, penalty)
+    mu, _, Q, _ = _spectrum(basis, penalty)
     d = _divisors(mu, lam)
     h = (Q**2) @ (1.0 / d)
     if np.any(h >= 1.0 - 1e-12):
@@ -254,8 +257,18 @@ def score_loocv(y, basis, penalty, lam):
     return float(np.sum((resid / (1.0 - h)) ** 2))
 
 
-def select_lambda(y, basis, penalty, criterion):
-    """Pick the smoothing parameter from the criterion's grid.
+class RowSelection(NamedTuple):
+    """Lambda selection for a batch of series; see ``select_rows``."""
+
+    lam: np.ndarray      # (rows,) selected lambda; the largest grid lambda on flat rows
+    coef: np.ndarray     # (rows, m) spline coefficients at lam
+    flat: np.ndarray     # (rows,) True where the criterion profile is flat
+    lambdas: np.ndarray  # points at which scores are attributed
+    scores: np.ndarray   # (rows, len(lambdas))
+
+
+def select_rows(Y, spectrum, criterion):
+    """Pick the smoothing parameter of every row of Y (rows, n) from the criterion's grid.
 
     AIC, LOO-CV and GCV return the grid point minimizing the score. The
     V-curve differences the L-curve coordinates psi = log ||y - B a||^2 and
@@ -263,20 +276,20 @@ def select_lambda(y, basis, penalty, criterion):
     midpoint (geometric mean) with the smallest speed; the L-curve returns
     the grid point of maximum discrete curvature of (psi, phi).
 
-    Every profile and the returned coefficients at the chosen lambda come
-    from one ``_spectrum``: at grid point g, a = V c with c = Q'y / d[g].
+    Every profile and the coefficients at the chosen lambda come from
+    ``spectrum``, the ``_spectrum`` (mu, V, Q, DV) of the basis and penalty:
+    at grid point g, a = V c with c = Q'y / d[g]. A row whose profile is flat (an all-zero series, for
+    example) is flagged and takes its coefficients at the largest grid lambda.
     """
-    if isinstance(criterion, str):
-        criterion = LambdaCriterion(criterion)
-    y = np.asarray(y, dtype=float)
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
     grid = criterion.grid
-    n = y.shape[0]
-    mu, V, Q = _spectrum(basis, penalty)
-    Qty = Q.T @ y
+    n = Y.shape[1]
+    mu, V, Q, DV = spectrum
+    Qty = Y @ Q
     d = mu + grid[:, None] * (1.0 - mu)
-    c = Qty / d
-    resid = y - c @ Q.T
-    rss = np.sum(resid**2, axis=1)
+    c = Qty[:, None, :] / d
+    resid = Y[:, None, :] - c @ Q.T
+    rss = np.sum(resid**2, axis=-1)
 
     name = criterion.name
     lambdas = grid
@@ -285,7 +298,7 @@ def select_lambda(y, basis, penalty, criterion):
             if name == "loocv":
                 hdiag = (1.0 / d) @ (Q**2).T
                 bad = np.any(hdiag >= 1.0 - 1e-12, axis=1)
-                cv = np.sum((resid / (1.0 - np.minimum(hdiag, 1.0 - 1e-12))) ** 2, axis=1)
+                cv = np.sum((resid / (1.0 - np.minimum(hdiag, 1.0 - 1e-12))) ** 2, axis=-1)
                 scores = np.where(bad, np.inf, cv)
             elif name == "aic":
                 ed = np.sum(mu / d, axis=1)
@@ -293,83 +306,83 @@ def select_lambda(y, basis, penalty, criterion):
             else:
                 ed = np.sum(mu / d, axis=1)
                 scores = np.where(ed < n - 1e-9, rss / (n - ed) ** 2, np.inf)
-        pick = _argmin_checked(scores)
+        # only finite scores count; a row without any is flat
+        finite = np.isfinite(scores)
+        spread = (np.max(scores, axis=-1, where=finite, initial=-np.inf)
+                  - np.min(scores, axis=-1, where=finite, initial=np.inf))
+        flat = spread < 1e-14
+        pick = np.argmin(np.where(finite, scores, np.inf), axis=-1)
     else:
         # ||D a||^2 through DV, not sum (1 - mu) c^2: on the penalty null space
         # 1 - mu is round-off, which would floor the penalty SS at large lambda
-        pen = np.sum((c @ (penalty.matrix @ V).T) ** 2, axis=1)
+        pen = np.sum((c @ DV.T) ** 2, axis=-1)
         psi = np.log(np.maximum(rss, 1e-300))
         phi = np.log(np.maximum(pen, 1e-300))
         u = np.log(grid)
         if name == "vcurve":
             du = np.diff(u)
-            scores = np.hypot(np.diff(psi) / du, np.diff(phi) / du)
+            scores = np.hypot(np.diff(psi, axis=-1) / du, np.diff(phi, axis=-1) / du)
             lambdas = np.exp((u[:-1] + u[1:]) / 2.0)
             pick = _corner_argmin(scores)
         else:
             # lcurve: signed curvature of the (psi, phi) path; the corner of
             # the "L" is the maximum-curvature point with this orientation
-            dpsi = np.gradient(psi, u)
-            dphi = np.gradient(phi, u)
-            d2psi = np.gradient(dpsi, u)
-            d2phi = np.gradient(dphi, u)
+            dpsi = np.gradient(psi, u, axis=-1)
+            dphi = np.gradient(phi, u, axis=-1)
+            d2psi = np.gradient(dpsi, u, axis=-1)
+            d2phi = np.gradient(dphi, u, axis=-1)
             denom = np.maximum((dpsi**2 + dphi**2) ** 1.5, 1e-300)
             scores = (dpsi * d2phi - d2psi * dphi) / denom
-            if float(np.max(scores) - np.min(scores)) < 1e-14:
-                raise FlatCriterion("curvature profile is flat across the grid")
-            pick = int(np.argmax(scores))
-    lam = float(lambdas[pick])
-    coef = V @ (Qty / _divisors(mu, lam))
-    return LambdaSelection(lam, name, lambdas, scores, coef)
+            pick = np.argmax(scores, axis=-1)
+        flat = np.max(scores, axis=-1) - np.min(scores, axis=-1) < 1e-14
+    lam = np.where(flat, grid[-1], lambdas[pick])
+    coef = (Qty / (mu + lam[:, None] * (1.0 - mu))) @ V.T
+    return RowSelection(lam, coef, flat, lambdas, scores)
 
 
 def _corner_argmin(v):
-    """Index of the L-curve corner in the speed profile.
+    """Row-wise index of the L-curve corner in speed profiles v (rows, G).
 
     On wide grids the speed collapses toward zero on the flat plateaus at
     both ends, so a plain argmin lands on a plateau edge whenever the grid
     overshoots the transition region. A pronounced dip between the two
-    transition humps (local minimum at most half the flanking maxima)
-    marks the corner and takes precedence; without one, the global
-    minimum is used.
+    transition humps (local minimum at most half the smaller of the maxima
+    before and after it) marks the corner, and the lowest such dip takes
+    precedence; without one, the global minimum is used.
     """
-    if float(np.max(v) - np.min(v)) < 1e-14:
-        raise FlatCriterion("speed profile is flat across the grid")
-    dips = []
-    for i in range(1, v.shape[0] - 1):
-        if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
-            flank = min(np.max(v[:i]), np.max(v[i + 1:]))
-            if v[i] <= 0.5 * flank:
-                dips.append(i)
-    if dips:
-        return min(dips, key=lambda i: v[i])
-    return int(np.argmin(v))
+    before = np.maximum.accumulate(v, axis=-1)[:, :-2]
+    after = np.maximum.accumulate(v[:, ::-1], axis=-1)[:, ::-1][:, 2:]
+    mid = v[:, 1:-1]
+    dip = (mid <= v[:, :-2]) & (mid <= v[:, 2:]) & (mid <= 0.5 * np.minimum(before, after))
+    lowest_dip = np.argmin(np.where(dip, mid, np.inf), axis=-1) + 1
+    return np.where(dip.any(axis=-1), lowest_dip, np.argmin(v, axis=-1))
 
 
-def _argmin_checked(scores):
-    finite = np.isfinite(scores)
-    if not np.any(finite):
-        raise FlatCriterion("no grid point produced a finite score")
-    vals = scores[finite]
-    if float(np.max(vals) - np.min(vals)) < 1e-14:
-        raise FlatCriterion("scores are constant across the grid")
-    masked = np.where(finite, scores, np.inf)
-    return int(np.argmin(masked))
+def _select_one(y, basis, penalty, criterion):
+    """``select_rows`` for one series: (LambdaSelection, flat); a flat profile is left empty."""
+    if isinstance(criterion, str):
+        criterion = LambdaCriterion(criterion)
+    y = np.asarray(y, dtype=float)
+    rows = select_rows(y[None, :], _spectrum(basis, penalty), criterion)
+    flat = bool(rows.flat[0])
+    lambdas, scores = (np.empty(0), np.empty(0)) if flat else (rows.lambdas, rows.scores[0])
+    return LambdaSelection(float(rows.lam[0]), criterion.name, lambdas, scores, rows.coef[0]), flat
+
+
+def select_lambda(y, basis, penalty, criterion):
+    """Lambda selection for one series (see ``select_rows``); FlatCriterion on a flat profile."""
+    selection, flat = _select_one(y, basis, penalty, criterion)
+    if flat:
+        raise FlatCriterion(f"{selection.criterion} profile is flat across the grid")
+    return selection
 
 
 def smooth_series(y, basis, penalty, criterion):
     """Select lambda by the given criterion and return (fit, selection).
 
-    The fit is built from the selection's coefficients. A degenerate profile
-    (FlatCriterion, e.g. a constant series) falls back to a dense fit at the
+    A flat profile (an all-zero series, for example) gives the fit at the
     largest grid lambda, with an empty diagnostic profile.
     """
-    if isinstance(criterion, str):
-        criterion = LambdaCriterion(criterion)
-    try:
-        selection = select_lambda(y, basis, penalty, criterion)
-    except FlatCriterion:
-        fit = fit_pspline(y, basis, penalty, criterion.grid[-1])
-        return fit, LambdaSelection(fit.lam, criterion.name, np.empty(0), np.empty(0), fit.coef)
-    fit = SplineFit(basis, penalty, selection.lam, selection.coef, basis.matrix @ selection.coef)
-    return fit, selection
+    selection, _ = _select_one(y, basis, penalty, criterion)
+    fitted = basis.matrix @ selection.coef
+    return SplineFit(basis, penalty, selection.lam, selection.coef, fitted), selection

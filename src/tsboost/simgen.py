@@ -37,16 +37,18 @@ class SimConfig:
             raise ConfigError("variances must be finite and positive")
         if not abs(self.ar_coef) < 1:
             raise ConfigError("AR(1) coefficient must satisfy |phi| < 1")
-        if self.n_points < 2:
-            raise ConfigError("need at least 2 time points")
+        # the default cubic P-spline basis and the periodogram both need n >= 4
+        if self.n_points < 4:
+            raise ConfigError("need at least 4 time points")
 
 
 def _ar1_path(n, phi, innovation_var, rng):
     # started from the stationary distribution
     e = np.empty(n)
     e[0] = rng.normal(0.0, np.sqrt(innovation_var / (1.0 - phi * phi)))
+    innovations = rng.normal(0.0, np.sqrt(innovation_var), size=n - 1)
     for j in range(1, n):
-        e[j] = phi * e[j - 1] + rng.normal(0.0, np.sqrt(innovation_var))
+        e[j] = phi * e[j - 1] + innovations[j - 1]
     return e
 
 

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-from tsboost import BoostConfig, Dataset, harden, run_boost
-from tsboost.boost import (
-    compute_weights,
-    draw_cluster_sample,
-    estimate_center,
-    raw_weights,
-    thread_count,
-)
+from tsboost import BoostConfig, Dataset, DistanceKind, harden, run_boost
+from tsboost.boost import compute_weights, estimate_centers, raw_weights, resample_counts
+from tsboost.distance import distance_matrix
 from tsboost.errors import ConfigError, DegenerateBeta
+from tsboost.pdclust import loss_beta, pd_probabilities
 from tsboost import boost, pspline
 
 from conftest import two_level_dataset
@@ -19,21 +15,47 @@ def small_spline_setup(n=10):
     domain = np.linspace(0, 1, n)
     basis = pspline.build_basis(domain)
     penalty = pspline.difference_penalty(basis.n_bases, 2)
-    return domain, basis, penalty, pspline.LambdaCriterion("vcurve")
+    return basis, pspline._spectrum(basis, penalty), pspline.LambdaCriterion("vcurve")
 
 
-class TestThreadCount:
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv("TSBOOST_THREADS", raising=False)
-        assert thread_count() == 1
+def per_restart_oracle(data, config):
+    """The boosted loop one restart and one cluster at a time.
 
-    def test_explicit(self, monkeypatch):
-        monkeypatch.setenv("TSBOOST_THREADS", "4")
-        assert thread_count() == 4
-
-    def test_zero_means_all_cpus(self, monkeypatch):
-        monkeypatch.setenv("TSBOOST_THREADS", "0")
-        assert thread_count() >= 1
+    Each (restart, iteration, cluster) draws with ``rng.choice`` on its own
+    stream and fits its pooled mean with ``smooth_series``; returns
+    (centers, membership, beta trace) per restart.
+    """
+    values = data.values()
+    n_series, k = values.shape[0], config.n_clusters
+    basis = pspline.build_basis(data.domain)
+    penalty = pspline.difference_penalty(basis.n_bases)
+    criterion = pspline.LambdaCriterion(config.criterion)
+    outcomes = []
+    for restart in range(config.restarts):
+        init = np.random.default_rng(np.random.SeedSequence((config.seed, restart)))
+        centers = values[init.choice(n_series, size=k, replace=False)]
+        sums = np.zeros_like(centers)
+        betas = []
+        for iteration in range(1, config.maxiter + 1):
+            D = distance_matrix(values, centers, config.distance)
+            P = pd_probabilities(D)
+            beta = loss_beta(P)
+            betas.append(beta)
+            if beta < boost.PERFECT_PARTITION_TOL:
+                break
+            W = compute_weights(D, P, beta)
+            for cluster in range(k):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence((config.seed, restart, iteration, cluster)))
+                w = W[:, cluster]
+                sample = rng.choice(n_series, size=n_series, replace=True, p=w / w.sum())
+                counts = np.bincount(sample, minlength=n_series).astype(float)
+                pooled = (counts @ values) / counts.sum()
+                sums[cluster] += pspline.smooth_series(pooled, basis, penalty, criterion)[0].fitted
+            centers = sums / iteration
+        P = pd_probabilities(distance_matrix(values, centers, config.distance))
+        outcomes.append((centers, P, np.array(betas)))
+    return outcomes
 
 
 class TestWeights:
@@ -77,47 +99,80 @@ class TestWeights:
             assert np.all(w[mask] <= 1.0)
 
 
+@pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
+def test_layers_take_a_restart_axis(rng, kind):
+    # (R, K, n) centers give (R, N, K) distances, probabilities and weights
+    # and R losses, each slice equal to its own unstacked call
+    values = rng.normal(size=(9, 8))
+    centers = rng.normal(size=(3, 4, 8))
+    centers[1, 2] = values[5]  # a zero distance takes the coincident branch
+    D = distance_matrix(values, centers, kind)
+    P = pd_probabilities(D)
+    beta = loss_beta(P)
+    W = compute_weights(D, P, beta)
+    assert D.shape == P.shape == W.shape == (3, 9, 4) and beta.shape == (3,)
+    for r in range(3):
+        D_r = distance_matrix(values, centers[r], kind)
+        P_r = pd_probabilities(D_r)
+        assert np.array_equal(D[r], D_r)
+        assert np.array_equal(P[r], P_r)
+        assert beta[r] == loss_beta(P_r)
+        assert np.array_equal(W[r], compute_weights(D_r, P_r, loss_beta(P_r)))
+
+
 class TestSampling:
     def test_one_hot_column(self):
-        w = np.zeros(6)
-        w[3] = 1.0
-        sample = draw_cluster_sample(w, 50, np.random.default_rng(0))
-        assert np.all(sample == 3)
+        w = np.zeros((2, 6))
+        w[0, 3] = 1.0
+        w[1, 5] = 7.0
+        counts = resample_counts(w, [np.random.default_rng(0)] * 2)
+        assert np.array_equal(counts, [[0, 0, 0, 6, 0, 0], [0, 0, 0, 0, 0, 6]])
 
     def test_deterministic_given_stream(self):
-        w = np.full(10, 0.1)
-        a = draw_cluster_sample(w, 100, np.random.default_rng(7))
-        b = draw_cluster_sample(w, 100, np.random.default_rng(7))
+        w = np.full((3, 10), 0.1)
+        a = resample_counts(w, [np.random.default_rng(seed) for seed in (7, 8, 9)])
+        b = resample_counts(w, [np.random.default_rng(seed) for seed in (7, 8, 9)])
         assert np.array_equal(a, b)
+        assert np.all(a.sum(axis=1) == 10)
 
     def test_uniform_frequencies(self):
-        n, draws = 8, 100_000
-        w = np.full(n, 1.0 / n)
-        sample = draw_cluster_sample(w, draws, np.random.default_rng(1))
-        counts = np.bincount(sample, minlength=n)
+        # 12,500 rows of 8 draws from one stream: 100,000 draws in all
+        n, rows = 8, 12_500
+        counts = resample_counts(np.full((rows, n), 1.0 / n),
+                                 [np.random.default_rng(1)] * rows).sum(axis=0)
+        draws = n * rows
         sigma = np.sqrt(draws * (1 / n) * (1 - 1 / n))
         assert np.max(np.abs(counts - draws / n)) < 5 * sigma
+
+    @pytest.mark.parametrize("row", [[0.5, np.nan, 0.5], [0.5, -0.1, 0.6], [0.0, 0.0, 0.0],
+                                     [1.0, np.inf, 0.0], [1e308, 1e308, 1e308]],
+                             ids=["nan", "negative", "all-zero", "inf", "sum-overflows"])
+    def test_invalid_weights_rejected(self, row):
+        w = np.array([[1.0, 1.0, 1.0], row])
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            resample_counts(w, [np.random.default_rng(0)] * 2)
 
 
 class TestCenterEstimation:
     def test_invariant_to_total_draw_count(self, rng):
-        _, basis, penalty, crit = small_spline_setup()
+        basis, spectrum, crit = small_spline_setup()
         values = rng.normal(size=(5, 10))
-        once = estimate_center(values, [1, 2, 2], basis, penalty, crit)
-        twice = estimate_center(values, [1, 1, 2, 2, 2, 2], basis, penalty, crit)
-        assert np.max(np.abs(once.fitted - twice.fitted)) < 1e-12
+        once, twice = estimate_centers(values, [[0, 1, 2, 0, 0], [0, 2, 4, 0, 0]],
+                                       basis, spectrum, crit)
+        assert np.max(np.abs(once - twice)) < 1e-12
 
     def test_duplicate_sample_matches_singleton(self, rng):
-        _, basis, penalty, crit = small_spline_setup()
+        basis, spectrum, crit = small_spline_setup()
         values = rng.normal(size=(4, 10))
-        single = estimate_center(values, [2], basis, penalty, crit)
-        repeated = estimate_center(values, [2, 2, 2], basis, penalty, crit)
-        assert np.max(np.abs(single.fitted - repeated.fitted)) < 1e-12
+        single, repeated = estimate_centers(values, [[0, 0, 1, 0], [0, 0, 3, 0]],
+                                            basis, spectrum, crit)
+        assert np.max(np.abs(single - repeated)) < 1e-12
 
     def test_empty_sample_rejected(self, rng):
-        _, basis, penalty, crit = small_spline_setup()
+        basis, spectrum, crit = small_spline_setup()
         with pytest.raises(ValueError):
-            estimate_center(rng.normal(size=(4, 10)), [], basis, penalty, crit)
+            estimate_centers(rng.normal(size=(4, 10)), [[1, 0, 0, 0], [0, 0, 0, 0]],
+                             basis, spectrum, crit)
 
 
 class TestRunningMeanCenters:
@@ -137,19 +192,20 @@ class TestRunningMeanCenters:
         fits = []
 
         def recording(*args):
-            fit = estimate_center(*args)
-            fits.append(fit.fitted)
-            return fit
+            fitted = estimate_centers(*args)
+            fits.append(fitted)
+            return fitted
 
-        monkeypatch.setattr(boost, "estimate_center", recording)
+        monkeypatch.setattr(boost, "estimate_centers", recording)
         result = run_boost(data, BoostConfig(n_clusters=k, maxiter=maxiter, restarts=1, seed=3))
-        assert len(fits) == k * result.beta_trace.shape[0] == k * maxiter
+        assert len(fits) == result.beta_trace.shape[0] == maxiter
         for cluster in range(k):
-            assert np.array_equal(result.centers[cluster], np.mean(fits[cluster::k], axis=0))
+            own = np.array([fitted[cluster] for fitted in fits])
+            assert np.array_equal(result.centers[cluster], np.mean(own, axis=0))
         if maxiter == 1:
-            assert np.array_equal(result.centers, np.vstack(fits))
+            assert np.array_equal(result.centers, fits[0])
         if repeated:
-            assert np.max(np.abs(result.centers - fits[0])) < 1e-12
+            assert np.max(np.abs(result.centers - fits[0][0])) < 1e-12
 
 
 class TestRunBoost:
@@ -180,16 +236,19 @@ class TestRunBoost:
         assert a.bc_final == b.bc_final
         assert a.restart_index == b.restart_index
 
-    def test_thread_schedule_does_not_change_results(self, rng, monkeypatch):
-        values = rng.normal(size=(10, 10)) + np.repeat([0.0, 5.0], 5)[:, None]
+    def test_spectrum_factored_once_per_run(self, rng, monkeypatch):
+        calls = []
+        factor = pspline._spectrum
+
+        def counting(*args):
+            calls.append(args)
+            return factor(*args)
+
+        monkeypatch.setattr(pspline, "_spectrum", counting)
+        values = rng.normal(size=(12, 10)) + np.repeat([0.0, 4.0, 8.0], 4)[:, None]
         data = Dataset.from_values(np.linspace(0, 1, 10), values)
-        config = BoostConfig(n_clusters=2, maxiter=6, restarts=4, seed=3)
-        monkeypatch.delenv("TSBOOST_THREADS", raising=False)
-        sequential = run_boost(data, config)
-        monkeypatch.setenv("TSBOOST_THREADS", "4")
-        threaded = run_boost(data, config)
-        assert np.array_equal(sequential.membership, threaded.membership)
-        assert np.array_equal(sequential.centers, threaded.centers)
+        run_boost(data, BoostConfig(n_clusters=3, maxiter=5, restarts=3, seed=1))
+        assert len(calls) == 1
 
     def test_restart_selection_and_traces(self, rng):
         values = rng.normal(size=(9, 12))
@@ -205,3 +264,45 @@ class TestRunBoost:
             assert np.all(trace.beta >= 0) and np.all(trace.beta <= 9)
             assert np.all(trace.bc >= 0) and np.all(trace.bc <= 1)
         assert np.max(np.abs(result.membership.sum(axis=1) - 1.0)) < 1e-9
+
+
+def _early_stop_dataset():
+    # two tight groups of constant series: a restart whose centers settle on
+    # the two levels reaches a zero loss and stops before maxiter
+    return two_level_dataset(n_per_group=6)
+
+
+@pytest.mark.parametrize("make_data, kind, k, restarts", [
+    (lambda rng: rng.normal(size=(15, 10)) + np.repeat([0.0, 3.0, 6.0], 5)[:, None],
+     DistanceKind.EUCLIDEAN, 3, 4),
+    (lambda rng: rng.normal(size=(18, 12)) + np.linspace(0, 2, 12) * np.repeat([-1.0, 0.0, 1.0], 6)[:, None],
+     DistanceKind.PENROSE_SHAPE, 3, 5),
+    (lambda rng: _early_stop_dataset().values(), DistanceKind.EUCLIDEAN, 2, 6),
+], ids=["euclidean", "penrose", "early-stop"])
+def test_lockstep_matches_per_restart_oracle(rng, monkeypatch, make_data, kind, k, restarts):
+    values = make_data(rng)
+    data = Dataset.from_values(np.linspace(0, 1, values.shape[1]), values)
+    config = BoostConfig(n_clusters=k, maxiter=12, restarts=restarts, distance=kind, seed=4)
+    batch_rows = []
+
+    def recording(values, counts, *args):
+        batch_rows.append(len(counts))
+        return estimate_centers(values, counts, *args)
+
+    monkeypatch.setattr(boost, "estimate_centers", recording)
+    result = run_boost(data, config)
+    oracle = per_restart_oracle(data, config)
+    for trace, (_, _, betas) in zip(result.traces, oracle, strict=True):
+        assert trace.beta.shape == betas.shape
+        assert np.max(np.abs(trace.beta - betas)) <= 1e-12
+    finals = np.array([loss_beta(P) / values.shape[0] for _, P, _ in oracle])
+    assert np.max(np.abs(result.restart_final_bc - finals)) <= 1e-12
+    assert result.restart_index == int(np.argmin(finals))
+    centers, membership, _ = oracle[result.restart_index]
+    assert np.max(np.abs(result.centers - centers)) <= 1e-12
+    assert np.max(np.abs(result.membership - membership)) <= 1e-12
+    # stopped restarts are carried, not compacted: every batch has R*K rows
+    assert batch_rows == [restarts * k] * len(batch_rows)
+    if kind == DistanceKind.EUCLIDEAN and k == 2:
+        lengths = {trace.beta.shape[0] for trace in result.traces}
+        assert min(lengths) < config.maxiter and len(lengths) > 1

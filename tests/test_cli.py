@@ -142,26 +142,26 @@ class TestCluster:
         assert np.max(np.abs(membership.sum(axis=1) - 1.0)) < 1e-9
 
     @pytest.mark.parametrize("case", [
-        "k-above-n", "bad-sizes", "bad-threads", "fuzzifier-nan", "sigma2-u-nan",
-        "sigma2-u-inf", "penalty-order-0", "penalty-order-9", "negative-degree",
+        "k-above-n", "bad-sizes", "fuzzifier-nan", "sigma2-u-nan", "sigma2-u-inf",
+        "penalty-order-0", "penalty-order-9", "negative-degree", "n-below-4",
+        "degree-above-domain",
     ])
-    def test_config_error_exit_code(self, tmp_path, toy_csv, monkeypatch, capsys, case):
+    def test_config_error_exit_code(self, tmp_path, toy_csv, capsys, case):
         out = str(tmp_path / "x")
         cluster = ["cluster", "--input", str(toy_csv), "--out", out]
         smooth = ["smooth", "--input", str(toy_csv), "--out", out]
         argv = {
             "k-above-n": cluster + ["--k", "99"],
             "bad-sizes": ["simulate", "--out", out, "--sizes", "1,2,x"],
-            "bad-threads": cluster + ["--k", "3", "--iters", "2", "--restarts", "2"],
             "fuzzifier-nan": cluster + ["--k", "3", "--algorithm", "fcm", "--fuzzifier", "nan"],
             "sigma2-u-nan": ["simulate", "--out", out, "--sigma2-u", "nan"],
             "sigma2-u-inf": ["simulate", "--out", out, "--sigma2-u", "inf"],
             "penalty-order-0": smooth + ["--penalty-order", "0"],
             "penalty-order-9": smooth + ["--penalty-order", "9"],
             "negative-degree": smooth + ["--degree", "-1"],
+            "n-below-4": ["simulate", "--out", out, "--n", "3"],
+            "degree-above-domain": smooth + ["--degree", "20"],  # toy series have 10 points
         }[case]
-        if case == "bad-threads":
-            monkeypatch.setenv("TSBOOST_THREADS", "abc")
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -190,6 +190,14 @@ class TestCluster:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_output_exit_code(self, tmp_path, toy_csv, capsys):
+        # --out names an existing file, so the output directory cannot be made
+        code = main(["cluster", "--input", str(toy_csv), "--out", str(toy_csv),
+                     "--k", "3", "--iters", "2", "--restarts", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {toy_csv}: ") and err.count("\n") == 1
 
     def test_usage_error_exit_code(self):
         assert main(["cluster", "--k", "2"]) == 1  # missing required flags
@@ -230,6 +238,20 @@ class TestEvaluate:
         assert report["classic_rand"] == 1.0
         assert report["fuzzy_rand"] > 0.7
         assert "reference_bc" in report
+
+    def test_unwritable_report_exit_code(self, tmp_path, toy_csv, capsys):
+        out = tmp_path / "run"
+        assert main(["cluster", "--input", str(toy_csv), "--out", str(out),
+                     "--k", "3", "--iters", "2", "--restarts", "1"]) == 0
+        capsys.readouterr()
+        report = tmp_path / "missing" / "dir" / "r.json"
+        code = main(["evaluate", "--membership", str(out / "membership.csv"),
+                     "--reference-membership", str(out / "membership.csv"),
+                     "--out", str(report)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report}: ") and err.count("\n") == 1
+        assert not report.parent.exists()
 
     def test_missing_reference(self, tmp_path, toy_csv):
         assert main(["evaluate", "--membership", str(toy_csv)]) in (1, 2)

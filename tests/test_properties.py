@@ -4,18 +4,26 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsboost import bc_index, fuzzy_rand, pd_probabilities
+from tsboost.boost import resample_counts
 from tsboost.cli import _fmt, _write_csv, read_membership, read_wide
+from tsboost.errors import FlatCriterion
 from tsboost.pspline import (
     CRITERIA,
+    LambdaCriterion,
+    _corner_argmin,
+    _spectrum,
     build_basis,
     difference_penalty,
     effective_dimension,
     fit_pspline,
+    select_lambda,
+    select_rows,
     smooth_series,
 )
 
@@ -99,6 +107,90 @@ def test_spectral_fit_matches_dense_solve(n, degree, interior, order, seed):
         dense = fit_pspline(y, basis, pen, selection.lam)
         for got, want in ((fit.fitted, dense.fitted), (fit.coef, dense.coef)):
             assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want)), name
+
+
+def weight_columns():
+    """Resampling weights: one-hot, uniform, or with zero and near-zero entries."""
+    near_zero = st.sampled_from([0.0, 5e-324, 1e-300, 1e-200, 1e-12])
+    mixed = st.one_of(near_zero, st.floats(1e-3, 1.0))
+    n = st.integers(1, 40)
+    one_hot = n.flatmap(lambda k: st.integers(0, k - 1).map(lambda i: np.eye(k)[i]))
+    uniform = n.map(lambda k: np.full(k, 1.0 / k))
+    small = n.flatmap(lambda k: arrays(float, k, elements=mixed)).filter(lambda w: w.sum() > 0)
+    return st.one_of(one_hot, uniform, small)
+
+
+@SETTINGS
+@given(weight_columns(), st.integers(0, 2**32 - 1))
+def test_resampling_equals_rng_choice(w, seed):
+    # the inverse-CDF draw is rng.choice's own arithmetic: same counts and
+    # the stream left in the same state
+    n = w.shape[0]
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    counts = resample_counts(w[None, :], [ours])[0]
+    sample = theirs.choice(n, size=n, replace=True, p=w / w.sum())
+    assert np.array_equal(counts, np.bincount(sample, minlength=n))
+    assert ours.random() == theirs.random()
+
+
+def corner_argmin_oracle(v):
+    """Scalar L-curve corner rule of one speed profile, the reference of ``_corner_argmin``."""
+    if float(np.max(v) - np.min(v)) < 1e-14:
+        raise FlatCriterion("speed profile is flat across the grid")
+    dips = []
+    for i in range(1, v.shape[0] - 1):
+        if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
+            flank = min(np.max(v[:i]), np.max(v[i + 1:]))
+            if v[i] <= 0.5 * flank:
+                dips.append(i)
+    if dips:
+        return min(dips, key=lambda i: v[i])
+    return int(np.argmin(v))
+
+
+@SETTINGS
+@given(st.integers(3, 12).flatmap(lambda g: arrays(
+    float, st.tuples(st.integers(1, 6), st.just(g)),
+    elements=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 10.0)))))
+@example(np.array([[0.0, 2.0, 1.0, 2.0, 0.0], [0.0, 2.0, 1.01, 2.0, 0.0]]))
+def test_corner_argmin_matches_scalar_rule(V):
+    # small repeated values make ties, plateaus and dips at exactly half a
+    # flank; a lambda grid has at least 10 points, so a profile at least 9
+    picks = _corner_argmin(V)
+    for v, pick in zip(V, picks):
+        try:
+            assert pick == corner_argmin_oracle(v)
+        except FlatCriterion:
+            continue
+
+
+@SETTINGS
+@given(n=st.integers(5, 30), rows=st.integers(3, 8), seed=st.integers(0, 2**32 - 1))
+def test_batched_rows_match_one_row_selection(n, rows, seed):
+    # every row of the batch picks what select_lambda picks for it alone, and
+    # its coefficients agree; row 0 is zero, whose profile is flat for every
+    # criterion, and row 1 a nonzero constant, which lies in the penalty null
+    # space: every lambda fits it exactly, so only its fit is compared
+    basis = build_basis(np.linspace(0, 1, n))
+    pen = difference_penalty(basis.n_bases)
+    rng = np.random.default_rng(seed)
+    Y = np.sin(5 * basis.domain) * rng.normal(size=(rows, 1)) + rng.normal(0, 0.3, size=(rows, n))
+    Y[0] = 0.0
+    Y[1] = rng.normal()
+    spectrum = _spectrum(basis, pen)
+    for name in CRITERIA:
+        criterion = LambdaCriterion(name)
+        batch = select_rows(Y, spectrum, criterion)
+        assert batch.flat[0] and batch.lam[0] == criterion.grid[-1], name
+        with pytest.raises(FlatCriterion):
+            select_lambda(Y[0], basis, pen, criterion)
+        for row, y in enumerate(Y):
+            one = smooth_series(y, basis, pen, criterion)[1]
+            if row != 1:
+                assert batch.lam[row] == one.lam, name
+                assert bool(batch.flat[row]) == (one.scores.size == 0), name
+            scale = max(np.max(np.abs(one.coef)), 1e-300)
+            assert np.max(np.abs(batch.coef[row] - one.coef)) <= 1e-12 * scale, name
 
 
 def _write_table(path, header, ids, matrix):

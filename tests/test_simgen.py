@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tsboost import SimConfig, generate
+from tsboost import SimConfig, generate, simgen
 from tsboost.errors import ConfigError
 
 TINY = 1e-30
@@ -22,6 +22,9 @@ class TestConfig:
             SimConfig(ar_coef=1.0)
         with pytest.raises(ConfigError):
             SimConfig(sigma2_u=-0.1)
+        with pytest.raises(ConfigError):
+            SimConfig(n_points=3)  # below what the default basis and the periodogram need
+        assert SimConfig(n_points=4).n_points == 4
 
     @pytest.mark.parametrize("field", ["sigma2_e", "sigma2_v", "sigma2_u", "ar_var"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -87,3 +90,25 @@ class TestGenerate:
         assert data.n_series == 12
         assert data.n_points == 25
         assert np.array_equal(np.unique(labels), np.arange(1, 7))
+
+
+def per_point_ar1_path(n, phi, innovation_var, rng):
+    """AR(1) disturbances with one ``rng.normal`` call per point."""
+    e = np.empty(n)
+    e[0] = rng.normal(0.0, np.sqrt(innovation_var / (1.0 - phi * phi)))
+    for j in range(1, n):
+        e[j] = phi * e[j - 1] + rng.normal(0.0, np.sqrt(innovation_var))
+    return e
+
+
+@pytest.mark.parametrize("n_points", [4, 10, 50, 200])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_generate_matches_per_point_draws(monkeypatch, n_points, seed):
+    # one vectorised innovation draw per path leaves every series, and the
+    # stream the per-series draws come from, as the per-point draws do
+    config = SimConfig(sizes=(3, 2, 3, 2, 3, 2), n_points=n_points, seed=seed)
+    data, labels = generate(config)
+    monkeypatch.setattr(simgen, "_ar1_path", per_point_ar1_path)
+    expected, expected_labels = generate(config)
+    assert np.array_equal(data.values(), expected.values())
+    assert np.array_equal(labels, expected_labels)
