@@ -51,6 +51,14 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _write_matrix(path, key, ids, prefix, matrix):
+    """Write header ``key,<prefix>1,...`` and one row per id: the id, then its matrix row."""
+    _write_csv(
+        path, [key] + [f"{prefix}{j + 1}" for j in range(matrix.shape[1])],
+        ([sid] + [_fmt(v) for v in row] for sid, row in zip(ids, matrix.tolist())),
+    )
+
+
 def _output_dir(path):
     """Create the --out directory of a command (with parents); IoError if it cannot be."""
     out = Path(path)
@@ -70,8 +78,9 @@ def _open_output(path):
 
 
 def _open_input(path):
+    # utf-8-sig drops a leading byte order mark and reads any other UTF-8 as utf-8 does
     try:
-        return open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IoError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
@@ -83,63 +92,74 @@ def _parse_float(token, path, line_no):
         raise ParseError(f"{path}:{line_no}: not a number: {token!r}") from None
 
 
-def read_wide(path):
-    """Wide CSV (header id,t1..tn) -> Dataset on an equally spaced [0,1] domain."""
-    ids, rows = [], []
+def _read_table(path, columns):
+    """Yield (line_no, row) for every non-blank data row of a CSV table; ParseError if bad.
+
+    The stripped header cells must read ``columns``, where ``...`` stands for
+    one or more columns of any name after the first (``id,t1,...,tn``). Each
+    row has as many fields as the header, and there is at least one row.
+    """
+    expected = columns.split(",")
     with _open_input(path) as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}:1: empty file") from None
-        n = len(header) - 1
-        if n < 1 or header[0] != "id":
-            raise ParseError(f"{path}:1: expected header id,t1,...,tn")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n + 1:
-                raise ParseError(f"{path}:{line_no}: expected {n + 1} fields, got {len(row)}")
-            ids.append(row[0])
-            rows.append([_parse_float(tok, path, line_no) for tok in row[1:]])
-    if not rows:
-        raise ParseError(f"{path}: no series found")
-    domain = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.0])
-    return validate_dataset(Dataset.from_values(domain, np.asarray(rows), ids))
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}:1: empty file")
+            header = [cell.strip() for cell in header]
+            if "..." in expected:
+                valid = len(header) > 1 and header[0] == expected[0]
+            else:
+                valid = header == expected
+            if not valid:
+                raise ParseError(f"{path}:1: expected header {columns}")
+            found = False
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
+                found = True
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # decoding runs on buffered chunks, so there is no reliable line number
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    if not found:
+        raise ParseError(f"{path}: no rows found")
+
+
+def _read_matrix(path, columns):
+    """Matrix CSV (an id column, then float columns) -> (ids, one array row per data row)."""
+    ids, rows = [], []
+    for line_no, row in _read_table(path, columns):
+        ids.append(row[0])
+        rows.append([_parse_float(tok, path, line_no) for tok in row[1:]])
+    return ids, np.array(rows)
+
+
+def read_wide(path):
+    """Wide CSV (header id,t1..tn) -> Dataset on an equally spaced [0,1] domain."""
+    ids, values = _read_matrix(path, "id,t1,...,tn")
+    domain = np.linspace(0.0, 1.0, values.shape[1])
+    return validate_dataset(Dataset.from_values(domain, values, ids))
 
 
 def read_long(path):
     """Long CSV (header id,t,value) -> Dataset; the domain comes from the file."""
     per_series = {}
-    with _open_input(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}:1: empty file") from None
-        if [h.strip() for h in header] != ["id", "t", "value"]:
-            raise ParseError(f"{path}:1: expected header id,t,value")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
-            t = _parse_float(row[1], path, line_no)
-            v = _parse_float(row[2], path, line_no)
-            per_series.setdefault(row[0], []).append((t, v))
-    if not per_series:
-        raise ParseError(f"{path}: no series found")
-    ids = list(per_series)
-    first = sorted(per_series[ids[0]])
-    domain = np.array([t for t, _ in first])
-    rows = []
-    for sid in ids:
-        points = sorted(per_series[sid])
-        ts = np.array([t for t, _ in points])
-        if ts.shape != domain.shape or not np.array_equal(ts, domain):
+    for line_no, (sid, t, v) in _read_table(path, "id,t,value"):
+        point = (_parse_float(t, path, line_no), _parse_float(v, path, line_no))
+        per_series.setdefault(sid, []).append(point)
+    series = {sid: sorted(points) for sid, points in per_series.items()}
+    domain = [t for t, _ in next(iter(series.values()))]
+    for sid, points in series.items():
+        if [t for t, _ in points] != domain:
             raise ParseError(f"{path}: series {sid!r} does not share the common domain")
-        rows.append([v for _, v in points])
-    return validate_dataset(Dataset.from_values(domain, np.asarray(rows), ids))
+    values = [[v for _, v in points] for points in series.values()]
+    return validate_dataset(Dataset.from_values(domain, values, list(series)))
 
 
 def read_dataset(path, fmt="wide"):
@@ -148,23 +168,8 @@ def read_dataset(path, fmt="wide"):
 
 def read_labels(path):
     """Labels CSV (header id,label) -> (ids, labels)."""
-    ids, labels = [], []
-    with _open_input(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}:1: empty file") from None
-        if [h.strip() for h in header] != ["id", "label"]:
-            raise ParseError(f"{path}:1: expected header id,label")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}:{line_no}: expected 2 fields, got {len(row)}")
-            ids.append(row[0])
-            labels.append(row[1])
-    return ids, np.asarray(labels)
+    ids, labels = zip(*(row for _, row in _read_table(path, "id,label")))
+    return list(ids), np.asarray(labels)
 
 
 def read_membership(path):
@@ -172,25 +177,7 @@ def read_membership(path):
 
     Rows must be probability vectors: entries in [0, 1] summing to 1.
     """
-    ids, rows = [], []
-    with _open_input(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}:1: empty file") from None
-        k = len(header) - 1
-        if k < 1 or header[0] != "id":
-            raise ParseError(f"{path}:1: expected header id,p1,...,pK")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != k + 1:
-                raise ParseError(f"{path}:{line_no}: expected {k + 1} fields, got {len(row)}")
-            ids.append(row[0])
-            rows.append([_parse_float(tok, path, line_no) for tok in row[1:]])
-    if not rows:
-        raise ParseError(f"{path}: no rows found")
+    ids, rows = _read_matrix(path, "id,p1,...,pK")
     try:
         return ids, validate_membership(rows)
     except ValueError as exc:
@@ -231,17 +218,8 @@ def cmd_simulate(args):
     data, labels = generate(config)
     t1 = time.perf_counter()
     out = _output_dir(args.out)
-    n = data.n_points
-    _write_csv(
-        out / "series.csv",
-        ["id"] + [f"t{j+1}" for j in range(n)],
-        ([rec.id] + [_fmt(v) for v in rec.values] for rec in data.series),
-    )
-    _write_csv(
-        out / "labels.csv",
-        ["id", "label"],
-        ([rec.id, int(lab)] for rec, lab in zip(data.series, labels)),
-    )
+    _write_matrix(out / "series.csv", "id", data.ids, "t", data.values())
+    _write_csv(out / "labels.csv", ["id", "label"], zip(data.ids, labels.tolist()))
     t2 = time.perf_counter()
     _write_manifest(
         out, "simulate",
@@ -258,24 +236,10 @@ def cmd_simulate(args):
 
 
 def _write_cluster_outputs(out, data, membership, centers, trace_rows):
-    n = data.n_points
-    k = membership.shape[1]
-    _write_csv(
-        out / "membership.csv",
-        ["id"] + [f"p{j+1}" for j in range(k)],
-        ([rec.id] + [_fmt(p) for p in row] for rec, row in zip(data.series, membership)),
-    )
-    _write_csv(
-        out / "centers.csv",
-        ["cluster"] + [f"t{j+1}" for j in range(n)],
-        ([c + 1] + [_fmt(v) for v in center] for c, center in enumerate(centers)),
-    )
-    labels = harden(membership)
-    _write_csv(
-        out / "assignments.csv",
-        ["id", "label"],
-        ([rec.id, int(lab)] for rec, lab in zip(data.series, labels)),
-    )
+    _write_matrix(out / "membership.csv", "id", data.ids, "p", membership)
+    _write_matrix(out / "centers.csv", "cluster", range(1, len(centers) + 1), "t", centers)
+    _write_csv(out / "assignments.csv", ["id", "label"],
+               zip(data.ids, harden(membership).tolist()))
     _write_csv(out / "trace.csv", ["restart", "iteration", "beta", "bc"], trace_rows)
 
 
@@ -334,28 +298,28 @@ def cmd_evaluate(args):
     ids, membership = read_membership(args.membership)
     report = {"bc": bc_index(membership)}
     predicted = harden(membership)
+    # rows are matched by position, so both sides must list the same ids in the same order
     if args.reference_membership:
-        _, reference = read_membership(args.reference_membership)
-        report["fuzzy_rand"] = fuzzy_rand(membership, reference)
-        report["classic_rand"] = classic_rand(predicted, harden(reference))
+        reference_ids, reference = read_membership(args.reference_membership)
+        if ids != reference_ids:
+            raise ConfigError("membership ids do not match the reference membership ids")
         truth = harden(reference)
     elif args.reference_labels:
         if not args.input:
             raise ConfigError("--reference-labels requires --input")
         data = read_dataset(args.input, args.format)
-        label_ids, raw_labels = read_labels(args.reference_labels)
+        label_ids, truth = read_labels(args.reference_labels)
         if label_ids != data.ids:
             raise ConfigError("labels file ids do not match the input series ids")
-        reference, _ = reference_partition(
-            data, raw_labels, _DISTANCES[args.distance],
-            criterion=args.lambda_criterion,
-        )
-        report["fuzzy_rand"] = fuzzy_rand(membership, reference)
+        if ids != data.ids:
+            raise ConfigError("membership ids do not match the input series ids")
+        reference, _ = reference_partition(data, truth, _DISTANCES[args.distance],
+                                           criterion=args.lambda_criterion)
         report["reference_bc"] = bc_index(reference)
-        truth = raw_labels
-        report["classic_rand"] = classic_rand(predicted, truth)
     else:
         raise ConfigError("provide --reference-membership or --reference-labels")
+    report["fuzzy_rand"] = fuzzy_rand(membership, reference)
+    report["classic_rand"] = classic_rand(predicted, truth)
     table, t_labels, p_labels = confusion_matrix(truth, predicted)
     for key in ("fuzzy_rand", "classic_rand", "bc", "reference_bc"):
         if key in report:

@@ -278,8 +278,10 @@ def select_rows(Y, spectrum, criterion):
 
     Every profile and the coefficients at the chosen lambda come from
     ``spectrum``, the ``_spectrum`` (mu, V, Q, DV) of the basis and penalty:
-    at grid point g, a = V c with c = Q'y / d[g]. A row whose profile is flat (an all-zero series, for
-    example) is flagged and takes its coefficients at the largest grid lambda.
+    at grid point g, a = V c with c = Q'y / d[g]. A row whose profile is flat
+    (an all-zero series, for example) or that every lambda fits exactly (a
+    row in the penalty null space, such as a constant, or a line at order 2)
+    is flagged and takes its coefficients at the largest grid lambda.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     grid = criterion.grid
@@ -335,6 +337,9 @@ def select_rows(Y, spectrum, criterion):
             scores = (dpsi * d2phi - d2psi * dphi) / denom
             pick = np.argmax(scores, axis=-1)
         flat = np.max(scores, axis=-1) - np.min(scores, axis=-1) < 1e-14
+    # every lambda fits a row in the penalty null space exactly, so its
+    # profile is round-off however it scores: an rss at round-off level flags it
+    flat |= rss.max(axis=-1) <= n * np.finfo(float).eps * np.sum(Y**2, axis=-1)
     lam = np.where(flat, grid[-1], lambdas[pick])
     coef = (Qty / (mu + lam[:, None] * (1.0 - mu))) @ V.T
     return RowSelection(lam, coef, flat, lambdas, scores)

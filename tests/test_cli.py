@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from tsboost.cli import main, read_long, read_membership, read_wide
+from tsboost.cli import main, read_dataset, read_long, read_membership, read_wide
 from tsboost.errors import ParseError
 
 
@@ -78,6 +78,23 @@ class TestReaders:
         path.write_text("id,t,value\na,0.0,1.0\na,1.0,2.0\nb,0.0,1.0\nb,0.7,2.0\n")
         with pytest.raises(ParseError):
             read_long(path)
+
+    @pytest.mark.parametrize("fmt", ["wide", "long"])
+    def test_bom_and_padded_header(self, tmp_path, fmt):
+        # Excel's "CSV UTF-8" starts with a byte order mark; header cells may be padded
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        if fmt == "wide":
+            write_wide(plain, np.arange(12.0).reshape(3, 4))
+        else:
+            plain.write_text("id,t,value\n" + "".join(
+                f"{sid},{t},{t + k}\n" for k, sid in enumerate("abc") for t in (0.0, 0.5, 1.0)))
+        header, rest = plain.read_text().split("\n", 1)
+        padded_header = ",".join(f" {cell} " for cell in header.split(","))
+        padded.write_bytes(b"\xef\xbb\xbf" + f"{padded_header}\n{rest}".encode())
+        a, b = read_dataset(plain, fmt), read_dataset(padded, fmt)
+        assert a.ids == b.ids
+        assert np.array_equal(a.domain, b.domain)
+        assert np.array_equal(a.values(), b.values())
 
 
 class TestSimulate:
@@ -191,6 +208,20 @@ class TestCluster:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", ["non-utf8", "oversized-field"])
+    def test_undecodable_input_exit_code(self, tmp_path, capsys, case):
+        # a byte that is not UTF-8, and a field over the csv module's 131,072-character limit
+        path = tmp_path / "bad.csv"
+        second_row = {"non-utf8": b"caf\xe9,1.0,2.0\n",
+                      "oversized-field": b"b," + b"1" * 200_000 + b",2.0\n"}[case]
+        path.write_bytes(b"id,t1,t2\na,1.0,2.0\n" + second_row)
+        code = main(["cluster", "--input", str(path), "--out", str(tmp_path / "y"),
+                     "--k", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        where = {"non-utf8": f"{path}: ", "oversized-field": f"{path}:3: "}[case]
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1
+
     def test_unwritable_output_exit_code(self, tmp_path, toy_csv, capsys):
         # --out names an existing file, so the output directory cannot be made
         code = main(["cluster", "--input", str(toy_csv), "--out", str(toy_csv),
@@ -252,6 +283,38 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {report}: ") and err.count("\n") == 1
         assert not report.parent.exists()
+
+    def test_permuted_reference_ids_exit_code(self, tmp_path, capsys):
+        # the same matrix under permuted ids is a different partition of the series
+        member, reference = tmp_path / "m.csv", tmp_path / "r.csv"
+        rows = [[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]]
+        for path, ids in ((member, "abc"), (reference, "cab")):
+            lines = ["id,p1,p2"] + [f"{sid},{p},{q}" for sid, (p, q) in zip(ids, rows)]
+            path.write_text("\n".join(lines) + "\n")
+        code = main(["evaluate", "--membership", str(member),
+                     "--reference-membership", str(reference)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: membership ids ") and captured.err.count("\n") == 1
+        assert "fuzzy_rand" not in captured.out
+
+    def test_reordered_membership_rows_exit_code(self, tmp_path, toy_csv, capsys):
+        out = tmp_path / "run"
+        assert main(["cluster", "--input", str(toy_csv), "--out", str(out),
+                     "--k", "3", "--iters", "2", "--restarts", "1"]) == 0
+        header, *rows = (out / "membership.csv").read_text().splitlines()
+        reversed_rows = tmp_path / "reversed.csv"
+        reversed_rows.write_text("\n".join([header] + rows[::-1]) + "\n")
+        labels_path = tmp_path / "labels.csv"
+        lines = ["id,label"] + [f"s{i + 1:04d},{1 + i // 4}" for i in range(12)]
+        labels_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["evaluate", "--membership", str(reversed_rows),
+                     "--reference-labels", str(labels_path), "--input", str(toy_csv)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: membership ids ") and captured.err.count("\n") == 1
+        assert "fuzzy_rand" not in captured.out
 
     def test_missing_reference(self, tmp_path, toy_csv):
         assert main(["evaluate", "--membership", str(toy_csv)]) in (1, 2)

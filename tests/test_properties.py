@@ -170,7 +170,7 @@ def test_batched_rows_match_one_row_selection(n, rows, seed):
     # every row of the batch picks what select_lambda picks for it alone, and
     # its coefficients agree; row 0 is zero, whose profile is flat for every
     # criterion, and row 1 a nonzero constant, which lies in the penalty null
-    # space: every lambda fits it exactly, so only its fit is compared
+    # space: every lambda fits it exactly, so it is flagged flat as well
     basis = build_basis(np.linspace(0, 1, n))
     pen = difference_penalty(basis.n_bases)
     rng = np.random.default_rng(seed)
@@ -181,14 +181,14 @@ def test_batched_rows_match_one_row_selection(n, rows, seed):
     for name in CRITERIA:
         criterion = LambdaCriterion(name)
         batch = select_rows(Y, spectrum, criterion)
-        assert batch.flat[0] and batch.lam[0] == criterion.grid[-1], name
-        with pytest.raises(FlatCriterion):
-            select_lambda(Y[0], basis, pen, criterion)
+        for row in (0, 1):
+            assert batch.flat[row] and batch.lam[row] == criterion.grid[-1], name
+            with pytest.raises(FlatCriterion):
+                select_lambda(Y[row], basis, pen, criterion)
         for row, y in enumerate(Y):
             one = smooth_series(y, basis, pen, criterion)[1]
-            if row != 1:
-                assert batch.lam[row] == one.lam, name
-                assert bool(batch.flat[row]) == (one.scores.size == 0), name
+            assert batch.lam[row] == one.lam, name
+            assert bool(batch.flat[row]) == (one.scores.size == 0), name
             scale = max(np.max(np.abs(one.coef)), 1e-300)
             assert np.max(np.abs(batch.coef[row] - one.coef)) <= 1e-12 * scale, name
 
