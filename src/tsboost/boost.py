@@ -21,6 +21,10 @@ depends on when another one stopped.
 Randomness is split into dedicated streams keyed by (seed, restart) for the
 initial centers and (seed, restart, iteration, cluster) for the resampling
 draws.
+
+Work that does not change within a run is done once per run: the spline
+spectrum, the series' side of the distance (their periodograms, for the
+periodogram distance) and the seed's part of every stream key.
 """
 
 from dataclasses import dataclass
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, validate_dataset
-from .distance import DistanceKind, distance_matrix
+from .distance import DistanceKind, distance_matrix, distance_space
 from .errors import ConfigError, DegenerateBeta
 from .pdclust import loss_beta, pd_probabilities
 from . import pspline
@@ -50,6 +54,8 @@ class BoostConfig:
             raise ConfigError("need at least 2 clusters")
         if self.maxiter < 1 or self.restarts < 1:
             raise ConfigError("maxiter and restarts must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,7 @@ def raw_weights(D, P, beta):
     rowmax = D.max(axis=-1, keepdims=True)
     gamma = np.where(rowmax > 0, D / np.where(rowmax > 0, rowmax, 1.0), 1.0)
     own = np.arange(D.shape[-1]) == np.argmax(P, axis=-1)[..., None]
-    return beta[..., None, None] ** (gamma * np.where(own, 1.0, -1.0))
+    return beta[..., None, None] ** np.where(own, gamma, -gamma)
 
 
 def compute_weights(D, P, beta):
@@ -106,7 +112,9 @@ def resample_counts(weights, rngs):
     Row j draws index i with probability weights[j, i] / sum(weights[j]) on
     stream rngs[j], by the inverse CDF of N uniforms: the same arithmetic as
     ``Generator.choice(N, N, p=weights[j] / weights[j].sum())``, so the
-    draws equal that call's on the same stream.
+    counts equal that call's on the same stream. The counts do not depend on
+    the order of the uniforms, which are sorted before the search: a search
+    for ascending keys takes predictable branches.
     """
     w = np.asarray(weights, dtype=float)
     rows, n = w.shape
@@ -115,9 +123,13 @@ def resample_counts(weights, rngs):
         raise ValueError("weights must be nonnegative with a positive finite sum per row")
     cdf = (w / total).cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    draws = np.empty((rows, n), dtype=np.intp)
+    uniforms = np.empty((rows, n))
     for row, rng in enumerate(rngs):
-        draws[row] = cdf[row].searchsorted(rng.random(n), side="right")
+        rng.random(out=uniforms[row])
+    uniforms.sort(axis=1)
+    draws = np.empty((rows, n), dtype=np.intp)
+    for row in range(rows):
+        draws[row] = cdf[row].searchsorted(uniforms[row], side="right")
     draws += n * np.arange(rows)[:, None]
     return np.bincount(draws.ravel(), minlength=rows * n).reshape(rows, n)
 
@@ -139,6 +151,24 @@ def estimate_centers(values, counts, basis, spectrum, criterion):
     return pspline.select_rows(pooled, spectrum, criterion).coef @ basis.matrix.T
 
 
+def _seed_words(seed):
+    """The seed's little-endian 32-bit words ([0] for 0), as ``SeedSequence`` splits an int."""
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    return words
+
+
+def _stream(seed_words, *key):
+    """Generator keyed by (seed, *key): equal to ``SeedSequence((seed, *key))``'s.
+
+    A uint32 key skips the per-int conversion of a tuple key; every key
+    entry after the seed is below 2**32.
+    """
+    entropy = np.array((*seed_words, *key), dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
 def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
     """Run the full multi-restart algorithm and keep the best-BC restart."""
     validate_dataset(data)
@@ -151,17 +181,21 @@ def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
     penalty = pspline.difference_penalty(basis.n_bases)
     spectrum = pspline._spectrum(basis, penalty)
     criterion = pspline.LambdaCriterion(config.criterion)
+    words = _seed_words(seed)
+    points, kind = distance_space(values, config.distance)
+
+    def distances(centers):
+        return distance_matrix(points, distance_space(centers, config.distance)[0], kind)
 
     centers = np.stack([
-        values[np.random.default_rng(np.random.SeedSequence((seed, r)))
-               .choice(n_series, size=k, replace=False)]
+        values[_stream(words, r).choice(n_series, size=k, replace=False)]
         for r in range(restarts)
     ])
     sums = np.zeros_like(centers)
     active = np.ones(restarts, dtype=bool)
     betas = [[] for _ in range(restarts)]
     for iteration in range(1, config.maxiter + 1):
-        D = distance_matrix(values, centers, config.distance)
+        D = distances(centers)
         P = pd_probabilities(D)
         beta = loss_beta(P)
         for r in np.flatnonzero(active):
@@ -175,14 +209,15 @@ def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
         drawn = np.repeat(active, k)
         counts = np.ones_like(columns)
         counts[drawn] = resample_counts(columns[drawn], [
-            np.random.default_rng(np.random.SeedSequence((seed, r, iteration, cluster)))
+            _stream(words, r, iteration, cluster)
             for r in np.flatnonzero(active) for cluster in range(k)
         ])
         fitted = estimate_centers(values, counts, basis, spectrum, criterion)
-        sums[active] += fitted.reshape(centers.shape)[active]
-        centers[active] = sums[active] / iteration
+        live = active[:, None, None]
+        np.add(sums, fitted.reshape(centers.shape), out=sums, where=live)
+        np.divide(sums, iteration, out=centers, where=live)
 
-    P = pd_probabilities(distance_matrix(values, centers, config.distance))
+    P = pd_probabilities(distances(centers))
     finals = loss_beta(P) / n_series
     best = int(np.argmin(finals))
     traces = tuple(RestartTrace(beta=np.asarray(b), bc=np.asarray(b) / n_series) for b in betas)

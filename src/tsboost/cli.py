@@ -9,13 +9,15 @@ form, so rereading an emitted CSV reproduces the in-memory values exactly.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 any other package
 error (bad data, an input that cannot be read, an output that cannot be
-written or a run that cannot proceed).
+written or a run that cannot proceed) or a standard output closed by its
+reader, as in ``tsboost evaluate ... | head -1``.
 """
 
 import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -442,7 +444,14 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone; point stdout at devnull, so that the
+        # interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -80,13 +80,20 @@ def validate_dataset(data: Dataset) -> Dataset:
         raise NonIncreasingDomain("domain must be strictly increasing")
     if data.n_series < 2:
         raise TooFewSeries(f"need at least 2 series, got {data.n_series}")
-    for rec in data.series:
-        if rec.values.shape != (n,):
-            raise RaggedLengths(
-                f"series {rec.id!r} has length {rec.values.shape[0]}, expected {n}"
-            )
-        if not np.all(np.isfinite(rec.values)):
-            raise NonFiniteValue(f"series {rec.id!r} contains NaN or Inf")
+    # the first bad series is named; of a ragged and a non-finite series,
+    # the earlier one is reported
+    ragged = next((j for j, rec in enumerate(data.series) if rec.values.shape != (n,)),
+                  data.n_series)
+    if ragged:
+        finite = np.isfinite(np.stack([rec.values for rec in data.series[:ragged]])).all(axis=1)
+        if not finite.all():
+            bad = data.series[int(np.argmin(finite))]
+            raise NonFiniteValue(f"series {bad.id!r} contains NaN or Inf")
+    if ragged < data.n_series:
+        rec = data.series[ragged]
+        raise RaggedLengths(
+            f"series {rec.id!r} has length {rec.values.shape[0]}, expected {n}"
+        )
     return data
 
 

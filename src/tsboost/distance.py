@@ -84,6 +84,20 @@ def periodogram_distance(y, c):
     return float(np.sqrt(np.sum((periodogram(y) - periodogram(c)) ** 2)))
 
 
+def distance_space(values, kind):
+    """(points, kind') such that the kind-distance of two series is the
+    kind'-distance of their points.
+
+    The periodogram distance is the Euclidean distance between periodograms,
+    so PERIODOGRAM maps series to their periodograms and the Euclidean kind;
+    every other kind leaves the series and the kind as they are. A caller
+    that compares the same series against many centers maps the series once.
+    """
+    if kind == DistanceKind.PERIODOGRAM:
+        return periodogram(values), DistanceKind.EUCLIDEAN
+    return values, kind
+
+
 def distance_matrix(values, centers, kind):
     """(N, K) matrix of distances between series rows and center rows.
 
@@ -96,10 +110,16 @@ def distance_matrix(values, centers, kind):
         raise LengthMismatch(
             f"series length {Y.shape[1]} vs center length {C.shape[-1]}"
         )
+    Y, space = distance_space(Y, kind)
+    C, _ = distance_space(C, kind)
     if C.ndim > 2:
         # one leading index at a time: the (N, K, n) difference tensor then
         # stays as large as in an unstacked call, not R times larger
-        return np.stack([distance_matrix(Y, c, kind) for c in C])
+        return np.stack([_distances(Y, c, space) for c in C])
+    return _distances(Y, C, space)
+
+
+def _distances(Y, C, kind):
     if kind == DistanceKind.EUCLIDEAN:
         return _cdist_euclidean(Y, C)
     if kind == DistanceKind.PENROSE_SHAPE:
@@ -110,6 +130,4 @@ def distance_matrix(values, centers, kind):
         if np.any(rad < _RADICAND_CLAMP):
             raise NegativeRadicand("negative radicand beyond round-off")
         return np.sqrt(np.maximum(rad, 0.0) * n / (n - 1))
-    if kind == DistanceKind.PERIODOGRAM:
-        return _cdist_euclidean(periodogram(Y), periodogram(C))
     raise ValueError(f"unknown distance kind {kind!r}")

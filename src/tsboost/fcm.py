@@ -31,6 +31,8 @@ class FcmConfig:
             raise ConfigError("fuzzifier must be finite and > 1")
         if not 0.0 < self.epsilon < np.inf or self.max_sweeps < 1:
             raise ConfigError("epsilon must be finite and > 0, and max_sweeps >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

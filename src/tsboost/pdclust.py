@@ -30,21 +30,16 @@ def pd_probabilities(distances):
         raise NegativeDistance("distances must be finite and nonnegative")
     if D.shape[-1] < 2:
         raise ValueError("need at least 2 clusters")
-    P = np.empty_like(D)
+    # prod_{h != k} d_h = exp(sum_h log d_h - log d_k); the row-wise
+    # constant cancels in the normalization. A row with a zero distance
+    # takes log 1 here and is replaced by its uniform split below.
     zero = D == 0.0
-    coincident = zero.any(axis=-1)
-    if coincident.any():
-        z = zero[coincident]
-        P[coincident] = z / z.sum(axis=1, keepdims=True)
-    regular = ~coincident
-    if regular.any():
-        # prod_{h != k} d_h = exp(sum_h log d_h - log d_k); the row-wise
-        # constant cancels in the normalization
-        logw = -np.log(D[regular])
-        logw -= logw.max(axis=1, keepdims=True)
-        w = np.exp(logw)
-        P[regular] = w / w.sum(axis=1, keepdims=True)
-    return P
+    coincident = zero.any(axis=-1, keepdims=True)
+    logw = -np.log(np.where(coincident, 1.0, D))
+    logw -= logw.max(axis=-1, keepdims=True)
+    w = np.exp(logw)
+    split = zero / np.maximum(zero.sum(axis=-1, keepdims=True), 1)
+    return np.where(coincident, split, w / w.sum(axis=-1, keepdims=True))
 
 
 def bc_index(P):

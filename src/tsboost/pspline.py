@@ -46,32 +46,28 @@ def default_lambda_grid(num=50, low=1e-6, high=1e6):
 def bspline_design(x, knots, degree):
     """Design matrix B with B[r, j] = B_j(x[r]) for the padded knot vector.
 
-    Cox-de Boor recursion per evaluation point; the knot vector is padded so
-    every x lies strictly inside the full-support region.
+    Cox-de Boor recursion, run for all evaluation points at once; the knot
+    vector is padded so every x lies strictly inside the full-support region.
     """
     nb = knots.shape[0] - degree - 1
+    # interval index i with knots[i] <= x < knots[i+1], clamped so the right
+    # domain endpoint falls in the last proper interval
+    i = np.clip(np.searchsorted(knots, x, side="right") - 1, degree, nb - 1)
+    left = np.empty((degree + 1, x.shape[0]))
+    right = np.empty((degree + 1, x.shape[0]))
+    vals = np.empty((degree + 1, x.shape[0]))
+    vals[0] = 1.0
+    for j in range(1, degree + 1):
+        left[j] = x - knots[i + 1 - j]
+        right[j] = knots[i + j] - x
+        saved = 0.0
+        for k in range(j):
+            tmp = vals[k] / (right[k + 1] + left[j - k])
+            vals[k] = saved + right[k + 1] * tmp
+            saved = left[j - k] * tmp
+        vals[j] = saved
     out = np.zeros((x.shape[0], nb))
-    left = np.empty(degree + 1)
-    right = np.empty(degree + 1)
-    vals = np.empty(degree + 1)
-    for r in range(x.shape[0]):
-        xr = x[r]
-        # interval index i with knots[i] <= xr < knots[i+1], clamped so the
-        # right domain endpoint falls in the last proper interval
-        i = degree
-        while i < nb - 1 and xr >= knots[i + 1]:
-            i += 1
-        vals[0] = 1.0
-        for j in range(1, degree + 1):
-            left[j] = xr - knots[i + 1 - j]
-            right[j] = knots[i + j] - xr
-            saved = 0.0
-            for k in range(j):
-                tmp = vals[k] / (right[k + 1] + left[j - k])
-                vals[k] = saved + right[k + 1] * tmp
-                saved = left[j - k] * tmp
-            vals[j] = saved
-        out[r, i - degree : i + 1] = vals
+    out[np.arange(x.shape[0])[:, None], i[:, None] - degree + np.arange(degree + 1)] = vals.T
     return out
 
 
@@ -310,9 +306,14 @@ def select_rows(Y, spectrum, criterion):
                 scores = np.where(ed < n - 1e-9, rss / (n - ed) ** 2, np.inf)
         # only finite scores count; a row without any is flat
         finite = np.isfinite(scores)
-        spread = (np.max(scores, axis=-1, where=finite, initial=-np.inf)
-                  - np.min(scores, axis=-1, where=finite, initial=np.inf))
-        flat = spread < 1e-14
+        top = np.max(scores, axis=-1, where=finite, initial=-np.inf)
+        spread = top - np.min(scores, axis=-1, where=finite, initial=np.inf)
+        if name == "aic":
+            flat = spread < 1e-14
+        else:
+            # GCV and LOO-CV scale with y**2, so their spread is measured
+            # against the largest score; an all-zero profile is flat
+            flat = ~(spread > 1e-14 * top)
         pick = np.argmin(np.where(finite, scores, np.inf), axis=-1)
     else:
         # ||D a||^2 through DV, not sum (1 - mu) c^2: on the penalty null space

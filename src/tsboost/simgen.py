@@ -40,6 +40,8 @@ class SimConfig:
         # the default cubic P-spline basis and the periodogram both need n >= 4
         if self.n_points < 4:
             raise ConfigError("need at least 4 time points")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _ar1_path(n, phi, innovation_var, rng):

@@ -225,6 +225,11 @@ class TestRunBoost:
         with pytest.raises(ConfigError):
             BoostConfig(n_clusters=1)
 
+    def test_negative_seed_rejected(self):
+        # a negative seed has no stream key; it is a configuration error
+        with pytest.raises(ConfigError):
+            BoostConfig(n_clusters=2, seed=-1)
+
     def test_deterministic_reruns(self, rng):
         values = rng.normal(size=(12, 10)) + np.repeat([0.0, 4.0, 8.0], 4)[:, None]
         data = Dataset.from_values(np.linspace(0, 1, 10), values)
@@ -278,7 +283,9 @@ def _early_stop_dataset():
     (lambda rng: rng.normal(size=(18, 12)) + np.linspace(0, 2, 12) * np.repeat([-1.0, 0.0, 1.0], 6)[:, None],
      DistanceKind.PENROSE_SHAPE, 3, 5),
     (lambda rng: _early_stop_dataset().values(), DistanceKind.EUCLIDEAN, 2, 6),
-], ids=["euclidean", "penrose", "early-stop"])
+    (lambda rng: np.sin(np.outer(np.repeat([1.0, 2.5, 4.0], 5), np.arange(16)))
+     + rng.normal(0, 0.3, size=(15, 16)), DistanceKind.PERIODOGRAM, 3, 4),
+], ids=["euclidean", "penrose", "early-stop", "periodogram"])
 def test_lockstep_matches_per_restart_oracle(rng, monkeypatch, make_data, kind, k, restarts):
     values = make_data(rng)
     data = Dataset.from_values(np.linspace(0, 1, values.shape[1]), values)

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsboost
 from tsboost.cli import main, read_dataset, read_long, read_membership, read_wide
 from tsboost.errors import ParseError
 
@@ -161,7 +166,8 @@ class TestCluster:
     @pytest.mark.parametrize("case", [
         "k-above-n", "bad-sizes", "fuzzifier-nan", "sigma2-u-nan", "sigma2-u-inf",
         "penalty-order-0", "penalty-order-9", "negative-degree", "n-below-4",
-        "degree-above-domain",
+        "degree-above-domain", "simulate-negative-seed", "boost-negative-seed",
+        "fcm-negative-seed",
     ])
     def test_config_error_exit_code(self, tmp_path, toy_csv, capsys, case):
         out = str(tmp_path / "x")
@@ -178,6 +184,9 @@ class TestCluster:
             "negative-degree": smooth + ["--degree", "-1"],
             "n-below-4": ["simulate", "--out", out, "--n", "3"],
             "degree-above-domain": smooth + ["--degree", "20"],  # toy series have 10 points
+            "simulate-negative-seed": ["simulate", "--out", out, "--seed", "-1"],
+            "boost-negative-seed": cluster + ["--k", "3", "--seed", "-1"],
+            "fcm-negative-seed": cluster + ["--k", "3", "--algorithm", "fcm", "--seed", "-1"],
         }[case]
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -283,6 +292,32 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {report}: ") and err.count("\n") == 1
         assert not report.parent.exists()
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exit_code(self, tmp_path, toy_csv, buffered):
+        # the reader of stdout has gone before the report is printed, as
+        # after ``| head -1``: exit 2 and nothing on stderr, not a traceback.
+        # Buffered, the failing write comes at the flush, not at the print.
+        out = tmp_path / "run"
+        assert main(["cluster", "--input", str(toy_csv), "--out", str(out),
+                     "--k", "3", "--iters", "2", "--restarts", "1"]) == 0
+        membership = str(out / "membership.csv")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        paths = [str(Path(tsboost.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tsboost.cli", "evaluate", "--membership", membership,
+                 "--reference-membership", membership],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
 
     def test_permuted_reference_ids_exit_code(self, tmp_path, capsys):
         # the same matrix under permuted ids is a different partition of the series

@@ -44,6 +44,24 @@ class TestValidateDataset:
         with pytest.raises(NonFiniteValue):
             validate_dataset(make(np.linspace(0, 1, 5), rows))
 
+    def test_first_non_finite_series_named(self):
+        rows = np.zeros((5, 4))
+        rows[1, 2] = np.nan
+        rows[4, 1] = np.inf
+        with pytest.raises(NonFiniteValue, match="'b'"):
+            validate_dataset(make(np.linspace(0, 1, 4), rows, ids="abcde"))
+
+    @pytest.mark.parametrize("bad, error", [(1, NonFiniteValue), (3, RaggedLengths)])
+    def test_earlier_of_ragged_and_non_finite_reported(self, bad, error):
+        from tsboost import TimeSeriesRecord
+
+        series = [TimeSeriesRecord(sid, np.zeros(4)) for sid in "abcde"]
+        series[bad] = TimeSeriesRecord(series[bad].id, [0.0, np.nan, 0.0, 0.0])
+        series[4 - bad] = TimeSeriesRecord(series[4 - bad].id, np.zeros(3))
+        data = Dataset(domain=np.linspace(0, 1, 4), series=tuple(series))
+        with pytest.raises(error, match=f"'{'abcde'[min(bad, 4 - bad)]}'"):
+            validate_dataset(data)
+
     def test_non_increasing_domain(self):
         with pytest.raises(NonIncreasingDomain):
             validate_dataset(make(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros((2, 4))))

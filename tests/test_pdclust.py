@@ -17,6 +17,23 @@ def product_formula_oracle(D):
     return P
 
 
+def per_row_oracle(D):
+    """One row at a time: zero distances split the row uniformly, otherwise
+    the normalized exp(-log d) shifted by its row maximum."""
+    P = np.empty_like(D)
+    for index in np.ndindex(D.shape[:-1]):
+        d = D[index]
+        zero = d == 0.0
+        if zero.any():
+            P[index] = zero / zero.sum()
+        else:
+            logw = -np.log(d)
+            logw -= logw.max()
+            w = np.exp(logw)
+            P[index] = w / w.sum()
+    return P
+
+
 class TestPdProbabilities:
     def test_symmetric_row(self):
         assert np.array_equal(pd_probabilities([[1.0, 1.0]]), [[0.5, 0.5]])
@@ -36,6 +53,15 @@ class TestPdProbabilities:
         for _ in range(200):
             D = rng.uniform(0.01, 10.0, size=(20, 4))
             assert np.max(np.abs(pd_probabilities(D) - product_formula_oracle(D))) < 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 9, 17])
+    def test_stack_equals_per_row_formula(self, rng, k):
+        # a whole (R, N, K) stack at once gives each row's own result bit for bit
+        D = rng.uniform(0.0, 5.0, size=(3, 11, k)) * rng.choice([1e-200, 1.0, 1e200], size=(3, 11, 1))
+        D[0, 2, 1] = 0.0
+        D[1, 4, :2] = 0.0
+        D[2, 7] = 0.0
+        assert np.array_equal(pd_probabilities(D), per_row_oracle(D))
 
     def test_probability_distance_product_constant(self, rng):
         D = rng.uniform(0.1, 5.0, size=(50, 4))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsboost import bc_index, fuzzy_rand, pd_probabilities
-from tsboost.boost import resample_counts
+from tsboost.boost import _seed_words, _stream, resample_counts
 from tsboost.cli import _fmt, _write_csv, read_membership, read_wide
 from tsboost.errors import FlatCriterion
 from tsboost.pspline import (
@@ -131,6 +131,25 @@ def test_resampling_equals_rng_choice(w, seed):
     sample = theirs.choice(n, size=n, replace=True, p=w / w.sum())
     assert np.array_equal(counts, np.bincount(sample, minlength=n))
     assert ours.random() == theirs.random()
+
+
+@SETTINGS
+@given(st.integers(0, 2**100), st.integers(0, 50), st.integers(1, 10**6), st.integers(0, 50))
+@example(0, 0, 1, 0)
+@example(2**32 - 1, 3, 100, 5)
+@example(2**32, 3, 100, 5)
+@example(2**64 + 3, 0, 7, 1)
+@example(2**100, 9, 100, 5)
+def test_uint32_stream_key_equals_tuple_key(seed, restart, iteration, cluster):
+    # the seed's 32-bit words followed by the key as one uint32 array give
+    # SeedSequence the same entropy as the tuple of Python ints
+    key = (restart, iteration, cluster)
+    words = np.array((*_seed_words(seed), *key), dtype=np.uint32)
+    expected = np.random.SeedSequence((seed, *key))
+    assert np.array_equal(np.random.SeedSequence(words).generate_state(4, np.uint64),
+                          expected.generate_state(4, np.uint64))
+    ours = _stream(_seed_words(seed), *key)
+    assert ours.random() == np.random.default_rng(expected).random()
 
 
 def corner_argmin_oracle(v):

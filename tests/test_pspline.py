@@ -23,6 +23,32 @@ def degree0_basis(n_points, interior):
     return build_basis(np.linspace(0, 1, n_points), degree=0, interior_knots=interior)
 
 
+def scalar_design_oracle(x, knots, degree):
+    """Cox-de Boor recursion one evaluation point at a time."""
+    nb = knots.shape[0] - degree - 1
+    out = np.zeros((x.shape[0], nb))
+    left = np.empty(degree + 1)
+    right = np.empty(degree + 1)
+    vals = np.empty(degree + 1)
+    for r in range(x.shape[0]):
+        xr = x[r]
+        i = degree
+        while i < nb - 1 and xr >= knots[i + 1]:
+            i += 1
+        vals[0] = 1.0
+        for j in range(1, degree + 1):
+            left[j] = xr - knots[i + 1 - j]
+            right[j] = knots[i + j] - xr
+            saved = 0.0
+            for k in range(j):
+                tmp = vals[k] / (right[k + 1] + left[j - k])
+                vals[k] = saved + right[k + 1] * tmp
+                saved = left[j - k] * tmp
+            vals[j] = saved
+        out[r, i - degree : i + 1] = vals
+    return out
+
+
 class TestBasis:
     def test_default_knot_rule(self):
         assert default_interior_knots(10) == 3
@@ -42,6 +68,17 @@ class TestBasis:
             x = rng.uniform(0, 1, size=40)
             B = basis.design(x)
             assert np.max(np.abs(B.sum(axis=1) - 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_design_matches_scalar_recursion(self, rng, degree):
+        # every interior knot, both domain endpoints and random points, bit for bit
+        basis = build_basis(np.sort(rng.uniform(-2.0, 3.0, size=23)), degree=degree)
+        lo, hi = basis.domain[0], basis.domain[-1]
+        inside = basis.knots[(basis.knots >= lo) & (basis.knots <= hi)]
+        x = np.concatenate([inside, [lo, hi], rng.uniform(lo, hi, size=60), basis.domain])
+        assert np.array_equal(basis.design(x), scalar_design_oracle(x, basis.knots, degree))
+        oracle = scalar_design_oracle(basis.domain, basis.knots, degree)
+        assert np.array_equal(basis.matrix, oracle)
 
     def test_degree0_selection_matrix(self):
         basis = degree0_basis(10, 4)
@@ -234,6 +271,24 @@ class TestSelectLambda:
         for name in pspline.CRITERIA:
             with pytest.raises(FlatCriterion):
                 select_lambda(y, basis, pen, name)
+
+    def test_flat_flag_does_not_depend_on_units(self, rng):
+        # a noisy sine keeps its pick at any amplitude; the GCV and LOO-CV
+        # scores scale with y**2, so an absolute spread test would flag it
+        x = np.linspace(0, 1, 50)
+        y = np.sin(2 * np.pi * x) + rng.normal(0, 0.1, size=50)
+        basis = build_basis(x)
+        spectrum = pspline._spectrum(basis, difference_penalty(basis.n_bases, 2))
+        for name in pspline.CRITERIA:
+            criterion = LambdaCriterion(name)
+            picks = set()
+            for scale in (1.0, 1e-3, 1e-6, 1e-9):
+                rows = pspline.select_rows(
+                    np.vstack([scale * y, np.zeros(50), np.full(50, 3.0 * scale)]),
+                    spectrum, criterion)
+                assert rows.flat.tolist() == [False, True, True], (name, scale)
+                picks.add(rows.lam[0])
+            assert len(picks) == 1, name
 
     def test_vcurve_scores_match_hand_differences(self, rng):
         x = np.linspace(0, 1, 40)
