@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, validate_dataset
+from .core import Dataset, checked_values
 from .distance import DistanceKind, distance_matrix, distance_space
 from .errors import ConfigError, DegenerateBeta
 from .pdclust import loss_beta, pd_probabilities
@@ -171,8 +171,7 @@ def _stream(seed_words, *key):
 
 def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
     """Run the full multi-restart algorithm and keep the best-BC restart."""
-    validate_dataset(data)
-    values = data.values()
+    values = checked_values(data)
     n_series = data.n_series
     k, restarts, seed = config.n_clusters, config.restarts, config.seed
     if not k < n_series:

@@ -55,9 +55,10 @@ def _write_csv(path, header, rows):
 
 def _write_matrix(path, key, ids, prefix, matrix):
     """Write header ``key,<prefix>1,...`` and one row per id: the id, then its matrix row."""
+    # csv writes a Python float as its repr, which is what _fmt gives
     _write_csv(
         path, [key] + [f"{prefix}{j + 1}" for j in range(matrix.shape[1])],
-        ([sid] + [_fmt(v) for v in row] for sid, row in zip(ids, matrix.tolist())),
+        ([sid] + row for sid, row in zip(ids, np.asarray(matrix, dtype=float).tolist())),
     )
 
 
@@ -138,7 +139,11 @@ def _read_matrix(path, columns):
     ids, rows = [], []
     for line_no, row in _read_table(path, columns):
         ids.append(row[0])
-        rows.append([_parse_float(tok, path, line_no) for tok in row[1:]])
+        try:
+            rows.append(list(map(float, row[1:])))
+        except ValueError:
+            # the same float() again, token by token, to name the bad one
+            rows.append([_parse_float(tok, path, line_no) for tok in row[1:]])
     return ids, np.array(rows)
 
 
@@ -246,19 +251,29 @@ def _write_cluster_outputs(out, data, membership, centers, trace_rows):
 
 
 def cmd_cluster(args):
+    # every configuration error is raised before the --out directory is made
+    if args.algorithm == "fcm":
+        config = FcmConfig(
+            n_clusters=args.k, fuzzifier=args.fuzzifier, seed=args.seed,
+            max_sweeps=args.iters,
+        )
+    else:
+        config = BoostConfig(
+            n_clusters=args.k, maxiter=args.iters, restarts=args.restarts,
+            distance=_DISTANCES[args.distance], seed=args.seed,
+            criterion=args.lambda_criterion,
+        )
     t0 = time.perf_counter()
     data = read_dataset(args.input, args.format)
     t1 = time.perf_counter()
+    if not args.k < data.n_series:
+        raise ConfigError(f"need K < N, got K={args.k}, N={data.n_series}")
     out = _output_dir(args.out)
     settings = {
         "algorithm": args.algorithm, "input": str(args.input), "format": args.format,
         "k": args.k, "seed": args.seed,
     }
     if args.algorithm == "fcm":
-        config = FcmConfig(
-            n_clusters=args.k, fuzzifier=args.fuzzifier, seed=args.seed,
-            max_sweeps=args.iters,
-        )
         result = run_fcm(data, config)
         t2 = time.perf_counter()
         trace_rows = [
@@ -270,11 +285,6 @@ def cmd_cluster(args):
         settings.update({"fuzzifier": args.fuzzifier, "max_sweeps": args.iters,
                          "bc_final": bc_final})
     else:
-        config = BoostConfig(
-            n_clusters=args.k, maxiter=args.iters, restarts=args.restarts,
-            distance=_DISTANCES[args.distance], seed=args.seed,
-            criterion=args.lambda_criterion,
-        )
         result = run_boost(data, config)
         t2 = time.perf_counter()
         trace_rows = [

@@ -69,8 +69,8 @@ class Dataset:
         return np.vstack([rec.values for rec in self.series])
 
 
-def validate_dataset(data: Dataset) -> Dataset:
-    """Check all dataset invariants; returns the dataset unchanged if valid."""
+def checked_values(data: Dataset) -> np.ndarray:
+    """Check all dataset invariants and return the (N, n) matrix of series values."""
     n = data.n_points
     if n < 2:
         raise NonIncreasingDomain("domain must contain at least 2 points")
@@ -85,7 +85,8 @@ def validate_dataset(data: Dataset) -> Dataset:
     ragged = next((j for j, rec in enumerate(data.series) if rec.values.shape != (n,)),
                   data.n_series)
     if ragged:
-        finite = np.isfinite(np.stack([rec.values for rec in data.series[:ragged]])).all(axis=1)
+        values = np.stack([rec.values for rec in data.series[:ragged]])
+        finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             bad = data.series[int(np.argmin(finite))]
             raise NonFiniteValue(f"series {bad.id!r} contains NaN or Inf")
@@ -94,6 +95,12 @@ def validate_dataset(data: Dataset) -> Dataset:
         raise RaggedLengths(
             f"series {rec.id!r} has length {rec.values.shape[0]}, expected {n}"
         )
+    return values
+
+
+def validate_dataset(data: Dataset) -> Dataset:
+    """Check all dataset invariants; returns the dataset unchanged if valid."""
+    checked_values(data)
     return data
 
 

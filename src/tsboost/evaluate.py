@@ -12,13 +12,13 @@ them.
 
 import numpy as np
 
-from .core import Dataset, validate_dataset
+from .core import Dataset, checked_values
 from .distance import distance_matrix
 from .errors import DimensionMismatch, SizeMismatch
 from .pdclust import pd_probabilities
 from . import pspline
 
-# rows per block in the pairwise indices; bounds their memory to O(block * N * K)
+# rows per block in the pairwise indices; bounds their memory to O(block * N)
 PAIR_BLOCK = 64
 
 
@@ -32,8 +32,15 @@ def fuzzy_equivalence(p, q):
 
 
 def _pairwise_equivalence(rows, cols):
-    # E[i, j] = 1 - 0.5 * L1 distance of rows[i] and cols[j]
-    return 1.0 - 0.5 * np.abs(rows[:, None, :] - cols[None, :, :]).sum(axis=2)
+    # E[i, j] = 1 - 0.5 * L1 distance of rows[i] and cols[j]. The L1 sum runs
+    # one cluster at a time from zero, which is the order of sum(axis=2) for
+    # K <= 7 (numpy sums 8 or more terms pairwise), and it never allocates the
+    # (rows, cols, K) difference tensor
+    l1 = np.zeros((rows.shape[0], cols.shape[0]))
+    for k in range(rows.shape[1]):
+        diff = rows[:, k, None] - cols[None, :, k]
+        l1 += np.abs(diff, out=diff)
+    return 1.0 - 0.5 * l1
 
 
 def _upper_blocks(n):
@@ -100,13 +107,12 @@ def reference_partition(data: Dataset, true_labels, kind, criterion="vcurve"):
 
     Returns (membership, centers) with clusters ordered by sorted label value.
     """
-    validate_dataset(data)
+    values = checked_values(data)
     labels = np.asarray(true_labels)
     if labels.shape[0] != data.n_series:
         raise SizeMismatch(
             f"{labels.shape[0]} labels for {data.n_series} series"
         )
-    values = data.values()
     basis = pspline.build_basis(data.domain)
     penalty = pspline.difference_penalty(basis.n_bases)
     crit = pspline.LambdaCriterion(criterion)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, validate_dataset
+from .core import Dataset, checked_values
 from .errors import ConfigError, EmptyCluster
 
 
@@ -45,22 +45,29 @@ class FcmResult:
 
 
 def _sq_distances(values, centers):
-    diff = values[:, None, :] - centers[None, :, :]
-    return np.einsum("ikj,ikj->ik", diff, diff)
+    # one center at a time: equal bit for bit to the einsum over the (N, K, n)
+    # difference tensor, without allocating that tensor
+    d2 = np.empty((values.shape[0], centers.shape[0]))
+    diff = np.empty(values.shape)
+    for k, center in enumerate(centers):
+        np.subtract(values, center, out=diff)
+        d2[:, k] = np.einsum("ij,ij->i", diff, diff)
+    return d2
 
 
-def fcm_centers(values, U, m):
-    """mu^m-weighted cluster means."""
-    um = np.asarray(U, dtype=float) ** m
+def _weighted_means(values, um):
     colsum = um.sum(axis=0)
     if np.any(colsum < 1e-300):
         raise EmptyCluster("a cluster has vanishing total membership weight")
     return (um.T @ values) / colsum[:, None]
 
 
-def fcm_memberships(values, centers, m):
-    """Inverse-distance membership update; coincident points get a one-hot row."""
-    d2 = _sq_distances(values, centers)
+def fcm_centers(values, U, m):
+    """mu^m-weighted cluster means."""
+    return _weighted_means(values, np.asarray(U, dtype=float) ** m)
+
+
+def _memberships(d2, m):
     U = np.zeros_like(d2)
     zero = d2 == 0.0
     coincident = zero.any(axis=1)
@@ -73,8 +80,9 @@ def fcm_memberships(values, centers, m):
     return U
 
 
-def _objective(values, U, centers, m):
-    return float(np.sum(U**m * _sq_distances(values, centers)))
+def fcm_memberships(values, centers, m):
+    """Inverse-distance membership update; coincident points get a one-hot row."""
+    return _memberships(_sq_distances(values, centers), m)
 
 
 def _initial_membership(n_series, n_clusters, rng):
@@ -83,8 +91,7 @@ def _initial_membership(n_series, n_clusters, rng):
 
 
 def run_fcm(data: Dataset, config: FcmConfig) -> FcmResult:
-    validate_dataset(data)
-    values = data.values()
+    values = checked_values(data)
     if not config.n_clusters < data.n_series:
         raise ConfigError(f"need K < N, got K={config.n_clusters}, N={data.n_series}")
     rng = np.random.default_rng(np.random.SeedSequence((config.seed,)))
@@ -92,10 +99,15 @@ def run_fcm(data: Dataset, config: FcmConfig) -> FcmResult:
     m = config.fuzzifier
     trace = []
     centers = None
+    # one distance matrix per sweep gives the membership update and the
+    # objective J_m = sum(U^m * d2); U^m then weights the next sweep's centers
+    um = U**m
     for sweep in range(1, config.max_sweeps + 1):
-        centers = fcm_centers(values, U, m)
-        U_new = fcm_memberships(values, centers, m)
-        trace.append(_objective(values, U_new, centers, m))
+        centers = _weighted_means(values, um)
+        d2 = _sq_distances(values, centers)
+        U_new = _memberships(d2, m)
+        um = U_new**m
+        trace.append(float(np.sum(um * d2)))
         delta = float(np.max(np.abs(U_new - U)))
         U = U_new
         if delta < config.epsilon:

@@ -44,16 +44,6 @@ class SimConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def _ar1_path(n, phi, innovation_var, rng):
-    # started from the stationary distribution
-    e = np.empty(n)
-    e[0] = rng.normal(0.0, np.sqrt(innovation_var / (1.0 - phi * phi)))
-    innovations = rng.normal(0.0, np.sqrt(innovation_var), size=n - 1)
-    for j in range(1, n):
-        e[j] = phi * e[j - 1] + innovations[j - 1]
-    return e
-
-
 def _mean_curve(cluster, x, rng, cfg):
     se = np.sqrt(cfg.sigma2_e)
     sv = np.sqrt(cfg.sigma2_v)
@@ -86,14 +76,23 @@ def _mean_curve(cluster, x, rng, cfg):
 
 def generate(config: SimConfig):
     """Generate the benchmark dataset; returns (Dataset, labels in 1..6)."""
-    x = np.linspace(0.0, 1.0, config.n_points)
+    n, phi, var = config.n_points, config.ar_coef, config.ar_var
+    x = np.linspace(0.0, 1.0, n)
     labels = np.repeat(np.arange(1, 7), config.sizes)
-    rows = np.empty((labels.shape[0], config.n_points))
+    rows = np.empty((labels.shape[0], n))
+    noise = np.empty_like(rows)
     for i, cluster in enumerate(labels):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, i)))
         mean = _mean_curve(int(cluster), x, rng, config)
         level = rng.normal(0.0, np.sqrt(config.sigma2_u))
-        noise = _ar1_path(config.n_points, config.ar_coef, config.ar_var, rng)
-        rows[i] = mean + level + noise
+        rows[i] = mean + level
+        # AR(1) start from the stationary distribution, then the innovations
+        noise[i, 0] = rng.normal(0.0, np.sqrt(var / (1.0 - phi * phi)))
+        noise[i, 1:] = rng.normal(0.0, np.sqrt(var), size=n - 1)
+    # e_j = phi * e_{j-1} + innovation_j, for all series at once
+    for j in range(1, n):
+        noise[:, j] += phi * noise[:, j - 1]
+    rows += noise
+    del noise  # freed before the records copy the rows
     data = Dataset.from_values(x, rows)
     return data, labels

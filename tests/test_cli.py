@@ -60,6 +60,13 @@ class TestReaders:
         with pytest.raises(ParseError, match="2"):
             read_wide(path)
 
+    def test_wide_bad_token_mid_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,t1,t2,t3\na,1.0,2.0,3.0\nb,1.0,1e-3x,3.0\nc,1.0,2.0,3.0\n")
+        with pytest.raises(ParseError) as info:
+            read_wide(path)
+        assert str(info.value) == f"{path}:3: not a number: '1e-3x'"
+
     def test_wide_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("series,t1\na,1.0\n")
@@ -167,7 +174,7 @@ class TestCluster:
         "k-above-n", "bad-sizes", "fuzzifier-nan", "sigma2-u-nan", "sigma2-u-inf",
         "penalty-order-0", "penalty-order-9", "negative-degree", "n-below-4",
         "degree-above-domain", "simulate-negative-seed", "boost-negative-seed",
-        "fcm-negative-seed",
+        "fcm-negative-seed", "k-below-2", "boost-iters-0", "fcm-iters-0",
     ])
     def test_config_error_exit_code(self, tmp_path, toy_csv, capsys, case):
         out = str(tmp_path / "x")
@@ -187,10 +194,14 @@ class TestCluster:
             "simulate-negative-seed": ["simulate", "--out", out, "--seed", "-1"],
             "boost-negative-seed": cluster + ["--k", "3", "--seed", "-1"],
             "fcm-negative-seed": cluster + ["--k", "3", "--algorithm", "fcm", "--seed", "-1"],
+            "k-below-2": cluster + ["--k", "1"],
+            "boost-iters-0": cluster + ["--k", "3", "--iters", "0"],
+            "fcm-iters-0": cluster + ["--k", "3", "--algorithm", "fcm", "--iters", "0"],
         }[case]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not os.path.exists(out)  # no empty --out directory left behind
 
     def test_data_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,13 +1,27 @@
 import numpy as np
 import pytest
 
-from tsboost import Dataset, harden, validate_dataset, validate_membership
+from tsboost import (
+    BoostConfig,
+    Dataset,
+    DistanceKind,
+    FcmConfig,
+    harden,
+    reference_partition,
+    run_boost,
+    run_fcm,
+    validate_dataset,
+    validate_membership,
+)
+from tsboost.core import checked_values
 from tsboost.errors import (
     NonFiniteValue,
     NonIncreasingDomain,
     RaggedLengths,
     TooFewSeries,
 )
+
+from conftest import two_level_dataset
 
 
 def make(domain, rows, ids=None):
@@ -18,6 +32,23 @@ class TestValidateDataset:
     def test_well_formed(self):
         data = make(np.linspace(0, 1, 10), np.random.default_rng(0).normal(size=(3, 10)))
         assert validate_dataset(data) is data
+
+    def test_checked_values_is_the_stacked_series(self):
+        data = make(np.linspace(0, 1, 10), np.random.default_rng(0).normal(size=(3, 10)))
+        assert np.array_equal(checked_values(data), data.values())
+
+    def test_runs_stack_the_series_once(self, monkeypatch):
+        # the runs and the reference partition take checked_values' stack
+        # instead of stacking the series a second time
+        data = two_level_dataset()
+
+        def second_stack(self):
+            raise AssertionError("Dataset.values() called after checked_values")
+
+        monkeypatch.setattr(Dataset, "values", second_stack)
+        run_fcm(data, FcmConfig(n_clusters=2))
+        run_boost(data, BoostConfig(n_clusters=2, maxiter=2, restarts=1))
+        reference_partition(data, np.repeat([1, 2], 5), DistanceKind.EUCLIDEAN)
 
     def test_ragged_lengths(self):
         from tsboost import TimeSeriesRecord
@@ -37,6 +68,13 @@ class TestValidateDataset:
         rows[1, 3] = np.nan
         with pytest.raises(NonFiniteValue):
             validate_dataset(make(np.linspace(0, 1, 10), rows))
+
+    @pytest.mark.parametrize("column", [0, -1], ids=["first-point", "last-point"])
+    def test_non_finite_at_either_end_rejected(self, column):
+        rows = np.zeros((3, 6))
+        rows[2, column] = np.nan
+        with pytest.raises(NonFiniteValue, match="'s0003'"):
+            validate_dataset(make(np.linspace(0, 1, 6), rows))
 
     def test_inf_rejected(self):
         rows = np.zeros((2, 5))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tsboost import (
     Dataset,
@@ -13,7 +16,7 @@ from tsboost import (
     reference_partition,
 )
 from tsboost.errors import DimensionMismatch, SizeMismatch
-from tsboost.evaluate import PAIR_BLOCK
+from tsboost.evaluate import PAIR_BLOCK, _pairwise_equivalence, _upper_blocks
 
 
 def crisp(labels, k):
@@ -53,6 +56,64 @@ class TestBlockedPairs:
         fuzzy, classic = rand_indices_by_full_matrices(P, Q, a, b)
         assert abs(fuzzy_rand(P, Q) - fuzzy) < 1e-12
         assert abs(classic_rand(a, b) - classic) < 1e-12
+
+
+def summed_tensor_equivalence(rows, cols):
+    # the (rows, cols, K) difference tensor, summed over K by sum(axis=2)
+    return 1.0 - 0.5 * np.abs(rows[:, None, :] - cols[None, :, :]).sum(axis=2)
+
+
+def summed_tensor_fuzzy_rand(P, Q):
+    """fuzzy_rand with every block's equivalences from the summed difference tensor."""
+    n = P.shape[0]
+    disagreement = 0.0
+    for start, stop, upper in _upper_blocks(n):
+        ep = summed_tensor_equivalence(P[start:stop], P[start:])
+        eq = summed_tensor_equivalence(Q[start:stop], Q[start:])
+        disagreement += np.abs(ep - eq)[upper].sum()
+    return float(1.0 - disagreement / (n * (n - 1) / 2))
+
+
+def memberships_with_k(rng, n, k):
+    return rng.dirichlet(np.ones(k), size=n) if k else np.empty((n, 0))
+
+
+class TestClusterByClusterSum:
+    # numpy sums fewer than 8 terms in order, so up to K = 7 the running
+    # per-cluster sum must give the summed tensor's bits
+
+    @pytest.mark.parametrize("k", range(8))
+    @pytest.mark.parametrize("rows", [1, 7, PAIR_BLOCK])
+    def test_equivalence_matches_summed_tensor(self, rng, k, rows):
+        P = memberships_with_k(rng, rows + 40, k)
+        got = _pairwise_equivalence(P[:rows], P)
+        assert np.array_equal(got, summed_tensor_equivalence(P[:rows], P))
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_fuzzy_rand_matches_summed_tensor(self, rng, k):
+        n = 2 * PAIR_BLOCK + 22
+        P = memberships_with_k(rng, n, k)
+        for q_clusters in (k, 3):
+            Q = memberships_with_k(rng, n, q_clusters)
+            assert fuzzy_rand(P, Q) == summed_tensor_fuzzy_rand(P, Q)
+        assert fuzzy_rand(P, P) == 1.0
+
+    def test_many_clusters_within_round_off(self, rng):
+        # from K = 8 numpy sums pairwise, so a pair's E may move by an ulp
+        for k in range(8, 41):
+            P = memberships_with_k(rng, PAIR_BLOCK + 9, k)
+            Q = memberships_with_k(rng, PAIR_BLOCK + 9, k)
+            assert abs(fuzzy_rand(P, Q) - summed_tensor_fuzzy_rand(P, Q)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fuzzy_rand_matches_summed_tensor_on_any_shape(data):
+    n = data.draw(st.integers(2, 3 * PAIR_BLOCK))
+    P, Q = (data.draw(arrays(float, (n, data.draw(st.integers(0, 7))),
+                             elements=st.floats(0.0, 1.0)))
+            for _ in range(2))
+    assert fuzzy_rand(P, Q) == summed_tensor_fuzzy_rand(P, Q)
 
 
 class TestFuzzyEquivalence:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tsboost import Dataset, FcmConfig, harden, run_fcm
+from tsboost import Dataset, FcmConfig, fcm, harden, run_fcm
 from tsboost.errors import ConfigError, EmptyCluster
 from tsboost.fcm import fcm_centers, fcm_memberships
 
@@ -124,3 +124,76 @@ class TestRunFcm:
         data = two_level_dataset(n_per_group=1)
         with pytest.raises(ConfigError):
             run_fcm(data, FcmConfig(n_clusters=2))
+
+
+def full_tensor_sq_distances(values, centers):
+    diff = values[:, None, :] - centers[None, :, :]
+    return np.einsum("ikj,ikj->ik", diff, diff)
+
+
+def full_tensor_fcm(values, config):
+    """The sweep loop with an (N, K, n) difference tensor for each distance
+    matrix, rebuilt for the objective, and U^m recomputed for the centers.
+
+    Returns (membership, centers, objective trace, sweeps).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed,)))
+    U = rng.dirichlet(np.ones(config.n_clusters), size=values.shape[0])
+    m = config.fuzzifier
+    trace = []
+    for _ in range(config.max_sweeps):
+        um = U**m
+        centers = (um.T @ values) / um.sum(axis=0)[:, None]
+        d2 = full_tensor_sq_distances(values, centers)
+        U_new = np.zeros_like(d2)
+        zero = d2 == 0.0
+        coincident = zero.any(axis=1)
+        U_new[coincident, np.argmax(zero[coincident], axis=1)] = 1.0
+        inv = d2[~coincident] ** (-1.0 / (m - 1.0))
+        U_new[~coincident] = inv / inv.sum(axis=1, keepdims=True)
+        trace.append(float(np.sum(U_new**m * full_tensor_sq_distances(values, centers))))
+        delta = float(np.max(np.abs(U_new - U)))
+        U = U_new
+        if delta < config.epsilon:
+            break
+    return U, centers, np.asarray(trace), len(trace)
+
+
+def _assert_run_matches_full_tensor_loop(data, config):
+    result = run_fcm(data, config)
+    U, centers, trace, sweeps = full_tensor_fcm(data.values(), config)
+    assert result.sweeps == sweeps
+    assert np.array_equal(result.membership, U)
+    assert np.array_equal(result.centers, centers)
+    assert np.array_equal(result.objective_trace, trace)
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_run_matches_full_tensor_loop(k, m, seed):
+    # one distance matrix per sweep, built one center at a time, gives the
+    # memberships, centers and objective of the full-tensor loop bit for bit
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(40, 7)) + np.repeat(np.arange(4.0), 10)[:, None]
+    data = Dataset.from_values(np.linspace(0, 1, 7), values)
+    _assert_run_matches_full_tensor_loop(
+        data, FcmConfig(n_clusters=k, fuzzifier=m, seed=seed, max_sweeps=60))
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+def test_run_matches_full_tensor_loop_at_a_coincident_center(monkeypatch, m):
+    # two groups of identical constant series: once a far group's weights
+    # underflow, each center lands exactly on its group and the one-hot
+    # branch of the membership update runs
+    coincident = []
+    memberships = fcm._memberships
+
+    def spy(d2, m):
+        coincident.append(bool((d2 == 0.0).any()))
+        return memberships(d2, m)
+
+    monkeypatch.setattr(fcm, "_memberships", spy)
+    config = FcmConfig(n_clusters=2, fuzzifier=m, epsilon=1e-300, max_sweeps=60, seed=0)
+    _assert_run_matches_full_tensor_loop(two_level_dataset(), config)
+    assert any(coincident)

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from tsboost import bc_index, fuzzy_rand, pd_probabilities
 from tsboost.boost import _seed_words, _stream, resample_counts
-from tsboost.cli import _fmt, _write_csv, read_membership, read_wide
+from tsboost.cli import _fmt, _write_csv, _write_matrix, read_membership, read_wide
 from tsboost.errors import FlatCriterion
 from tsboost.pspline import (
     CRITERIA,
@@ -238,3 +238,18 @@ def test_csv_round_trip_is_exact(values, P):
         ids, read_back = read_membership(membership)
         assert ids == member_ids
         assert read_back.tobytes() == P.tobytes()
+
+
+@SETTINGS
+@given(arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+              elements=st.floats(allow_nan=True, allow_infinity=True)))
+@example(np.array([[-0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1e16, 2**53 + 1]]))
+def test_write_matrix_bytes_equal_fmt_writer(matrix):
+    # the csv module writes a float as its repr, the text _fmt gives it
+    with tempfile.TemporaryDirectory() as tmp:
+        ids = [f"s{i + 1}" for i in range(matrix.shape[0])]
+        header = ["id"] + [f"t{j + 1}" for j in range(matrix.shape[1])]
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        _write_matrix(got, "id", ids, "t", matrix)
+        _write_table(want, header, ids, matrix)
+        assert got.read_bytes() == want.read_bytes()

@@ -92,23 +92,31 @@ class TestGenerate:
         assert np.array_equal(np.unique(labels), np.arange(1, 7))
 
 
-def per_point_ar1_path(n, phi, innovation_var, rng):
-    """AR(1) disturbances with one ``rng.normal`` call per point."""
-    e = np.empty(n)
-    e[0] = rng.normal(0.0, np.sqrt(innovation_var / (1.0 - phi * phi)))
-    for j in range(1, n):
-        e[j] = phi * e[j - 1] + rng.normal(0.0, np.sqrt(innovation_var))
-    return e
+def per_point_generate(config):
+    """The generator series by series, with one ``rng.normal`` call per AR(1) point."""
+    x = np.linspace(0.0, 1.0, config.n_points)
+    labels = np.repeat(np.arange(1, 7), config.sizes)
+    rows = np.empty((labels.shape[0], config.n_points))
+    phi, var = config.ar_coef, config.ar_var
+    for i, cluster in enumerate(labels):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, i)))
+        mean = simgen._mean_curve(int(cluster), x, rng, config)
+        level = rng.normal(0.0, np.sqrt(config.sigma2_u))
+        e = np.empty(config.n_points)
+        e[0] = rng.normal(0.0, np.sqrt(var / (1.0 - phi * phi)))
+        for j in range(1, config.n_points):
+            e[j] = phi * e[j - 1] + rng.normal(0.0, np.sqrt(var))
+        rows[i] = mean + level + e
+    return rows, labels
 
 
 @pytest.mark.parametrize("n_points", [4, 10, 50, 200])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_generate_matches_per_point_draws(monkeypatch, n_points, seed):
-    # one vectorised innovation draw per path leaves every series, and the
-    # stream the per-series draws come from, as the per-point draws do
+def test_generate_matches_per_point_draws(n_points, seed):
+    # one vectorised innovation draw per series and one AR(1) recursion over
+    # all series give every value, and keep every stream, as per-point draws
     config = SimConfig(sizes=(3, 2, 3, 2, 3, 2), n_points=n_points, seed=seed)
     data, labels = generate(config)
-    monkeypatch.setattr(simgen, "_ar1_path", per_point_ar1_path)
-    expected, expected_labels = generate(config)
-    assert np.array_equal(data.values(), expected.values())
+    expected, expected_labels = per_point_generate(config)
+    assert np.array_equal(data.values(), expected)
     assert np.array_equal(labels, expected_labels)
