@@ -3,9 +3,9 @@
 The R restarts run in lockstep for a fixed number of iterations. Each
 iteration takes every restart at once through: distance matrix against the
 current centers -> PD membership probabilities -> loss beta -> boosting
-weight matrix, as (R, N, K) arrays; then weighted resampling with
-replacement of each of the R*K (restart, cluster) columns
-(``resample_counts``) -> one batched P-spline center fit of the R*K pooled
+weight matrix, as (R, K, N) arrays with the cluster axis first; then
+weighted resampling with replacement of each of the R*K (restart, cluster)
+rows (``resample_counts``) -> one batched P-spline center fit of the R*K pooled
 means (``estimate_centers``) -> center update. The spline spectrum is
 factored once per run. Each center is the running mean of its
 per-iteration P-spline fits; those fits share one basis, so the mean is
@@ -23,8 +23,9 @@ initial centers and (seed, restart, iteration, cluster) for the resampling
 draws.
 
 Work that does not change within a run is done once per run: the spline
-spectrum, the series' side of the distance (their periodograms, for the
-periodogram distance) and the seed's part of every stream key.
+spectrum, the series' side of the distance (their centered copies or
+periodograms, for the Penrose and periodogram distances) and the seed's
+part of every stream key.
 """
 
 from dataclasses import dataclass
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, checked_values
-from .distance import DistanceKind, distance_matrix, distance_space
+from .distance import DistanceKind, _center_distances, distance_space
 from .errors import ConfigError, DegenerateBeta
-from .pdclust import loss_beta, pd_probabilities
+from .pdclust import _loss, _probabilities
 from . import pspline
 
 PERFECT_PARTITION_TOL = 1e-12
@@ -84,15 +85,7 @@ def raw_weights(D, P, beta):
     highest-probability cluster (lowest index on ties) and -1 elsewhere.
     D and P are (..., N, K) and beta holds one value per leading index.
     """
-    D = np.asarray(D, dtype=float)
-    P = np.asarray(P, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if np.any(beta <= 0):
-        raise DegenerateBeta("beta must be positive; a zero loss means a perfect partition")
-    rowmax = D.max(axis=-1, keepdims=True)
-    gamma = np.where(rowmax > 0, D / np.where(rowmax > 0, rowmax, 1.0), 1.0)
-    own = np.arange(D.shape[-1]) == np.argmax(P, axis=-1)[..., None]
-    return beta[..., None, None] ** np.where(own, gamma, -gamma)
+    return _swapped(_raw_weights, D, P, beta)
 
 
 def compute_weights(D, P, beta):
@@ -101,9 +94,33 @@ def compute_weights(D, P, beta):
     Every returned column sums to 1, so each column is a sampling
     distribution over the series for one cluster.
     """
-    w = raw_weights(D, P, beta)
-    w /= w.sum(axis=-1, keepdims=True)
-    return w / w.sum(axis=-2, keepdims=True)
+    return _swapped(_weights, D, P, beta)
+
+
+def _swapped(core, D, P, beta):
+    """A (..., K, N) weight core applied to (..., N, K) arrays."""
+    D = np.asarray(D, dtype=float).swapaxes(-1, -2)
+    P = np.asarray(P, dtype=float).swapaxes(-1, -2)
+    return np.ascontiguousarray(core(D, P, beta).swapaxes(-1, -2))
+
+
+def _raw_weights(D, P, beta):
+    """``raw_weights`` of (..., K, N) distances and probabilities."""
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta <= 0):
+        raise DegenerateBeta("beta must be positive; a zero loss means a perfect partition")
+    rowmax = D.max(axis=-2, keepdims=True)
+    gamma = np.where(rowmax > 0, D / np.where(rowmax > 0, rowmax, 1.0), 1.0)
+    own = np.arange(D.shape[-2])[:, None] == np.argmax(P, axis=-2)[..., None, :]
+    return beta[..., None, None] ** np.where(own, gamma, -gamma)
+
+
+def _weights(D, P, beta):
+    """``compute_weights`` of (..., K, N) arrays. The total over the series
+    is a running sum, the order of ``sum(axis=-2)`` on (..., N, K)."""
+    w = _raw_weights(D, P, beta)
+    w /= w.sum(axis=-2, keepdims=True)
+    return w / w.cumsum(axis=-1)[..., -1:]
 
 
 def resample_counts(weights, rngs):
@@ -181,10 +198,10 @@ def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
     spectrum = pspline._spectrum(basis, penalty)
     criterion = pspline.LambdaCriterion(config.criterion)
     words = _seed_words(seed)
-    points, kind = distance_space(values, config.distance)
+    points, _ = distance_space(values, config.distance)
 
     def distances(centers):
-        return distance_matrix(points, distance_space(centers, config.distance)[0], kind)
+        return _center_distances(points, distance_space(centers, config.distance)[0])
 
     centers = np.stack([
         values[_stream(words, r).choice(n_series, size=k, replace=False)]
@@ -195,16 +212,15 @@ def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
     betas = [[] for _ in range(restarts)]
     for iteration in range(1, config.maxiter + 1):
         D = distances(centers)
-        P = pd_probabilities(D)
-        beta = loss_beta(P)
+        P = _probabilities(D)
+        beta = _loss(P)
         for r in np.flatnonzero(active):
             betas[r].append(beta[r])
         active &= ~(beta < PERFECT_PARTITION_TOL)
         if not active.any():
             break
         # stopped restarts take beta 1 and all-ones counts; their fits are discarded
-        W = compute_weights(D, P, np.where(active, beta, 1.0))
-        columns = W.transpose(0, 2, 1).reshape(restarts * k, n_series)
+        columns = _weights(D, P, np.where(active, beta, 1.0)).reshape(restarts * k, n_series)
         drawn = np.repeat(active, k)
         counts = np.ones_like(columns)
         counts[drawn] = resample_counts(columns[drawn], [
@@ -216,13 +232,13 @@ def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
         np.add(sums, fitted.reshape(centers.shape), out=sums, where=live)
         np.divide(sums, iteration, out=centers, where=live)
 
-    P = pd_probabilities(distances(centers))
-    finals = loss_beta(P) / n_series
+    P = _probabilities(distances(centers))
+    finals = _loss(P) / n_series
     best = int(np.argmin(finals))
     traces = tuple(RestartTrace(beta=np.asarray(b), bc=np.asarray(b) / n_series) for b in betas)
     return ClusterResult(
         centers=centers[best],
-        membership=P[best],
+        membership=np.ascontiguousarray(P[best].T),
         bc_final=float(finals[best]),
         beta_trace=traces[best].beta,
         bc_trace=traces[best].bc,

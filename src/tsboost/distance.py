@@ -1,20 +1,21 @@
 """Distances between series and center curves.
 
-Three measures sit behind one dispatch: plain Euclidean, the Penrose shape
-distance (level-insensitive) and the Euclidean distance between periodogram
-ordinates (spectral shape). The periodogram is the DFT modulus squared over
-n at the positive Fourier frequencies f_j = 2*pi*j/n, j = 1..n//2, computed
-by FFT; the DC term is excluded, which makes the spectral distance invariant
-to adding a constant.
+Every measure is the Euclidean distance between mapped series
+(``distance_space``), so one kernel serves all three. Euclidean maps
+nothing. The Penrose shape distance sqrt(n/(n-1) * (dbar^2 - q^2))
+(Penrose 1952, "Distance, size and shape") ignores levels: it maps a
+series to (y - mean(y)) / sqrt(n - 1), which, unlike the radicand, never
+cancels two nearly equal numbers at high levels. The periodogram distance
+maps a series to its DFT modulus squared over n at f_j = 2*pi*j/n,
+j = 1..n//2 (by FFT); the DC term is excluded, so adding a constant to a
+series changes nothing.
 """
 
 import enum
 
 import numpy as np
 
-from .errors import LengthMismatch, NegativeRadicand, SeriesTooShort
-
-_RADICAND_CLAMP = -1e-12
+from .errors import LengthMismatch, SeriesTooShort
 
 
 class DistanceKind(enum.Enum):
@@ -31,18 +32,16 @@ def _pair(y, c):
     return y, c
 
 
-def _cdist_euclidean(Y, C):
-    diff = Y[:, None, :] - C[None, :, :]
-    return np.sqrt(np.einsum("ikj,ikj->ik", diff, diff))
+def _center_distances(points, centers):
+    """(..., K, N) Euclidean distances from centers (..., K, m) to points (N, m).
 
-
-def _penrose_radicand(Y, C):
-    """Matrix of (dbar^2 - q^2) values, before the n/(n-1) scale and sqrt."""
-    n = Y.shape[1]
-    diff = Y[:, None, :] - C[None, :, :]
-    dbar2 = np.einsum("ikj,ikj->ik", diff, diff) / n
-    q2 = np.subtract.outer(Y.sum(axis=1), C.sum(axis=1)) ** 2 / (n * n)
-    return dbar2 - q2
+    Clusters come first, as the boosted loop reduces over them. Each leading
+    index, such as a restart, gets its own (K, N, m) difference tensor.
+    """
+    if centers.ndim > 2:
+        return np.stack([_center_distances(points, c) for c in centers])
+    diff = centers[:, None, :] - points
+    return np.sqrt(np.einsum("kij,kij->ki", diff, diff))
 
 
 def euclidean(y, c):
@@ -53,18 +52,15 @@ def euclidean(y, c):
 def penrose_shape(y, c):
     """sqrt(n/(n-1) * (dbar^2 - q^2)), insensitive to a common level shift."""
     y, c = _pair(y, c)
-    n = y.shape[0]
+    return euclidean(_centered(y), _centered(c))
+
+
+def _centered(values):
+    """(y - mean(y)) / sqrt(n - 1) along the last axis: the Penrose space."""
+    n = values.shape[-1]
     if n < 2:
         raise SeriesTooShort("Penrose shape distance needs n >= 2")
-    rad = float(_penrose_radicand(y[None, :], c[None, :])[0, 0])
-    return float(np.sqrt(_clamp_radicand(rad) * n / (n - 1)))
-
-
-def _clamp_radicand(rad):
-    # dbar^2 - q^2 is a variance; anything below round-off noise is a bug
-    if rad < _RADICAND_CLAMP:
-        raise NegativeRadicand(f"radicand {rad} below clamp threshold")
-    return max(rad, 0.0)
+    return (values - values.mean(axis=-1, keepdims=True)) / np.sqrt(n - 1)
 
 
 def periodogram(y):
@@ -86,16 +82,16 @@ def periodogram_distance(y, c):
 
 def distance_space(values, kind):
     """(points, kind') such that the kind-distance of two series is the
-    kind'-distance of their points.
-
-    The periodogram distance is the Euclidean distance between periodograms,
-    so PERIODOGRAM maps series to their periodograms and the Euclidean kind;
-    every other kind leaves the series and the kind as they are. A caller
-    that compares the same series against many centers maps the series once.
+    kind'-distance of their points: EUCLIDEAN for every kind. A caller that
+    compares the same series against many centers maps the series once.
     """
     if kind == DistanceKind.PERIODOGRAM:
         return periodogram(values), DistanceKind.EUCLIDEAN
-    return values, kind
+    if kind == DistanceKind.PENROSE_SHAPE:
+        return _centered(values), DistanceKind.EUCLIDEAN
+    if kind == DistanceKind.EUCLIDEAN:
+        return values, kind
+    raise ValueError(f"unknown distance kind {kind!r}")
 
 
 def distance_matrix(values, centers, kind):
@@ -107,27 +103,7 @@ def distance_matrix(values, centers, kind):
     Y = np.atleast_2d(np.asarray(values, dtype=float))
     C = np.atleast_2d(np.asarray(centers, dtype=float))
     if Y.shape[1] != C.shape[-1]:
-        raise LengthMismatch(
-            f"series length {Y.shape[1]} vs center length {C.shape[-1]}"
-        )
-    Y, space = distance_space(Y, kind)
+        raise LengthMismatch(f"series length {Y.shape[1]} vs center length {C.shape[-1]}")
+    Y, _ = distance_space(Y, kind)
     C, _ = distance_space(C, kind)
-    if C.ndim > 2:
-        # one leading index at a time: the (N, K, n) difference tensor then
-        # stays as large as in an unstacked call, not R times larger
-        return np.stack([_distances(Y, c, space) for c in C])
-    return _distances(Y, C, space)
-
-
-def _distances(Y, C, kind):
-    if kind == DistanceKind.EUCLIDEAN:
-        return _cdist_euclidean(Y, C)
-    if kind == DistanceKind.PENROSE_SHAPE:
-        n = Y.shape[1]
-        if n < 2:
-            raise SeriesTooShort("Penrose shape distance needs n >= 2")
-        rad = _penrose_radicand(Y, C)
-        if np.any(rad < _RADICAND_CLAMP):
-            raise NegativeRadicand("negative radicand beyond round-off")
-        return np.sqrt(np.maximum(rad, 0.0) * n / (n - 1))
-    raise ValueError(f"unknown distance kind {kind!r}")
+    return np.ascontiguousarray(_center_distances(Y, C).swapaxes(-1, -2))

@@ -65,10 +65,6 @@ class SeriesTooShort(DataError):
     pass
 
 
-class NegativeRadicand(TsboostError):
-    pass
-
-
 # -- clustering ----------------------------------------------------------------
 
 class NegativeDistance(DataError):

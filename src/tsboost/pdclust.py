@@ -26,20 +26,25 @@ def pd_probabilities(distances):
     matrices; each row is computed on its own.
     """
     D = np.atleast_2d(np.asarray(distances, dtype=float))
+    return np.ascontiguousarray(_probabilities(D.swapaxes(-1, -2)).swapaxes(-1, -2))
+
+
+def _probabilities(D):
+    """``pd_probabilities`` on (..., K, N) distances, cluster axis first."""
     if np.any(D < 0) or not np.all(np.isfinite(D)):
         raise NegativeDistance("distances must be finite and nonnegative")
-    if D.shape[-1] < 2:
+    if D.shape[-2] < 2:
         raise ValueError("need at least 2 clusters")
-    # prod_{h != k} d_h = exp(sum_h log d_h - log d_k); the row-wise
-    # constant cancels in the normalization. A row with a zero distance
+    # prod_{h != k} d_h = exp(sum_h log d_h - log d_k); the per-series
+    # constant cancels in the normalization. A series with a zero distance
     # takes log 1 here and is replaced by its uniform split below.
     zero = D == 0.0
-    coincident = zero.any(axis=-1, keepdims=True)
+    coincident = zero.any(axis=-2, keepdims=True)
     logw = -np.log(np.where(coincident, 1.0, D))
-    logw -= logw.max(axis=-1, keepdims=True)
+    logw -= logw.max(axis=-2, keepdims=True)
     w = np.exp(logw)
-    split = zero / np.maximum(zero.sum(axis=-1, keepdims=True), 1)
-    return np.where(coincident, split, w / w.sum(axis=-1, keepdims=True))
+    split = zero / np.maximum(zero.sum(axis=-2, keepdims=True), 1)
+    return np.where(coincident, split, w / w.sum(axis=-2, keepdims=True))
 
 
 def bc_index(P):
@@ -58,8 +63,13 @@ def loss_beta(P):
     near-uniform rows would otherwise exceed.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    K = P.shape[-1]
-    with np.errstate(divide="ignore"):
-        logs = np.log(P).sum(axis=-1) + K * math.log(K)
-    total = np.sum(np.minimum(np.exp(logs), 1.0), axis=-1)
+    total = _loss(P.swapaxes(-1, -2))
     return float(total) if P.ndim == 2 else total
+
+
+def _loss(P):
+    """``loss_beta`` of (..., K, N) probabilities, cluster axis first."""
+    K = P.shape[-2]
+    with np.errstate(divide="ignore"):
+        logs = np.log(P).sum(axis=-2) + K * math.log(K)
+    return np.sum(np.minimum(np.exp(logs), 1.0), axis=-1)

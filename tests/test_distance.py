@@ -9,6 +9,7 @@ from tsboost import (
     periodogram,
     periodogram_distance,
 )
+from tsboost.distance import _center_distances
 from tsboost.errors import LengthMismatch, SeriesTooShort
 
 
@@ -53,6 +54,23 @@ class TestPenroseShape:
             z = rng.normal(size=10)
             c = rng.normal()
             assert abs(penrose_shape(y + c, z) - penrose_shape(y, z)) < 1e-9
+
+    def test_level_shift_of_a_thousand_is_zero(self, rng):
+        # the radicand form dbar^2 - q^2 cancels two numbers of size 1e6 here
+        for _ in range(20):
+            y = rng.normal(size=10)
+            assert penrose_shape(y + 1e3, y) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 57])
+    def test_equals_the_1952_radicand_form(self, rng, n):
+        # sqrt(n/(n-1) * (dbar^2 - q^2)) evaluated in long double
+        for _ in range(20):
+            y = rng.normal(size=n)
+            c = rng.normal(size=n)
+            d = (y - c).astype(np.longdouble)
+            rad = np.mean(d**2) - np.mean(d) ** 2
+            oracle = float(np.sqrt(rad * n / (n - 1)))
+            assert abs(penrose_shape(y, c) - oracle) <= 1e-14 * max(oracle, 1.0)
 
     def test_symmetry_nonnegativity(self, rng):
         for _ in range(100):
@@ -160,3 +178,45 @@ class TestDistanceMatrix:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             distance_matrix(np.zeros((2, 5)), np.zeros((2, 4)), DistanceKind.EUCLIDEAN)
+
+    def test_penrose_level_shifted_copies_are_at_zero(self, rng):
+        # centering rounds, so the diagonal is near 0 rather than exactly 0
+        Y = rng.normal(size=(6, 10))
+        D = distance_matrix(Y, Y + 100, DistanceKind.PENROSE_SHAPE)
+        assert np.max(np.diag(D)) <= 1e-12
+        assert np.min(D + np.eye(6)) > 0.1
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            distance_matrix(np.zeros((2, 5)), np.zeros((2, 5)), "penrose")
+
+    def test_penrose_too_short(self):
+        with pytest.raises(SeriesTooShort):
+            distance_matrix(np.zeros((2, 1)), np.zeros((2, 1)), DistanceKind.PENROSE_SHAPE)
+        with pytest.raises(SeriesTooShort):
+            penrose_shape(np.zeros(1), np.zeros(1))
+
+    @pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
+    def test_result_is_c_contiguous_n_by_k(self, rng, kind):
+        D = distance_matrix(rng.normal(size=(7, 12)), rng.normal(size=(2, 3, 12)), kind)
+        assert D.shape == (2, 7, 3) and D.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n_series, m, restarts, k", [
+    (360, 10, 10, 6), (360, 100, 2, 6), (360, 10, 10, 12), (3600, 200, 2, 6),
+])
+def test_center_kernel_equals_series_major_tensor(n_series, m, restarts, k):
+    # one (K, N, m) difference per restart, reduced over m, gives every bit
+    # of the (N, K, m) tensor reduced over m
+    rng = np.random.default_rng(m + k)
+    points = rng.normal(size=(n_series, m))
+    centers = rng.normal(size=(restarts, k, m))
+    centers[0, 1] = points[3]
+    stacked = _center_distances(points, centers)
+    assert stacked.shape == (restarts, k, n_series)
+    for r in range(restarts):
+        diff = points[:, None, :] - centers[r][None, :, :]
+        oracle = np.sqrt(np.einsum("ikj,ikj->ik", diff, diff))
+        assert np.array_equal(stacked[r].T, oracle)
+        assert np.array_equal(_center_distances(points, centers[r]).T, oracle)
+    assert stacked[0, 1, 3] == 0.0

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tsboost import bc_index, fuzzy_rand, pd_probabilities
+from tsboost import bc_index, fuzzy_rand, pd_probabilities, penrose_shape
 from tsboost.boost import _seed_words, _stream, resample_counts
 from tsboost.cli import _fmt, _write_csv, _write_matrix, read_membership, read_wide
 from tsboost.errors import FlatCriterion
@@ -58,6 +58,17 @@ def test_pd_rows_are_stochastic_and_balance_distances(D):
     PD = P * D
     spread = PD.max(axis=1) - PD.min(axis=1)
     assert np.all(spread <= 1e-10 * PD.max(axis=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 60).flatmap(lambda n: st.tuples(
+    arrays(float, n, elements=st.floats(-10, 10)),
+    arrays(float, n, elements=st.floats(-10, 10)))),
+    st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+@example((np.arange(10.0), np.arange(10.0)), 1e3, 0.0)
+def test_penrose_ignores_levels(pair, a, b):
+    y, c = pair
+    assert abs(penrose_shape(y + a, c + b) - penrose_shape(y, c)) <= 1e-11
 
 
 @SETTINGS
