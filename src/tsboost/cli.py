@@ -252,16 +252,19 @@ def _write_cluster_outputs(out, data, membership, centers, trace_rows):
 
 def cmd_cluster(args):
     # every configuration error is raised before the --out directory is made
+    # without --iters each algorithm keeps its config's default: 100 boosting
+    # iterations, or FCM sweeps until convergence, capped at 500
     if args.algorithm == "fcm":
+        limit = {} if args.iters is None else {"max_sweeps": args.iters}
         config = FcmConfig(
-            n_clusters=args.k, fuzzifier=args.fuzzifier, seed=args.seed,
-            max_sweeps=args.iters,
+            n_clusters=args.k, fuzzifier=args.fuzzifier, seed=args.seed, **limit,
         )
     else:
+        limit = {} if args.iters is None else {"maxiter": args.iters}
         config = BoostConfig(
-            n_clusters=args.k, maxiter=args.iters, restarts=args.restarts,
+            n_clusters=args.k, restarts=args.restarts,
             distance=_DISTANCES[args.distance], seed=args.seed,
-            criterion=args.lambda_criterion,
+            criterion=args.lambda_criterion, **limit,
         )
     t0 = time.perf_counter()
     data = read_dataset(args.input, args.format)
@@ -282,7 +285,8 @@ def cmd_cluster(args):
         ]
         _write_cluster_outputs(out, data, result.membership, result.centers, trace_rows)
         bc_final = bc_index(result.membership)
-        settings.update({"fuzzifier": args.fuzzifier, "max_sweeps": args.iters,
+        settings.update({"fuzzifier": args.fuzzifier, "max_sweeps": config.max_sweeps,
+                         "sweeps": result.sweeps, "converged": result.converged,
                          "bc_final": bc_final})
     else:
         result = run_boost(data, config)
@@ -295,7 +299,7 @@ def cmd_cluster(args):
         _write_cluster_outputs(out, data, result.membership, result.centers, trace_rows)
         bc_final = result.bc_final
         settings.update({
-            "distance": args.distance, "iters": args.iters,
+            "distance": args.distance, "iters": config.maxiter,
             "restarts": args.restarts, "lambda_criterion": args.lambda_criterion,
             "best_restart": result.restart_index + 1, "bc_final": bc_final,
         })
@@ -416,8 +420,9 @@ def build_parser():
     clu.add_argument("--k", type=int, required=True)
     clu.add_argument("--algorithm", choices=("boost", "fcm"), default="boost")
     clu.add_argument("--distance", choices=tuple(_DISTANCES), default="euclidean")
-    clu.add_argument("--iters", type=int, default=100,
-                     help="boosting iterations (boost) or max sweeps (fcm)")
+    clu.add_argument("--iters", type=int, default=None,
+                     help="boosting iterations (boost, default 100) or the cap on "
+                          "sweeps (fcm, default 500: run until converged)")
     clu.add_argument("--restarts", type=int, default=10)
     clu.add_argument("--seed", type=int, default=0)
     clu.add_argument("--lambda-criterion", choices=pspline.CRITERIA,

@@ -18,6 +18,10 @@ import numpy as np
 from .errors import LengthMismatch, SeriesTooShort
 
 
+# series rows per block in distance_matrix
+ROW_BLOCK = 512
+
+
 class DistanceKind(enum.Enum):
     EUCLIDEAN = "euclidean"
     PENROSE_SHAPE = "penrose"
@@ -106,4 +110,10 @@ def distance_matrix(values, centers, kind):
         raise LengthMismatch(f"series length {Y.shape[1]} vs center length {C.shape[-1]}")
     Y, _ = distance_space(Y, kind)
     C, _ = distance_space(C, kind)
-    return np.ascontiguousarray(_center_distances(Y, C).swapaxes(-1, -2))
+    # blocks of rows bound the difference tensor to (K, ROW_BLOCK, m); every
+    # entry reduces only its own m values, so blocking changes no bit
+    out = np.empty(C.shape[:-2] + (Y.shape[0], C.shape[-2]))
+    for start in range(0, Y.shape[0], ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        out[..., block, :] = _center_distances(Y[block], C).swapaxes(-1, -2)
+    return out

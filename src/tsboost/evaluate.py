@@ -32,15 +32,22 @@ def fuzzy_equivalence(p, q):
 
 
 def _pairwise_equivalence(rows, cols):
-    # E[i, j] = 1 - 0.5 * L1 distance of rows[i] and cols[j]. The L1 sum runs
-    # one cluster at a time from zero, which is the order of sum(axis=2) for
-    # K <= 7 (numpy sums 8 or more terms pairwise), and it never allocates the
-    # (rows, cols, K) difference tensor
-    l1 = np.zeros((rows.shape[0], cols.shape[0]))
-    for k in range(rows.shape[1]):
-        diff = rows[:, k, None] - cols[None, :, k]
+    # E[i, j] = 1 - 0.5 * L1 distance of rows[:, i] and cols[:, j], from
+    # cluster-major (K, rows) and (K, cols) memberships. The L1 sum runs one
+    # cluster at a time from the first cluster's term, which is the order of
+    # sum(axis=2) for K <= 7 (numpy sums 8 or more terms pairwise), and it
+    # never allocates the (rows, cols, K) difference tensor
+    if not len(rows):
+        return np.ones((rows.shape[1], cols.shape[1]))
+    l1 = np.subtract(rows[0, :, None], cols[0])
+    np.abs(l1, out=l1)
+    diff = np.empty_like(l1)
+    for row, col in zip(rows[1:], cols[1:]):
+        np.subtract(row[:, None], col, out=diff)
         l1 += np.abs(diff, out=diff)
-    return 1.0 - 0.5 * l1
+    l1 *= -0.5
+    l1 += 1.0
+    return l1
 
 
 def _upper_blocks(n):
@@ -62,11 +69,14 @@ def fuzzy_rand(P, Q):
     if P.shape[0] != Q.shape[0]:
         raise SizeMismatch(f"partitions cover {P.shape[0]} vs {Q.shape[0]} objects")
     n = P.shape[0]
+    P = np.ascontiguousarray(P.T)
+    Q = np.ascontiguousarray(Q.T)
     disagreement = 0.0
     for start, stop, upper in _upper_blocks(n):
-        ep = _pairwise_equivalence(P[start:stop], P[start:])
-        eq = _pairwise_equivalence(Q[start:stop], Q[start:])
-        disagreement += np.abs(ep - eq)[upper].sum()
+        ep = _pairwise_equivalence(P[:, start:stop], P[:, start:])
+        eq = _pairwise_equivalence(Q[:, start:stop], Q[:, start:])
+        ep -= eq
+        disagreement += np.abs(ep, out=ep)[upper].sum()
     return float(1.0 - disagreement / (n * (n - 1) / 2))
 
 

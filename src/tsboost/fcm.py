@@ -41,17 +41,41 @@ class FcmResult:
     centers: np.ndarray      # (K, n)
     objective_trace: np.ndarray
     sweeps: int
+    converged: bool          # the last sweep moved no membership by epsilon
     config: FcmConfig
 
 
-def _sq_distances(values, centers):
-    # one center at a time: equal bit for bit to the einsum over the (N, K, n)
-    # difference tensor, without allocating that tensor
-    d2 = np.empty((values.shape[0], centers.shape[0]))
-    diff = np.empty(values.shape)
-    for k, center in enumerate(centers):
-        np.subtract(values, center, out=diff)
-        d2[:, k] = np.einsum("ij,ij->i", diff, diff)
+# a matrix-product entry is kept only above this share of its scale
+# ||y||^2 + ||c||^2; below it, cancellation could cost more than the bound
+# that _sq_distances states, and the entry is recomputed from differences
+_GUARD = 2.0**-6
+
+
+def _sq_norms(values):
+    return np.einsum("ij,ij->i", values, values)
+
+
+def _sq_distances(values, centers, norms=None):
+    """(N, K) squared Euclidean distances by one matrix product.
+
+    d2 = s - 2 y.c with s = ||y||^2 + ||c||^2; ``norms`` holds the ||y||^2 of
+    the rows of ``values`` when the caller has them. Each of the three terms
+    carries an error of at most n*2^-53*s, so an entry that passes the guard
+    d2 > 2^-6 * s has a relative error of at most about (n + 2) * 2^-46
+    (7e-13 at n = 50). Every other entry, including those whose norms
+    overflow to inf or NaN, is recomputed exactly from its differences, so a
+    center equal to a series gives exactly 0.
+    """
+    if norms is None:
+        norms = _sq_norms(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = norms[:, None] + _sq_norms(centers)
+        d2 = scale - 2.0 * (values @ centers.T)
+        redo = ~(d2 > _GUARD * scale)
+    if redo.any():
+        rows, cols = np.nonzero(redo)
+        diff = values[rows] - centers[cols]
+        d2[rows, cols] = np.einsum("ij,ij->i", diff, diff)
     return d2
 
 
@@ -68,15 +92,15 @@ def fcm_centers(values, U, m):
 
 
 def _memberships(d2, m):
-    U = np.zeros_like(d2)
     zero = d2 == 0.0
     coincident = zero.any(axis=1)
-    if coincident.any():
-        U[coincident, np.argmax(zero[coincident], axis=1)] = 1.0
+    if not coincident.any():
+        inv = d2 ** (-1.0 / (m - 1.0))
+        return inv / inv.sum(axis=1, keepdims=True)
+    U = np.zeros_like(d2)
+    U[coincident, np.argmax(zero[coincident], axis=1)] = 1.0
     regular = ~coincident
-    if regular.any():
-        inv = d2[regular] ** (-1.0 / (m - 1.0))
-        U[regular] = inv / inv.sum(axis=1, keepdims=True)
+    U[regular] = _memberships(d2[regular], m)
     return U
 
 
@@ -99,23 +123,27 @@ def run_fcm(data: Dataset, config: FcmConfig) -> FcmResult:
     m = config.fuzzifier
     trace = []
     centers = None
+    converged = False
+    norms = _sq_norms(values)
     # one distance matrix per sweep gives the membership update and the
     # objective J_m = sum(U^m * d2); U^m then weights the next sweep's centers
     um = U**m
     for sweep in range(1, config.max_sweeps + 1):
         centers = _weighted_means(values, um)
-        d2 = _sq_distances(values, centers)
+        d2 = _sq_distances(values, centers, norms)
         U_new = _memberships(d2, m)
         um = U_new**m
         trace.append(float(np.sum(um * d2)))
         delta = float(np.max(np.abs(U_new - U)))
         U = U_new
-        if delta < config.epsilon:
+        converged = delta < config.epsilon
+        if converged:
             break
     return FcmResult(
         membership=U,
         centers=centers,
         objective_trace=np.asarray(trace),
         sweeps=len(trace),
+        converged=converged,
         config=config,
     )

@@ -39,6 +39,15 @@ def toy_csv(tmp_path, rng):
     return path
 
 
+@pytest.fixture
+def slow_fcm_csv(tmp_path):
+    # unstructured data: FCM with K = 3 needs 193 sweeps here, more than the
+    # 100 iterations that boosting defaults to
+    path = tmp_path / "slow.csv"
+    write_wide(path, np.random.default_rng(11).normal(size=(30, 4)))
+    return path
+
+
 class TestReaders:
     def test_wide_round_trip(self, tmp_path, rng):
         values = rng.normal(size=(4, 6))
@@ -169,6 +178,30 @@ class TestCluster:
         _, membership = read_membership(out / "membership.csv")
         assert membership.shape == (12, 3)
         assert np.max(np.abs(membership.sum(axis=1) - 1.0)) < 1e-9
+
+    def test_fcm_converges_by_default(self, tmp_path, slow_fcm_csv):
+        out = tmp_path / "fcm"
+        assert main(["cluster", "--input", str(slow_fcm_csv), "--out", str(out),
+                     "--k", "3", "--algorithm", "fcm"]) == 0
+        manifest = manifest_without_timings(out / "manifest.json")
+        assert manifest["max_sweeps"] == 500
+        assert manifest["converged"] is True and manifest["sweeps"] > 100
+        trace = (out / "trace.csv").read_text().strip().splitlines()
+        assert len(trace) - 1 == manifest["sweeps"]
+
+    def test_fcm_iters_caps_the_sweeps(self, tmp_path, slow_fcm_csv):
+        out = tmp_path / "fcm"
+        assert main(["cluster", "--input", str(slow_fcm_csv), "--out", str(out),
+                     "--k", "3", "--algorithm", "fcm", "--iters", "5"]) == 0
+        manifest = manifest_without_timings(out / "manifest.json")
+        assert (manifest["max_sweeps"], manifest["sweeps"]) == (5, 5)
+        assert manifest["converged"] is False
+
+    def test_boost_iters_default_recorded(self, tmp_path, toy_csv):
+        out = tmp_path / "run"
+        assert main(["cluster", "--input", str(toy_csv), "--out", str(out),
+                     "--k", "3", "--restarts", "1"]) == 0
+        assert manifest_without_timings(out / "manifest.json")["iters"] == 100
 
     @pytest.mark.parametrize("case", [
         "k-above-n", "bad-sizes", "fuzzifier-nan", "sigma2-u-nan", "sigma2-u-inf",

@@ -9,7 +9,7 @@ from tsboost import (
     periodogram,
     periodogram_distance,
 )
-from tsboost.distance import _center_distances
+from tsboost.distance import ROW_BLOCK, _center_distances, distance_space
 from tsboost.errors import LengthMismatch, SeriesTooShort
 
 
@@ -220,3 +220,17 @@ def test_center_kernel_equals_series_major_tensor(n_series, m, restarts, k):
         assert np.array_equal(stacked[r].T, oracle)
         assert np.array_equal(_center_distances(points, centers[r]).T, oracle)
     assert stacked[0, 1, 3] == 0.0
+
+
+@pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("center_shape", [(6,), (3, 4)])
+def test_row_blocks_equal_one_unblocked_tensor(kind, center_shape):
+    # distance_matrix works on ROW_BLOCK series at a time; every bit must
+    # equal one (..., K, N, m) tensor over all rows
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(2 * ROW_BLOCK + 3, 12)) + 50.0
+    centers = rng.normal(size=center_shape + (12,)) + 50.0
+    points, _ = distance_space(values, kind)
+    mapped, _ = distance_space(centers, kind)
+    oracle = _center_distances(points, mapped).swapaxes(-1, -2)
+    assert np.array_equal(distance_matrix(values, centers, kind), oracle)

@@ -86,7 +86,7 @@ class TestClusterByClusterSum:
     @pytest.mark.parametrize("rows", [1, 7, PAIR_BLOCK])
     def test_equivalence_matches_summed_tensor(self, rng, k, rows):
         P = memberships_with_k(rng, rows + 40, k)
-        got = _pairwise_equivalence(P[:rows], P)
+        got = _pairwise_equivalence(P[:rows].T, P.T)  # cluster-major inputs
         assert np.array_equal(got, summed_tensor_equivalence(P[:rows], P))
 
     @pytest.mark.parametrize("k", range(8))

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsboost import Dataset, FcmConfig, fcm, harden, run_fcm
 from tsboost.errors import ConfigError, EmptyCluster
-from tsboost.fcm import fcm_centers, fcm_memberships
+from tsboost.fcm import _sq_distances, fcm_centers, fcm_memberships
 
 from conftest import two_level_dataset
 
@@ -83,6 +87,49 @@ class TestMemberships:
         assert np.max(np.abs(U.sum(axis=1) - 1.0)) < 1e-12
 
 
+def exact_sq_distances(values, centers):
+    # each entry from its own differences: the reference for the kernel
+    diff = values[:, None, :] - centers[None, :, :]
+    return np.einsum("ikj,ikj->ik", diff, diff)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 60), n_series=st.integers(1, 40), k=st.integers(1, 8),
+       level=st.floats(-1e4, 1e4), spread=st.sampled_from([1e-6, 1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sq_distances_within_documented_bound(n, n_series, k, level, spread, seed):
+    # high levels and small spreads cancel most digits of ||y||^2 - 2 y.c +
+    # ||c||^2; the guard must keep every entry within (n + 2) * 2^-46
+    rng = np.random.default_rng(seed)
+    values = level + spread * rng.normal(size=(n_series, n))
+    centers = level + spread * rng.normal(size=(k, n))
+    centers[0] = values[0]
+    exact = exact_sq_distances(values, centers)
+    d2 = _sq_distances(values, centers)
+    assert np.all(np.abs(d2 - exact) <= (n + 2) * 2.0**-46 * exact)
+
+
+class TestSqDistances:
+    def test_center_equal_to_a_series_is_exactly_zero(self, rng):
+        values = 100.0 + rng.normal(size=(9, 50))
+        centers = np.vstack([values[2], rng.normal(size=50) + 100.0, values[5]])
+        d2 = _sq_distances(values, centers)
+        assert d2[2, 0] == 0.0 and d2[5, 2] == 0.0
+        assert np.count_nonzero(d2 == 0.0) == 2
+
+    @pytest.mark.parametrize("level", [1e160, 1e200])
+    def test_overflowing_norms_give_the_exact_kernel(self, rng, level):
+        # ||y||^2 overflows to inf at these levels, so every entry is
+        # recomputed from its differences (which overflow too at 1e200)
+        values = level * (1.0 + 1e-10 * rng.normal(size=(6, 50)))
+        centers = np.vstack([values[1], values[4], level * np.ones(50)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d2 = _sq_distances(values, centers)
+        assert np.array_equal(d2, exact_sq_distances(values, centers))
+        assert d2[1, 0] == 0.0 and d2[4, 1] == 0.0
+
+
 class TestRunFcm:
     def test_separated_groups_recovered(self):
         data = two_level_dataset()
@@ -126,11 +173,6 @@ class TestRunFcm:
             run_fcm(data, FcmConfig(n_clusters=2))
 
 
-def full_tensor_sq_distances(values, centers):
-    diff = values[:, None, :] - centers[None, :, :]
-    return np.einsum("ikj,ikj->ik", diff, diff)
-
-
 def full_tensor_fcm(values, config):
     """The sweep loop with an (N, K, n) difference tensor for each distance
     matrix, rebuilt for the objective, and U^m recomputed for the centers.
@@ -144,14 +186,14 @@ def full_tensor_fcm(values, config):
     for _ in range(config.max_sweeps):
         um = U**m
         centers = (um.T @ values) / um.sum(axis=0)[:, None]
-        d2 = full_tensor_sq_distances(values, centers)
+        d2 = exact_sq_distances(values, centers)
         U_new = np.zeros_like(d2)
         zero = d2 == 0.0
         coincident = zero.any(axis=1)
         U_new[coincident, np.argmax(zero[coincident], axis=1)] = 1.0
         inv = d2[~coincident] ** (-1.0 / (m - 1.0))
         U_new[~coincident] = inv / inv.sum(axis=1, keepdims=True)
-        trace.append(float(np.sum(U_new**m * full_tensor_sq_distances(values, centers))))
+        trace.append(float(np.sum(U_new**m * exact_sq_distances(values, centers))))
         delta = float(np.max(np.abs(U_new - U)))
         U = U_new
         if delta < config.epsilon:
@@ -159,21 +201,27 @@ def full_tensor_fcm(values, config):
     return U, centers, np.asarray(trace), len(trace)
 
 
+def _assert_within_round_off(got, oracle):
+    # exact zeros stay exact; every other entry within 1e-12 of the oracle
+    assert np.array_equal(got == 0.0, oracle == 0.0)
+    assert np.all(np.abs(got - oracle) <= 1e-12 * np.abs(oracle))
+
+
 def _assert_run_matches_full_tensor_loop(data, config):
     result = run_fcm(data, config)
     U, centers, trace, sweeps = full_tensor_fcm(data.values(), config)
     assert result.sweeps == sweeps
-    assert np.array_equal(result.membership, U)
-    assert np.array_equal(result.centers, centers)
-    assert np.array_equal(result.objective_trace, trace)
+    _assert_within_round_off(result.membership, U)
+    _assert_within_round_off(result.centers, centers)
+    _assert_within_round_off(result.objective_trace, trace)
 
 
 @pytest.mark.parametrize("k", [2, 3, 6])
 @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_run_matches_full_tensor_loop(k, m, seed):
-    # one distance matrix per sweep, built one center at a time, gives the
-    # memberships, centers and objective of the full-tensor loop bit for bit
+    # one matrix-product distance matrix per sweep gives the memberships,
+    # centers and objective of the full-tensor loop up to round-off
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(40, 7)) + np.repeat(np.arange(4.0), 10)[:, None]
     data = Dataset.from_values(np.linspace(0, 1, 7), values)
@@ -184,8 +232,9 @@ def test_run_matches_full_tensor_loop(k, m, seed):
 @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
 def test_run_matches_full_tensor_loop_at_a_coincident_center(monkeypatch, m):
     # two groups of identical constant series: once a far group's weights
-    # underflow, each center lands exactly on its group and the one-hot
-    # branch of the membership update runs
+    # underflow, each center lands exactly on its group, the guard recomputes
+    # those distances as exact zeros and the one-hot branch of the membership
+    # update runs
     coincident = []
     memberships = fcm._memberships
 
