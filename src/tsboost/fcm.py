@@ -3,8 +3,10 @@
 Classic alternating minimization of J_m with squared Euclidean distances:
 centers are mu^m-weighted means, memberships follow the inverse-distance
 update, and the sweep loop stops when no membership moves by more than
-epsilon. Kept as a comparison point; its behavior depends on the fuzzifier
-m, which the boosted algorithm avoids.
+epsilon. The squared distances come from the guarded matrix-product kernel
+that the boosted loop shares (``distance._sq_distances``). Kept as a
+comparison point; its behavior depends on the fuzzifier m, which the
+boosted algorithm avoids.
 """
 
 from dataclasses import dataclass
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, checked_values
+from .distance import _sq_distances, _sq_norms
 from .errors import ConfigError, EmptyCluster
 
 
@@ -45,40 +48,6 @@ class FcmResult:
     config: FcmConfig
 
 
-# a matrix-product entry is kept only above this share of its scale
-# ||y||^2 + ||c||^2; below it, cancellation could cost more than the bound
-# that _sq_distances states, and the entry is recomputed from differences
-_GUARD = 2.0**-6
-
-
-def _sq_norms(values):
-    return np.einsum("ij,ij->i", values, values)
-
-
-def _sq_distances(values, centers, norms=None):
-    """(N, K) squared Euclidean distances by one matrix product.
-
-    d2 = s - 2 y.c with s = ||y||^2 + ||c||^2; ``norms`` holds the ||y||^2 of
-    the rows of ``values`` when the caller has them. Each of the three terms
-    carries an error of at most n*2^-53*s, so an entry that passes the guard
-    d2 > 2^-6 * s has a relative error of at most about (n + 2) * 2^-46
-    (7e-13 at n = 50). Every other entry, including those whose norms
-    overflow to inf or NaN, is recomputed exactly from its differences, so a
-    center equal to a series gives exactly 0.
-    """
-    if norms is None:
-        norms = _sq_norms(values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = norms[:, None] + _sq_norms(centers)
-        d2 = scale - 2.0 * (values @ centers.T)
-        redo = ~(d2 > _GUARD * scale)
-    if redo.any():
-        rows, cols = np.nonzero(redo)
-        diff = values[rows] - centers[cols]
-        d2[rows, cols] = np.einsum("ij,ij->i", diff, diff)
-    return d2
-
-
 def _weighted_means(values, um):
     colsum = um.sum(axis=0)
     if np.any(colsum < 1e-300):
@@ -106,7 +75,12 @@ def _memberships(d2, m):
 
 def fcm_memberships(values, centers, m):
     """Inverse-distance membership update; coincident points get a one-hot row."""
-    return _memberships(_sq_distances(values, centers), m)
+    return _memberships(_sq_distance_matrix(values, centers), m)
+
+
+def _sq_distance_matrix(values, centers, norms=None):
+    """(N, K) squared distances: the shared kernel's (K, N) result, series first."""
+    return np.ascontiguousarray(_sq_distances(values, centers, norms).T)
 
 
 def _initial_membership(n_series, n_clusters, rng):
@@ -130,7 +104,7 @@ def run_fcm(data: Dataset, config: FcmConfig) -> FcmResult:
     um = U**m
     for sweep in range(1, config.max_sweeps + 1):
         centers = _weighted_means(values, um)
-        d2 = _sq_distances(values, centers, norms)
+        d2 = _sq_distance_matrix(values, centers, norms)
         U_new = _memberships(d2, m)
         um = U_new**m
         trace.append(float(np.sum(um * d2)))

@@ -286,10 +286,12 @@ def select_rows(Y, spectrum, criterion):
     Qty = Y @ Q
     d = mu + grid[:, None] * (1.0 - mu)
     c = Qty[:, None, :] / d
-    resid = Y[:, None, :] - c @ Q.T
-    rss = np.sum(resid**2, axis=-1)
-
     name = criterion.name
+    # the (rows, G, n) residuals are built and squared in place; only LOO-CV
+    # needs them unsquared
+    resid = c @ Q.T
+    np.subtract(Y[:, None, :], resid, out=resid)
+    rss = np.sum(resid**2 if name == "loocv" else np.square(resid, out=resid), axis=-1)
     lambdas = grid
     if name in ("aic", "loocv", "gcv"):
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -125,21 +125,22 @@ class TestSampling:
         w = np.zeros((2, 6))
         w[0, 3] = 1.0
         w[1, 5] = 7.0
-        counts = resample_counts(w, [np.random.default_rng(0)] * 2)
+        counts = resample_counts(w, [[0, 0], [0, 1]])
         assert np.array_equal(counts, [[0, 0, 0, 6, 0, 0], [0, 0, 0, 0, 0, 6]])
 
     def test_deterministic_given_stream(self):
         w = np.full((3, 10), 0.1)
-        a = resample_counts(w, [np.random.default_rng(seed) for seed in (7, 8, 9)])
-        b = resample_counts(w, [np.random.default_rng(seed) for seed in (7, 8, 9)])
+        a = resample_counts(w, [[7], [8], [9]])
+        b = resample_counts(w, [[7], [8], [9]])
         assert np.array_equal(a, b)
         assert np.all(a.sum(axis=1) == 10)
+        assert not np.array_equal(a[0], a[1])
 
     def test_uniform_frequencies(self):
-        # 12,500 rows of 8 draws from one stream: 100,000 draws in all
+        # 12,500 rows of 8 draws, each row on its own stream: 100,000 draws
         n, rows = 8, 12_500
-        counts = resample_counts(np.full((rows, n), 1.0 / n),
-                                 [np.random.default_rng(1)] * rows).sum(axis=0)
+        keys = np.arange(rows)[:, None]
+        counts = resample_counts(np.full((rows, n), 1.0 / n), keys).sum(axis=0)
         draws = n * rows
         sigma = np.sqrt(draws * (1 / n) * (1 - 1 / n))
         assert np.max(np.abs(counts - draws / n)) < 5 * sigma
@@ -150,7 +151,7 @@ class TestSampling:
     def test_invalid_weights_rejected(self, row):
         w = np.array([[1.0, 1.0, 1.0], row])
         with np.errstate(over="ignore"), pytest.raises(ValueError):
-            resample_counts(w, [np.random.default_rng(0)] * 2)
+            resample_counts(w, [[0], [1]])
 
 
 class TestCenterEstimation:

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsboost import (
     DistanceKind,
@@ -9,7 +13,7 @@ from tsboost import (
     periodogram,
     periodogram_distance,
 )
-from tsboost.distance import ROW_BLOCK, _center_distances, distance_space
+from tsboost.distance import _sq_distances, _sq_norms, distance_space
 from tsboost.errors import LengthMismatch, SeriesTooShort
 
 
@@ -202,35 +206,85 @@ class TestDistanceMatrix:
         assert D.shape == (2, 7, 3) and D.flags.c_contiguous
 
 
+def exact_distances(points, centers):
+    """(..., N, K) distances from each entry's own differences: the kernel's reference."""
+    diff = points[:, None, :] - centers[..., None, :, :]
+    return np.sqrt(np.einsum("...ikj,...ikj->...ik", diff, diff))
+
+
+def kernel_bound(m):
+    # the kernel's relative bound (m + 2) * 2^-46 on squared distances, which
+    # the square root halves, holds for distances with room to spare
+    return (m + 2) * 2.0**-46
+
+
 @pytest.mark.parametrize("n_series, m, restarts, k", [
     (360, 10, 10, 6), (360, 100, 2, 6), (360, 10, 10, 12), (3600, 200, 2, 6),
 ])
-def test_center_kernel_equals_series_major_tensor(n_series, m, restarts, k):
-    # one (K, N, m) difference per restart, reduced over m, gives every bit
-    # of the (N, K, m) tensor reduced over m
+def test_batched_kernel_within_bound_of_exact_tensor(n_series, m, restarts, k):
+    # the boosted loop's call: all R*K centers in one matrix product, read as
+    # the cluster-first (R, K, N) stack
     rng = np.random.default_rng(m + k)
     points = rng.normal(size=(n_series, m))
     centers = rng.normal(size=(restarts, k, m))
     centers[0, 1] = points[3]
-    stacked = _center_distances(points, centers)
-    assert stacked.shape == (restarts, k, n_series)
-    for r in range(restarts):
-        diff = points[:, None, :] - centers[r][None, :, :]
-        oracle = np.sqrt(np.einsum("ikj,ikj->ik", diff, diff))
-        assert np.array_equal(stacked[r].T, oracle)
-        assert np.array_equal(_center_distances(points, centers[r]).T, oracle)
-    assert stacked[0, 1, 3] == 0.0
+    d2 = _sq_distances(points, centers.reshape(restarts * k, m), _sq_norms(points))
+    stacked = np.sqrt(d2).reshape(restarts, k, n_series)
+    exact = exact_distances(points, centers).swapaxes(-1, -2)
+    assert np.all(np.abs(stacked - exact) <= kernel_bound(m) * exact)
+    assert stacked[0, 1, 3] == 0.0 and np.count_nonzero(stacked == 0.0) == 1
 
 
-@pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
-@pytest.mark.parametrize("center_shape", [(6,), (3, 4)])
-def test_row_blocks_equal_one_unblocked_tensor(kind, center_shape):
-    # distance_matrix works on ROW_BLOCK series at a time; every bit must
-    # equal one (..., K, N, m) tensor over all rows
-    rng = np.random.default_rng(7)
-    values = rng.normal(size=(2 * ROW_BLOCK + 3, 12)) + 50.0
-    centers = rng.normal(size=center_shape + (12,)) + 50.0
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(list(DistanceKind)), n=st.integers(4, 40),
+       n_series=st.integers(1, 30), k=st.integers(1, 7), restarts=st.sampled_from([None, 1, 3]),
+       level=st.floats(-1e4, 1e4), spread=st.sampled_from([1e-6, 1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_distance_matrix_within_kernel_bound(kind, n, n_series, k, restarts, level, spread, seed):
+    # every distance is within the kernel's bound of the difference form in
+    # the mapped space, and a center equal to a series is at exactly 0
+    rng = np.random.default_rng(seed)
+    values = level + spread * rng.normal(size=(n_series, n))
+    shape = (k, n) if restarts is None else (restarts, k, n)
+    centers = level + spread * rng.normal(size=shape)
+    centers[..., 0, :] = values[0]
+    D = distance_matrix(values, centers, kind)
     points, _ = distance_space(values, kind)
     mapped, _ = distance_space(centers, kind)
-    oracle = _center_distances(points, mapped).swapaxes(-1, -2)
-    assert np.array_equal(distance_matrix(values, centers, kind), oracle)
+    exact = exact_distances(points, mapped)
+    assert D.shape == exact.shape and D.flags.c_contiguous
+    assert np.all(np.abs(D - exact) <= kernel_bound(points.shape[1]) * exact)
+    assert np.all(D[..., 0, 0] == 0.0)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_level_shifted_penrose_pairs_are_at_exactly_zero(rng, n):
+    # quarter-integer series of a power-of-two length center without
+    # rounding, so a copy shifted by an integer maps to the same point; the
+    # matrix product alone would leave round-off where the guard gives 0
+    values = rng.integers(-40, 40, size=(12, n)) / 4.0
+    shifts = rng.integers(-1000, 1000, size=(5, 1)).astype(float)
+    D = distance_matrix(values, values[:5] + shifts, DistanceKind.PENROSE_SHAPE)
+    assert np.all(np.diag(D) == 0.0)
+    assert np.count_nonzero(D == 0.0) == 5
+
+
+def test_all_fallback_call_holds_the_points_bound():
+    # norms overflow at this level, so every entry is recomputed from its
+    # differences; that goes in chunks, each no larger than the points
+    rng = np.random.default_rng(3)
+    n_series, m, rows = 300, 100, 60
+    points = 1e160 * (1.0 + 1e-10 * rng.normal(size=(n_series, m)))
+    centers = 1e160 * (1.0 + 1e-10 * rng.normal(size=(rows, m)))
+    result_bytes = rows * n_series * 8
+    tracemalloc.start()
+    try:
+        d2 = _sq_distances(points, centers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(d2))
+    diff = points[:7, None, :] - centers[None, :5, :]
+    assert np.array_equal(d2[:5, :7], np.einsum("ikj,ikj->ki", diff, diff))
+    # the (rows * N, m) difference array would take 14.4 MB here
+    assert peak <= 3 * points.nbytes + 8 * result_bytes

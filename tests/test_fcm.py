@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tsboost import Dataset, FcmConfig, fcm, harden, run_fcm
 from tsboost.errors import ConfigError, EmptyCluster
-from tsboost.fcm import _sq_distances, fcm_centers, fcm_memberships
+from tsboost.fcm import _sq_distance_matrix, fcm_centers, fcm_memberships
 
 from conftest import two_level_dataset
 
@@ -105,7 +105,7 @@ def test_sq_distances_within_documented_bound(n, n_series, k, level, spread, see
     centers = level + spread * rng.normal(size=(k, n))
     centers[0] = values[0]
     exact = exact_sq_distances(values, centers)
-    d2 = _sq_distances(values, centers)
+    d2 = _sq_distance_matrix(values, centers)
     assert np.all(np.abs(d2 - exact) <= (n + 2) * 2.0**-46 * exact)
 
 
@@ -113,7 +113,7 @@ class TestSqDistances:
     def test_center_equal_to_a_series_is_exactly_zero(self, rng):
         values = 100.0 + rng.normal(size=(9, 50))
         centers = np.vstack([values[2], rng.normal(size=50) + 100.0, values[5]])
-        d2 = _sq_distances(values, centers)
+        d2 = _sq_distance_matrix(values, centers)
         assert d2[2, 0] == 0.0 and d2[5, 2] == 0.0
         assert np.count_nonzero(d2 == 0.0) == 2
 
@@ -125,7 +125,7 @@ class TestSqDistances:
         centers = np.vstack([values[1], values[4], level * np.ones(50)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d2 = _sq_distances(values, centers)
+            d2 = _sq_distance_matrix(values, centers)
         assert np.array_equal(d2, exact_sq_distances(values, centers))
         assert d2[1, 0] == 0.0 and d2[4, 1] == 0.0
 

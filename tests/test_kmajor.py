@@ -8,7 +8,10 @@ over the last axis, as the public ``pd_probabilities``, ``loss_beta`` and
 8 terms in order, so up to K = 7 both layouts give every bit; from K = 8 it
 sums the contiguous (N, K) rows pairwise, and the results differ by
 round-off. A transposed view reduces in its memory order, so each core is
-checked on a C-contiguous K-major copy, as the loop holds it.
+checked on a C-contiguous K-major copy, as the loop holds it. The loop
+oracle takes its distances from the loop's own matrix-product kernel, so
+that it tests the K-major arithmetic; a second oracle with distances from
+differences bounds what the kernel's round-off moves.
 """
 
 import math
@@ -18,7 +21,7 @@ import pytest
 
 from tsboost import BoostConfig, DistanceKind, boost, pspline, run_boost, simgen
 from tsboost.boost import _weights, compute_weights, estimate_centers, resample_counts
-from tsboost.distance import distance_space
+from tsboost.distance import _sq_distances, distance_space
 from tsboost.pdclust import _loss, _probabilities, loss_beta, pd_probabilities
 
 
@@ -48,11 +51,16 @@ def nk_weights(D, P, beta):
     return w / w.sum(axis=-2, keepdims=True)
 
 
-def nk_distances(points, centers):
-    def one(C):
-        diff = points[:, None, :] - C[None, :, :]
-        return np.sqrt(np.einsum("ikj,ikj->ik", diff, diff))
-    return np.stack([one(C) for C in centers])
+def kernel_distances(points, centers):
+    """(R, N, K) distances from the shared kernel, one call on all R*K centers."""
+    d2 = _sq_distances(points, centers.reshape(-1, centers.shape[-1]))
+    return np.ascontiguousarray(np.sqrt(d2).reshape(centers.shape[:-1] + (-1,)).swapaxes(-1, -2))
+
+
+def exact_distances(points, centers):
+    """(R, N, K) distances from each entry's own differences."""
+    diff = points[:, None, :] - centers[:, None, :, :]
+    return np.sqrt(np.einsum("rikj,rikj->rik", diff, diff))
 
 
 def kmajor(a):
@@ -105,8 +113,12 @@ def test_public_functions_keep_the_nk_contract(k):
         assert ulps(results[2], nk_weights(D, P, beta)) <= 16
 
 
-def nk_run_boost(data, config):
-    """``run_boost``'s loop on (R, N, K) stacks with the nk arithmetic."""
+def nk_run_boost(data, config, distances=kernel_distances):
+    """``run_boost``'s loop on (R, N, K) stacks with the nk arithmetic.
+
+    Returns the final centers, memberships and BC indices of every restart
+    and the number of iterations each one ran.
+    """
     values = data.values()
     n_series, k, restarts = values.shape[0], config.n_clusters, config.restarts
     basis = pspline.build_basis(data.domain)
@@ -120,10 +132,12 @@ def nk_run_boost(data, config):
     ])
     sums = np.zeros_like(centers)
     active = np.ones(restarts, dtype=bool)
+    iterations = np.zeros(restarts, dtype=int)
     for iteration in range(1, config.maxiter + 1):
-        D = nk_distances(points, distance_space(centers, config.distance)[0])
+        D = distances(points, distance_space(centers, config.distance)[0])
         P = nk_probabilities(D)
         beta = nk_loss(P)
+        iterations += active
         active &= ~(beta < boost.PERFECT_PARTITION_TOL)
         if not active.any():
             break
@@ -132,15 +146,15 @@ def nk_run_boost(data, config):
         drawn = np.repeat(active, k)
         counts = np.ones_like(columns)
         counts[drawn] = resample_counts(columns[drawn], [
-            boost._stream(words, r, iteration, cluster)
+            (*words, r, iteration, cluster)
             for r in np.flatnonzero(active) for cluster in range(k)
         ])
         fitted = estimate_centers(values, counts, basis, spectrum, criterion)
         live = active[:, None, None]
         np.add(sums, fitted.reshape(centers.shape), out=sums, where=live)
         np.divide(sums, iteration, out=centers, where=live)
-    P = nk_probabilities(nk_distances(points, distance_space(centers, config.distance)[0]))
-    return centers, P, nk_loss(P) / n_series
+    P = nk_probabilities(distances(points, distance_space(centers, config.distance)[0]))
+    return centers, P, nk_loss(P) / n_series, iterations
 
 
 @pytest.mark.parametrize("kind, n_points", [(DistanceKind.EUCLIDEAN, 10),
@@ -152,10 +166,28 @@ def test_run_boost_equals_nk_loop(kind, n_points, k, seed):
     data, _ = simgen.generate(simgen.SimConfig(seed=seed, n_points=n_points))
     config = BoostConfig(n_clusters=k, maxiter=15, restarts=3, distance=kind, seed=seed)
     result = run_boost(data, config)
-    centers, P, finals = nk_run_boost(data, config)
+    centers, P, finals, _ = nk_run_boost(data, config)
     best = int(np.argmin(finals))
     assert result.restart_index == best
     assert np.array_equal(result.restart_final_bc, finals)
     assert np.array_equal(result.centers, centers[best])
     assert np.array_equal(result.membership, P[best])
     assert result.membership.flags.c_contiguous
+
+
+@pytest.mark.parametrize("kind, n_points", [(DistanceKind.EUCLIDEAN, 10),
+                                            (DistanceKind.PENROSE_SHAPE, 10),
+                                            (DistanceKind.PERIODOGRAM, 24)],
+                         ids=["euclidean", "penrose", "periodogram"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_run_boost_equals_exact_distance_loop(kind, n_points, seed):
+    # the matrix-product distances differ from the difference form by
+    # round-off only: the same draws, the same restart and iteration counts
+    data, _ = simgen.generate(simgen.SimConfig(seed=seed, n_points=n_points))
+    config = BoostConfig(n_clusters=6, maxiter=15, restarts=3, distance=kind, seed=seed)
+    result = run_boost(data, config)
+    centers, P, finals, iterations = nk_run_boost(data, config, exact_distances)
+    assert result.restart_index == int(np.argmin(finals))
+    assert [trace.beta.shape[0] for trace in result.traces] == list(iterations)
+    assert np.max(np.abs(result.centers - centers[result.restart_index])) <= 1e-12
+    assert np.max(np.abs(result.membership - P[result.restart_index])) <= 1e-12

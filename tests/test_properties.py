@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsboost import bc_index, fuzzy_rand, pd_probabilities, penrose_shape
-from tsboost.boost import _seed_words, _stream, resample_counts
+from tsboost.boost import _pcg64_state, _seed_states, _seed_words, _stream, resample_counts
 from tsboost.cli import _fmt, _write_csv, _write_matrix, read_membership, read_wide
 from tsboost.errors import FlatCriterion
 from tsboost.pspline import (
@@ -131,17 +131,44 @@ def weight_columns():
     return st.one_of(one_hot, uniform, small)
 
 
+def stream_key(length):
+    """A (seed, *entries) key of ``length`` uint32 words; a seed >= 2**32 takes 2 or 3."""
+    def key(seed_words):
+        low = 0 if seed_words == 1 else 2 ** (32 * (seed_words - 1))
+        entries = length - seed_words
+        return st.tuples(st.integers(low, 2 ** (32 * seed_words) - 1),
+                         st.lists(st.integers(0, 2**32 - 1), min_size=entries, max_size=entries))
+    return st.integers(1, min(3, length)).flatmap(key).map(lambda t: (t[0], *t[1]))
+
+
 @SETTINGS
-@given(weight_columns(), st.integers(0, 2**32 - 1))
-def test_resampling_equals_rng_choice(w, seed):
-    # the inverse-CDF draw is rng.choice's own arithmetic: same counts and
-    # the stream left in the same state
+@given(weight_columns(), st.integers(1, 6).flatmap(stream_key))
+def test_resampling_equals_rng_choice(w, key):
+    # the inverse-CDF draw on the keyed stream is rng.choice's own
+    # arithmetic on default_rng(SeedSequence(key)): the same counts
     n = w.shape[0]
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    counts = resample_counts(w[None, :], [ours])[0]
+    counts = resample_counts(w[None, :], [(*_seed_words(key[0]), *key[1:])])[0]
+    theirs = np.random.default_rng(np.random.SeedSequence(key))
     sample = theirs.choice(n, size=n, replace=True, p=w / w.sum())
     assert np.array_equal(counts, np.bincount(sample, minlength=n))
-    assert ours.random() == theirs.random()
+
+
+@SETTINGS
+@given(st.integers(1, 6).flatmap(lambda length: st.lists(stream_key(length), min_size=1, max_size=6)))
+@example([(0,)])
+@example([(2**32 - 1, 0, 0, 0), (2**32, 0, 0), (0, 1, 2, 3)])
+@example([(2**96 - 1, 9, 100, 5), (2**64, 2**32 - 1, 0, 7)])
+def test_batched_hash_equals_seed_sequence(keys):
+    # one batch of equal-length keys hashes to every key's own SeedSequence
+    # state, and to the state PCG64 seeds itself with from that sequence
+    words = np.array([(*_seed_words(key[0]), *key[1:]) for key in keys], dtype=np.uint32)
+    states = _seed_states(words)
+    assert states.shape == (len(keys), 4) and states.dtype == np.uint64
+    for key, state in zip(keys, states):
+        sequence = np.random.SeedSequence(key)
+        assert np.array_equal(state, sequence.generate_state(4, np.uint64))
+        pcg = np.random.PCG64(sequence).state["state"]
+        assert _pcg64_state(state.tolist()) == (pcg["state"], pcg["inc"])
 
 
 @SETTINGS
