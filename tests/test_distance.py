@@ -235,6 +235,31 @@ def test_batched_kernel_within_bound_of_exact_tensor(n_series, m, restarts, k):
     assert stacked[0, 1, 3] == 0.0 and np.count_nonzero(stacked == 0.0) == 1
 
 
+@pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("center_shape", [(6,), (3, 4)])
+def test_row_blocks_equal_one_unblocked_tensor(kind, center_shape):
+    # distance_matrix on blocks of rows, and on all rows at once, stays within
+    # the kernel's bound of one (..., N, K) difference tensor over all rows;
+    # at this level the Euclidean entries fail the guard, so they go through
+    # the chunked recomputation from differences
+    rng = np.random.default_rng(7)
+    block = 17
+    values = rng.normal(size=(2 * block + 3, 12)) + 50.0
+    centers = rng.normal(size=center_shape + (12,)) + 50.0
+    whole = distance_matrix(values, centers, kind)
+    blocked = np.concatenate(
+        [distance_matrix(values[s : s + block], centers, kind) for s in range(0, len(values), block)],
+        axis=-2,
+    )
+    points, _ = distance_space(values, kind)
+    mapped, _ = distance_space(centers, kind)
+    exact = exact_distances(points, mapped)
+    bound = kernel_bound(points.shape[1]) * exact
+    assert whole.shape == blocked.shape == exact.shape
+    assert np.all(np.abs(whole - exact) <= bound)
+    assert np.all(np.abs(blocked - exact) <= bound)
+
+
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(list(DistanceKind)), n=st.integers(4, 40),
        n_series=st.integers(1, 30), k=st.integers(1, 7), restarts=st.sampled_from([None, 1, 3]),
