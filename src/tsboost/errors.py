@@ -89,6 +89,10 @@ class SizeMismatch(DataError):
     pass
 
 
+class TooFewLabels(DataError):
+    """A reference labeling needs at least 2 distinct labels."""
+
+
 # -- I/O -----------------------------------------------------------------------
 
 class ParseError(DataError):

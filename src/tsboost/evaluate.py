@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import Dataset, checked_values
 from .distance import distance_matrix
-from .errors import DimensionMismatch, SizeMismatch
+from .errors import DimensionMismatch, SizeMismatch, TooFewLabels
 from .pdclust import pd_probabilities
 from . import pspline
 
@@ -80,19 +80,25 @@ def fuzzy_rand(P, Q):
     return float(1.0 - disagreement / (n * (n - 1) / 2))
 
 
+def _pairs(counts):
+    """Number of unordered pairs within each count, summed; an exact integer."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return int(np.sum(counts * (counts - 1) // 2))
+
+
 def classic_rand(a, b):
-    """Fraction of object pairs on whose co-membership both labelings agree."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise SizeMismatch(f"label vectors differ: {a.shape} vs {b.shape}")
-    n = a.shape[0]
-    agree = 0
-    for start, stop, upper in _upper_blocks(n):
-        same_a = a[start:stop, None] == a[None, start:]
-        same_b = b[start:stop, None] == b[None, start:]
-        agree += np.sum((same_a == same_b) & upper)
-    return float(agree / (n * (n - 1) / 2))
+    """Fraction of object pairs on whose co-membership both labelings agree.
+
+    From the contingency table n_ij: the pairs together in both labelings,
+    sum_ij C(n_ij, 2), and apart in both, C(n, 2) - sum_i C(a_i, 2) -
+    sum_j C(b_j, 2) + sum_ij C(n_ij, 2), counted exactly.
+    """
+    table, _, _ = confusion_matrix(a, b)
+    n = int(table.sum())
+    total = n * (n - 1) // 2
+    agree = total - _pairs(table.sum(axis=1)) - _pairs(table.sum(axis=0)) + 2 * _pairs(table)
+    # one object leaves no pairs, so the index is undefined
+    return agree / total if total else float("nan")
 
 
 def confusion_matrix(truth, predicted):
@@ -123,11 +129,14 @@ def reference_partition(data: Dataset, true_labels, kind, criterion="vcurve"):
         raise SizeMismatch(
             f"{labels.shape[0]} labels for {data.n_series} series"
         )
+    unique = np.unique(labels)
+    if unique.size < 2:
+        raise TooFewLabels(f"reference labels hold {unique.size} distinct label; need at least 2")
     basis = pspline.build_basis(data.domain)
     penalty = pspline.difference_penalty(basis.n_bases)
     crit = pspline.LambdaCriterion(criterion)
     centers = []
-    for label in np.unique(labels):
+    for label in unique:
         pooled = values[labels == label].mean(axis=0)
         centers.append(pspline.smooth_series(pooled, basis, penalty, crit)[0].fitted)
     centers = np.vstack(centers)

@@ -278,6 +278,10 @@ def select_rows(Y, spectrum, criterion):
     (an all-zero series, for example) or that every lambda fits exactly (a
     row in the penalty null space, such as a constant, or a line at order 2)
     is flagged and takes its coefficients at the largest grid lambda.
+
+    The residual and penalty sums of squares are sums over the spectrum,
+    two (rows, m) x (m, G) products (``_spectral_rss`` and ``_spectral_pen``);
+    only LOO-CV forms the (rows, G, n) residuals.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     grid = criterion.grid
@@ -285,17 +289,16 @@ def select_rows(Y, spectrum, criterion):
     mu, V, Q, DV = spectrum
     Qty = Y @ Q
     d = mu + grid[:, None] * (1.0 - mu)
-    c = Qty[:, None, :] / d
     name = criterion.name
-    # the (rows, G, n) residuals are built and squared in place; only LOO-CV
-    # needs them unsquared
-    resid = c @ Q.T
-    np.subtract(Y[:, None, :], resid, out=resid)
-    rss = np.sum(resid**2 if name == "loocv" else np.square(resid, out=resid), axis=-1)
+    rss = _spectral_rss(Y, Qty, mu, Q, grid, d)
     lambdas = grid
     if name in ("aic", "loocv", "gcv"):
         with np.errstate(divide="ignore", invalid="ignore"):
             if name == "loocv":
+                # LOO-CV divides every point's residual by its own leverage,
+                # so it alone forms the (rows, G, n) residuals
+                resid = (Qty[:, None, :] / d) @ Q.T
+                np.subtract(Y[:, None, :], resid, out=resid)
                 hdiag = (1.0 / d) @ (Q**2).T
                 bad = np.any(hdiag >= 1.0 - 1e-12, axis=1)
                 cv = np.sum((resid / (1.0 - np.minimum(hdiag, 1.0 - 1e-12))) ** 2, axis=-1)
@@ -318,9 +321,7 @@ def select_rows(Y, spectrum, criterion):
             flat = ~(spread > 1e-14 * top)
         pick = np.argmin(np.where(finite, scores, np.inf), axis=-1)
     else:
-        # ||D a||^2 through DV, not sum (1 - mu) c^2: on the penalty null space
-        # 1 - mu is round-off, which would floor the penalty SS at large lambda
-        pen = np.sum((c @ DV.T) ** 2, axis=-1)
+        pen = _spectral_pen(Qty, DV, d)
         psi = np.log(np.maximum(rss, 1e-300))
         phi = np.log(np.maximum(pen, 1e-300))
         u = np.log(grid)
@@ -346,6 +347,34 @@ def select_rows(Y, spectrum, criterion):
     lam = np.where(flat, grid[-1], lambdas[pick])
     coef = (Qty / (mu + lam[:, None] * (1.0 - mu))) @ V.T
     return RowSelection(lam, coef, flat, lambdas, scores)
+
+
+def _spectral_rss(Y, Qty, mu, Q, grid, d):
+    """Residual sums of squares (rows, G) of the fits at every grid lambda, from the spectrum.
+
+    Q'Q = diag(mu), so over the columns J with mu > m eps (the ``_divisors``
+    threshold) the fit splits into the lambda-0 residual e = y - Q_J (Q'y / mu)_J
+    and a shrinkage orthogonal to it:
+    rss = ||e||^2 + sum_J (Q'y)^2 / mu * (lambda (1 - mu) / d)^2, a sum of
+    nonnegative terms that never forms the (rows, G, n) residuals.
+    """
+    inv_mu = np.divide(1.0, mu, out=np.zeros_like(mu), where=mu > mu.shape[0] * np.finfo(float).eps)
+    e = Y - (Qty * inv_mu) @ Q.T
+    shrink = grid[:, None] * (1.0 - mu) / d
+    return np.sum(e**2, axis=-1)[:, None] + (Qty**2 * inv_mu) @ (shrink**2).T
+
+
+def _spectral_pen(Qty, DV, d):
+    """Penalty sums of squares ||D a||^2 (rows, G) at every grid lambda, from the spectrum.
+
+    The columns of DV are orthogonal, so ||D V c||^2 = sum ||DV_j||^2 c_j^2
+    with c = Q'y / d. The weights are the column norms, not 1 - mu: on the
+    penalty null space 1 - mu is round-off, which would floor the penalty SS
+    at large lambda. A sum of nonnegative terms, it also escapes the
+    cancellation of forming D a, which near lambda = 1e6 can leave ||D a||^2
+    only about 7 correct digits.
+    """
+    return Qty**2 @ (np.sum(DV**2, axis=0) / d**2).T
 
 
 def _corner_argmin(v):

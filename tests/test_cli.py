@@ -323,6 +323,22 @@ class TestEvaluate:
         assert report["fuzzy_rand"] > 0.7
         assert "reference_bc" in report
 
+    def test_single_reference_label_exit_code(self, tmp_path, toy_csv, capsys):
+        out = tmp_path / "run"
+        assert main(["cluster", "--input", str(toy_csv), "--out", str(out),
+                     "--k", "3", "--iters", "2", "--restarts", "1"]) == 0
+        labels_path = tmp_path / "labels.csv"
+        lines = ["id,label"] + [f"s{i + 1:04d},1" for i in range(12)]
+        labels_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["evaluate", "--membership", str(out / "membership.csv"),
+                     "--reference-labels", str(labels_path), "--input", str(toy_csv)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: reference labels hold 1 distinct label")
+        assert captured.err.count("\n") == 1
+        assert "fuzzy_rand" not in captured.out
+
     def test_unwritable_report_exit_code(self, tmp_path, toy_csv, capsys):
         out = tmp_path / "run"
         assert main(["cluster", "--input", str(toy_csv), "--out", str(out),

@@ -15,7 +15,7 @@ from tsboost import (
     pd_probabilities,
     reference_partition,
 )
-from tsboost.errors import DimensionMismatch, SizeMismatch
+from tsboost.errors import DimensionMismatch, SizeMismatch, TooFewLabels
 from tsboost.evaluate import PAIR_BLOCK, _pairwise_equivalence, _upper_blocks
 
 
@@ -180,6 +180,24 @@ class TestClassicRand:
         b_renamed = np.array([remap[x] for x in b])
         assert classic_rand(a, b) == classic_rand(a, b_renamed)
 
+    @pytest.mark.parametrize("kind", ["int", "str"])
+    def test_matches_pair_count(self, rng, kind):
+        # the contingency-table count equals counting every pair, to the bit;
+        # a labeling with one label puts every pair together
+        names = np.array(["a", "b", "c", "d"]) if kind == "str" else np.array([3, -1, 7, 0])
+        for n in (2, 3, 17, 40):
+            for k_a, k_b in ((1, 3), (4, 1), (1, 1), (2, 4)):
+                a = names[rng.integers(0, k_a, size=n)]
+                b = names[rng.integers(0, k_b, size=n)]
+                assert classic_rand(a, b) == rand_by_enumeration(a, b), (n, k_a, k_b)
+
+    def test_size_mismatch(self):
+        with pytest.raises(SizeMismatch):
+            classic_rand([1, 2], [1, 2, 3])
+
+    def test_one_object_is_undefined(self):
+        assert np.isnan(classic_rand([1], [2]))
+
 
 class TestConfusionMatrix:
     def test_perfect_prediction_is_diagonal(self):
@@ -219,6 +237,11 @@ class TestReferencePartition:
         membership, centers = reference_partition(data, labels, DistanceKind.EUCLIDEAN)
         oracle = pd_probabilities(distance_matrix(values, centers, DistanceKind.EUCLIDEAN))
         assert np.max(np.abs(membership - oracle)) < 1e-12
+
+    def test_single_label(self, rng):
+        data = Dataset.from_values(np.linspace(0, 1, 8), rng.normal(size=(4, 8)))
+        with pytest.raises(TooFewLabels, match="1 distinct label"):
+            reference_partition(data, [2, 2, 2, 2], DistanceKind.EUCLIDEAN)
 
     def test_label_count_mismatch(self, rng):
         data = Dataset.from_values(np.linspace(0, 1, 8), rng.normal(size=(4, 8)))

@@ -17,6 +17,8 @@ from tsboost.pspline import (
     CRITERIA,
     LambdaCriterion,
     _corner_argmin,
+    _spectral_pen,
+    _spectral_rss,
     _spectrum,
     build_basis,
     difference_penalty,
@@ -248,6 +250,77 @@ def test_batched_rows_match_one_row_selection(n, rows, seed):
             assert bool(batch.flat[row]) == (one.scores.size == 0), name
             scale = max(np.max(np.abs(one.coef)), 1e-300)
             assert np.max(np.abs(batch.coef[row] - one.coef)) <= 1e-12 * scale, name
+
+
+def tensor_profiles(Y, spectrum, grid):
+    """rss and penalty SS (rows, G) from the (rows, G, n) residual and (rows, G, m - order) penalty tensors."""
+    mu, _, Q, DV = spectrum
+    c = (Y @ Q)[:, None, :] / (mu + grid[:, None] * (1.0 - mu))
+    rss = np.sum((Y[:, None, :] - c @ Q.T) ** 2, axis=-1)
+    pen = np.sum((c @ DV.T) ** 2, axis=-1)
+    return rss, pen
+
+
+def curve_scores(name, rss, pen, grid):
+    """V-curve speeds or L-curve curvatures of the (log rss, log pen) path."""
+    psi, phi, u = np.log(rss), np.log(pen), np.log(grid)
+    if name == "vcurve":
+        return np.hypot(np.diff(psi, axis=-1), np.diff(phi, axis=-1)) / np.diff(u)
+    dpsi, dphi = np.gradient(psi, u, axis=-1), np.gradient(phi, u, axis=-1)
+    d2psi, d2phi = np.gradient(dpsi, u, axis=-1), np.gradient(dphi, u, axis=-1)
+    return (dpsi * d2phi - d2psi * dphi) / (dpsi**2 + dphi**2) ** 1.5
+
+
+@SETTINGS
+@given(n=st.integers(5, 80), rows=st.integers(3, 6), seed=st.integers(0, 2**32 - 1))
+def test_spectral_scores_match_residual_tensor(n, rows, seed):
+    # every criterion but LOO-CV scores the grid from spectral sums; they
+    # agree with the residual and penalty tensors on the default basis, also
+    # at n = 5, where m = 6 leaves B'B singular. Row 0 is zero and row 1 a
+    # constant: both are flat, and their scores are round-off, so only the
+    # other rows' profiles and scores count
+    basis = build_basis(np.linspace(0, 1, n))
+    spectrum = _spectrum(basis, difference_penalty(basis.n_bases))
+    mu, _, Q, DV = spectrum
+    rng = np.random.default_rng(seed)
+    Y = np.sin(5 * basis.domain) * rng.normal(size=(rows, 1)) + rng.normal(0, 0.3, size=(rows, n))
+    Y[0] = 0.0
+    Y[1] = rng.normal()
+    grid = LambdaCriterion("aic").grid
+    d = mu + grid[:, None] * (1.0 - mu)
+    Qty = Y @ Q
+    rss, pen = tensor_profiles(Y, spectrum, grid)
+    spectral = _spectral_rss(Y, Qty, mu, Q, grid, d)[2:], _spectral_pen(Qty, DV, d)[2:]
+    rss, pen = rss[2:], pen[2:]
+    # forming D a near lambda = 1e6 cancels up to 6e-8 of the tensor's
+    # penalty SS (against 50-digit solves; the spectral sum stays within
+    # 1e-13), so each profile is compared normwise per row, and elementwise
+    # only to 1e-6, which still catches a sum that floors or drops a term
+    for got, want in zip(spectral, (rss, pen)):
+        assert np.all(np.abs(got - want) <= 1e-8 * np.max(want, axis=1, keepdims=True))
+        assert np.all(np.abs(got - want) <= 1e-6 * want)
+    ed = np.sum(mu / d, axis=1)
+    for name in ("aic", "gcv", "vcurve", "lcurve"):
+        got = select_rows(Y, spectrum, LambdaCriterion(name))
+        if name in ("vcurve", "lcurve"):
+            # the curve of select_rows is the curve of the spectral profiles,
+            # and it picks what the tensors' curve picks
+            want = curve_scores(name, *spectral, grid)
+            assert np.max(np.abs(got.scores[2:] - want)) <= 1e-12 * np.max(np.abs(want)), name
+            tensor = curve_scores(name, rss, pen, grid)
+            picks = _corner_argmin(tensor) if name == "vcurve" else np.argmax(tensor, axis=-1)
+        else:
+            with np.errstate(divide="ignore"):
+                want = (2.0 * ed + n * np.log(rss / n) if name == "aic"
+                        else np.where(ed < n - 1e-9, rss / (n - ed) ** 2, np.inf))
+            picks = np.argmin(want, axis=-1)
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got.scores[2:]), finite), name
+            err = np.max(np.abs(got.scores[2:][finite] - want[finite]))
+            assert err <= 1e-8 * np.max(np.abs(want[finite])), name
+        assert got.flat.tolist() == [True, True] + [False] * (rows - 2), name
+        assert np.all(got.lam[:2] == grid[-1]), name
+        assert np.array_equal(got.lam[2:], got.lambdas[picks]), name
 
 
 def _write_table(path, header, ids, matrix):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -310,6 +311,21 @@ class TestSelectLambda:
             assert selection.scores.shape == (grid.size - 1,)
             assert np.max(np.abs(selection.scores - expected)) < 1e-8
             assert np.max(np.abs(selection.lambdas - np.exp((u[:-1] + u[1:]) / 2))) < 1e-12
+
+    def test_vcurve_never_forms_the_residual_tensor(self, rng):
+        # the V-curve is scored from spectral sums, so selecting for 12 rows
+        # of n = 2000 peaks far below one (rows, G, n) float64 tensor
+        basis = build_basis(np.linspace(0, 1, 2000))
+        spectrum = pspline._spectrum(basis, difference_penalty(basis.n_bases, 2))
+        criterion = LambdaCriterion("vcurve")
+        Y = rng.normal(size=(12, 2000))
+        tracemalloc.start()
+        try:
+            pspline.select_rows(Y, spectrum, criterion)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < Y.nbytes * criterion.grid.size / 5
 
     def test_minimizing_criteria_pick_grid_argmin(self, rng):
         x = np.linspace(0, 1, 60)
