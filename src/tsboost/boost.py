@@ -134,9 +134,8 @@ def resample_counts(weights, keys):
     the stream keyed by keys[j], a row of uint32 words, by the inverse CDF
     of N uniforms: the same arithmetic as ``Generator.choice(N, N, p=weights[j]
     / weights[j].sum())`` on ``default_rng(SeedSequence(keys[j]))``, so the
-    counts equal that call's. All keys are hashed in one batch
-    (``_seed_states``); each row then sets the state of one PCG64 that lives
-    only in this call. The counts do not depend on the order of the
+    counts equal that call's; all keys are hashed in one batch
+    (``_keyed_streams``). The counts do not depend on the order of the
     uniforms, which are sorted before the search: a search for ascending
     values takes predictable branches.
     """
@@ -147,13 +146,8 @@ def resample_counts(weights, keys):
         raise ValueError("weights must be nonnegative with a positive finite sum per row")
     cdf = (w / total).cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
     uniforms = np.empty((rows, n))
-    for row, words in enumerate(_seed_states(keys).tolist()):
-        state, inc = _pcg64_state(words)
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
+    for row, rng in enumerate(_keyed_streams(keys)):
         rng.random(out=uniforms[row])
     uniforms.sort(axis=1)
     draws = np.empty((rows, n), dtype=np.intp)
@@ -289,6 +283,22 @@ def _pcg64_state(words):
     seed = words[0] << 64 | words[1]
     inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
     return ((inc + seed) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _keyed_streams(keys):
+    """Yield, for each row of keys, the Generator of ``default_rng(SeedSequence(key))``.
+
+    keys is (rows, L) uint32 entropy words, hashed in one batch
+    (``_seed_states``). Each row yields the same Generator, its PCG64 set to
+    that row's state, so draw from it before asking for the next row.
+    """
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for words in _seed_states(keys).tolist():
+        state, inc = _pcg64_state(words)
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _stream_keys(seed_words, restarts, k):

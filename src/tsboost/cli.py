@@ -7,6 +7,11 @@ report) and ``smooth`` (single-series P-spline fit). Every run writes a
 phase timings. All numbers are serialized in shortest round-trip decimal
 form, so rereading an emitted CSV reproduces the in-memory values exactly.
 
+Matrix tables (an id column, then float columns) are read and written by a
+fast path: ``str.join`` of each row's reprs, and ``np.loadtxt``. A table
+whose text the csv module might read or write differently goes through the
+csv module instead, with the same values and messages.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 any other package
 error (bad data, an input that cannot be read, an output that cannot be
 written or a run that cannot proceed) or a standard output closed by its
@@ -53,13 +58,26 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+# the csv module may quote an empty id and one holding any of these characters
+_QUOTED_ID = ',"\r\n'
+
+
 def _write_matrix(path, key, ids, prefix, matrix):
-    """Write header ``key,<prefix>1,...`` and one row per id: the id, then its matrix row."""
-    # csv writes a Python float as its repr, which is what _fmt gives
-    _write_csv(
-        path, [key] + [f"{prefix}{j + 1}" for j in range(matrix.shape[1])],
-        ([sid] + row for sid, row in zip(ids, np.asarray(matrix, dtype=float).tolist())),
-    )
+    """Write header ``key,<prefix>1,...`` and one row per id: the id, then its matrix row.
+
+    Each row is joined into the text the csv module writes for it, a float
+    as its repr (what _fmt gives). A table with an id that the csv module
+    may quote is written by the csv module.
+    """
+    header = [key] + [f"{prefix}{j + 1}" for j in range(matrix.shape[1])]
+    ids = [str(sid) for sid in ids]
+    rows = np.asarray(matrix, dtype=float).tolist()
+    if any(not sid or any(char in sid for char in _QUOTED_ID) for sid in ids):
+        _write_csv(path, header, ([sid] + row for sid, row in zip(ids, rows)))
+        return
+    with _open_output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(f"{sid},{','.join(map(repr, row))}\n" for sid, row in zip(ids, rows))
 
 
 def _output_dir(path):
@@ -95,26 +113,29 @@ def _parse_float(token, path, line_no):
         raise ParseError(f"{path}:{line_no}: not a number: {token!r}") from None
 
 
+def _valid_header(header, columns):
+    """Whether the header cells, stripped, read ``columns``; ``...`` stands for
+    one or more columns of any name after the first (``id,t1,...,tn``)."""
+    header = [cell.strip() for cell in header]
+    expected = columns.split(",")
+    if "..." in expected:
+        return len(header) > 1 and header[0] == expected[0]
+    return header == expected
+
+
 def _read_table(path, columns):
     """Yield (line_no, row) for every non-blank data row of a CSV table; ParseError if bad.
 
-    The stripped header cells must read ``columns``, where ``...`` stands for
-    one or more columns of any name after the first (``id,t1,...,tn``). Each
-    row has as many fields as the header, and there is at least one row.
+    The header must be valid (``_valid_header``). Each row has as many fields
+    as the header, and there is at least one row.
     """
-    expected = columns.split(",")
     with _open_input(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None:
                 raise ParseError(f"{path}:1: empty file")
-            header = [cell.strip() for cell in header]
-            if "..." in expected:
-                valid = len(header) > 1 and header[0] == expected[0]
-            else:
-                valid = header == expected
-            if not valid:
+            if not _valid_header(header, columns):
                 raise ParseError(f"{path}:1: expected header {columns}")
             found = False
             for row in reader:
@@ -134,8 +155,58 @@ def _read_table(path, columns):
         raise ParseError(f"{path}: no rows found")
 
 
-def _read_matrix(path, columns):
-    """Matrix CSV (an id column, then float columns) -> (ids, one array row per data row)."""
+# a line holding one of these may read differently through the csv module
+# and float() than split at its commas and parsed by np.loadtxt: a quote or
+# a carriage return changes how the csv module splits it, the csv module of
+# Python 3.10 rejects NUL, and loadtxt strips the separators \x1c-\x1f as
+# whitespace around a number, where float() rejects them
+_NOT_PLAIN = '"\r\0\x1c\x1d\x1e\x1f'
+
+
+def _read_plain_matrix(path, columns):
+    """(ids, values) of a matrix CSV whose every line is plain, else None.
+
+    A plain line ends in a newline, holds no ``_NOT_PLAIN`` character, is no
+    longer than ``csv.field_size_limit()`` and has as many commas as a valid
+    header. The csv module splits it at every comma, so its id is the text
+    before the first comma, and ``np.loadtxt`` reads the numbers after it as
+    ``float()`` does or fails. None, for any other file or a failure, leaves
+    every value and message to the csv module. A path that is not a
+    regular file, such as a pipe, may be readable only once, so it is left
+    to the csv module unread.
+    """
+    if not os.path.isfile(path):
+        return None
+    limit = csv.field_size_limit()
+
+    def plain(line):
+        return (line.endswith("\n") and len(line) <= limit
+                and not any(char in line for char in _NOT_PLAIN))
+
+    with _open_input(path) as fh:
+        try:
+            header = fh.readline()
+            if not (plain(header) and _valid_header(header[:-1].split(","), columns)):
+                return None
+            commas = header.count(",")
+            start = fh.tell()
+            ids = []
+            for line in fh:
+                if not (plain(line) and line.count(",") == commas):
+                    return None
+                ids.append(line.partition(",")[0])
+            if not ids:
+                return None
+            fh.seek(start)
+            values = np.loadtxt(fh, delimiter=",", usecols=range(1, commas + 1),
+                                comments=None, ndmin=2)
+        except ValueError:  # also a UnicodeDecodeError
+            return None
+    return ids, values
+
+
+def _read_csv_matrix(path, columns):
+    """``_read_matrix`` through the csv module and float(), for any file."""
     ids, rows = [], []
     for line_no, row in _read_table(path, columns):
         ids.append(row[0])
@@ -145,6 +216,11 @@ def _read_matrix(path, columns):
             # the same float() again, token by token, to name the bad one
             rows.append([_parse_float(tok, path, line_no) for tok in row[1:]])
     return ids, np.array(rows)
+
+
+def _read_matrix(path, columns):
+    """Matrix CSV (an id column, then float columns) -> (ids, one array row per data row)."""
+    return _read_plain_matrix(path, columns) or _read_csv_matrix(path, columns)
 
 
 def read_wide(path):

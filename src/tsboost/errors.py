@@ -93,6 +93,10 @@ class TooFewLabels(DataError):
     """A reference labeling needs at least 2 distinct labels."""
 
 
+class TooFewObjects(DataError):
+    """A Rand index needs at least 2 objects, so that there is a pair."""
+
+
 # -- I/O -----------------------------------------------------------------------
 
 class ParseError(DataError):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import Dataset, checked_values
 from .distance import distance_matrix
-from .errors import DimensionMismatch, SizeMismatch, TooFewLabels
+from .errors import DimensionMismatch, SizeMismatch, TooFewLabels, TooFewObjects
 from .pdclust import pd_probabilities
 from . import pspline
 
@@ -63,12 +63,14 @@ def _upper_blocks(n):
 
 
 def fuzzy_rand(P, Q):
-    """Generalized Rand index of two fuzzy partitions."""
+    """Generalized Rand index of two fuzzy partitions of at least 2 objects."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if P.shape[0] != Q.shape[0]:
         raise SizeMismatch(f"partitions cover {P.shape[0]} vs {Q.shape[0]} objects")
     n = P.shape[0]
+    if n < 2:
+        raise TooFewObjects(f"the fuzzy Rand index needs at least 2 objects, got {n}")
     P = np.ascontiguousarray(P.T)
     Q = np.ascontiguousarray(Q.T)
     disagreement = 0.0

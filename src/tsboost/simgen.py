@@ -3,13 +3,16 @@
 Each series draws its own random coefficients, a per-series random level
 and an AR(1) disturbance path, on n equally spaced time points in [0, 1].
 Every series owns a dedicated random stream keyed by (seed, series index),
-so generation is bit-reproducible regardless of evaluation order.
+so generation is bit-reproducible regardless of evaluation order. The N
+keys are hashed in one batch, bit for bit as ``SeedSequence((seed, i))``
+hashes each.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .boost import _keyed_streams, _seed_words
 from .core import Dataset
 from .errors import ConfigError
 
@@ -81,9 +84,12 @@ def generate(config: SimConfig):
     labels = np.repeat(np.arange(1, 7), config.sizes)
     rows = np.empty((labels.shape[0], n))
     noise = np.empty_like(rows)
-    for i, cluster in enumerate(labels):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, i)))
-        mean = _mean_curve(int(cluster), x, rng, config)
+    seed_words = _seed_words(config.seed)
+    keys = np.empty((labels.shape[0], len(seed_words) + 1), dtype=np.uint32)
+    keys[:, :-1] = seed_words
+    keys[:, -1] = np.arange(labels.shape[0])
+    for i, (cluster, rng) in enumerate(zip(labels.tolist(), _keyed_streams(keys))):
+        mean = _mean_curve(cluster, x, rng, config)
         level = rng.normal(0.0, np.sqrt(config.sigma2_u))
         rows[i] = mean + level
         # AR(1) start from the stationary distribution, then the innovations

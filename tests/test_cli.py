@@ -57,6 +57,21 @@ class TestReaders:
         assert np.array_equal(data.values(), values)  # exact, not approximate
         assert data.ids == ["s0001", "s0002", "s0003", "s0004"]
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_wide_from_pipe(self, tmp_path, rng):
+        # a pipe, as in --input <(...), can be read only once
+        values = rng.normal(size=(4, 6))
+        path = tmp_path / "data.csv"
+        write_wide(path, values)
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(path.read_bytes())
+        try:
+            data = read_wide(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert np.array_equal(data.values(), values)
+
     def test_wide_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,t1,t2\na,1.0,2.0\nb,1.0\n")
@@ -409,6 +424,16 @@ class TestEvaluate:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: membership ids ") and captured.err.count("\n") == 1
+        assert "fuzzy_rand" not in captured.out
+
+    def test_one_object_exit_code(self, tmp_path, capsys):
+        # a Rand index needs a pair of objects: one data-error line, no numpy warning
+        one = tmp_path / "one.csv"
+        one.write_text("id,p1,p2\ns1,0.25,0.75\n")
+        code = main(["evaluate", "--membership", str(one), "--reference-membership", str(one)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the fuzzy Rand index needs at least 2 objects, got 1\n"
         assert "fuzzy_rand" not in captured.out
 
     def test_missing_reference(self, tmp_path, toy_csv):

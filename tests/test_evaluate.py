@@ -15,7 +15,7 @@ from tsboost import (
     pd_probabilities,
     reference_partition,
 )
-from tsboost.errors import DimensionMismatch, SizeMismatch, TooFewLabels
+from tsboost.errors import DimensionMismatch, SizeMismatch, TooFewLabels, TooFewObjects
 from tsboost.evaluate import PAIR_BLOCK, _pairwise_equivalence, _upper_blocks
 
 
@@ -164,6 +164,13 @@ class TestFuzzyRand:
         with pytest.raises(SizeMismatch):
             fuzzy_rand(rng.dirichlet(np.ones(2), size=5),
                        rng.dirichlet(np.ones(2), size=6))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_objects(self, n):
+        # no pair to compare, so the index is undefined
+        P = np.full((n, 2), 0.5)
+        with pytest.raises(TooFewObjects, match=f"got {n}"):
+            fuzzy_rand(P, P)
 
 
 class TestClassicRand:

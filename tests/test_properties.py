@@ -1,5 +1,6 @@
 """Property tests for the invariants of PD clustering, the indices, the smoother and CSV I/O."""
 
+import csv
 import tempfile
 from pathlib import Path
 
@@ -11,8 +12,17 @@ from hypothesis.extra.numpy import arrays
 
 from tsboost import bc_index, fuzzy_rand, pd_probabilities, penrose_shape
 from tsboost.boost import _pcg64_state, _seed_states, _seed_words, _stream, resample_counts
-from tsboost.cli import _fmt, _write_csv, _write_matrix, read_membership, read_wide
-from tsboost.errors import FlatCriterion
+from tsboost.cli import (
+    _fmt,
+    _read_csv_matrix,
+    _read_matrix,
+    _read_plain_matrix,
+    _write_csv,
+    _write_matrix,
+    read_membership,
+    read_wide,
+)
+from tsboost.errors import FlatCriterion, ParseError
 from tsboost.pspline import (
     CRITERIA,
     LambdaCriterion,
@@ -363,4 +373,142 @@ def test_write_matrix_bytes_equal_fmt_writer(matrix):
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
         _write_matrix(got, "id", ids, "t", matrix)
         _write_table(want, header, ids, matrix)
+        assert got.read_bytes() == want.read_bytes()
+
+
+# tokens that float() reads and np.loadtxt does not, that either pads or
+# spells differently, or that neither reads
+ODD_TOKENS = (
+    "1_0", "\uff11", "\u0661.5", " 1.5", "1.5 ", "\t2", "1.5\xa0", "inf", "-Infinity",
+    "nan", "+NaN", "1e400", "", " ", "x", "0x10", "\x1c1", "1.5\x1f", '"1.5"', '"2,5"',
+)
+# file-wide changes that the csv module may read differently than a split
+# at commas: the fast reader must hand such a file on, or agree
+CHANGES = (
+    "crlf", "bom", "no-final-newline", "blank-line", "nul-in-header", "nul-in-id",
+    "quoted-id", "quoted-id-with-comma", "extra-field", "missing-field",
+    "oversized-field", "non-utf8", "bad-header", "header-only",
+)
+
+
+def _matrix_file(table, change=None, row=1):
+    """Bytes of a wide table (cell lists, header first) with one of CHANGES at a data row."""
+    table = [list(cells) for cells in table]
+    if change == "nul-in-header":
+        table[0][1] = "\0" + table[0][1]
+    elif change == "nul-in-id":
+        table[row][0] += "\0"
+    elif change == "quoted-id":
+        table[row][0] = '"a""b"'
+    elif change == "quoted-id-with-comma":
+        table[row][0] = '"a,b"'
+    elif change == "extra-field":
+        table[row].append("1.0")
+    elif change == "missing-field":
+        del table[row][-1]
+    elif change == "oversized-field":
+        table[row][1] = "1" * (csv.field_size_limit() + 1)
+    elif change == "bad-header":
+        table[0][0] = "series"
+    elif change == "header-only":
+        del table[1:]
+    lines = [",".join(cells) for cells in table]
+    if change == "blank-line":
+        lines.insert(row, "")
+    end = "\r\n" if change == "crlf" else "\n"
+    text = end.join(lines) + ("" if change == "no-final-newline" else end)
+    data = (("\ufeff" if change == "bom" else "") + text).encode()
+    if change == "non-utf8":
+        data = data.replace(b"\n", b"\xe9\n", 1)
+    return data
+
+
+def _read_outcome(read, path):
+    try:
+        ids, values = read(path, "id,t1,...,tn")
+    except ParseError as exc:
+        return str(exc)
+    return ids, values.shape, values.tobytes()
+
+
+def _check_readers_agree(data, clean):
+    # the same ids and bits, or the same ParseError text, as the csv-module
+    # reader; a table of plain lines is read by the fast path
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        path.write_bytes(data)
+        assert _read_outcome(_read_matrix, path) == _read_outcome(_read_csv_matrix, path)
+        if clean:
+            assert _read_plain_matrix(path, "id,t1,...,tn") is not None
+
+
+PLAIN_TABLE = (("id", "t1", "t2"), ("s1", "0.5", "-1.25e-3"), ("\u03bb 2", "7", "1e16"))
+
+
+@pytest.mark.parametrize("change", (None,) + CHANGES)
+@pytest.mark.parametrize("row", [1, 2])
+def test_fast_reader_agrees_on_every_change(change, row):
+    _check_readers_agree(_matrix_file(PLAIN_TABLE, change, row), change is None)
+
+
+@pytest.mark.parametrize("token", ODD_TOKENS)
+def test_fast_reader_agrees_on_odd_tokens(token):
+    table = [list(cells) for cells in PLAIN_TABLE]
+    table[2][1] = token
+    _check_readers_agree(_matrix_file(table), False)
+
+
+@st.composite
+def matrix_files(draw):
+    """(file bytes, clean): a random wide table, clean when every line is plain."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    number = st.one_of(
+        st.floats().map(repr),
+        st.from_regex(r"[+-]?[0-9]{1,25}(\.[0-9]{0,25})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    )
+    sid = st.text(st.sampled_from("ab01 -\xe9\u03bb"), max_size=4)
+    table = [["id"] + [f"t{j + 1}" for j in range(cols)]]
+    table += [[draw(sid)] + [draw(number) for _ in range(cols)] for _ in range(rows)]
+    row = draw(st.integers(1, rows))
+    odd = draw(st.one_of(st.none(), st.sampled_from(ODD_TOKENS)))
+    if odd is not None:
+        table[row][draw(st.integers(1, cols))] = odd
+    change = draw(st.one_of(st.none(), st.sampled_from(CHANGES)))
+    return _matrix_file(table, change, row), odd is None and change is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_files())
+def test_fast_reader_agrees_with_csv_module(case):
+    _check_readers_agree(*case)
+
+
+SPECIAL_VALUES = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16, 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+           st.tuples(st.text(st.sampled_from('ab,"\r\n \xe9\u03bb'), max_size=3),
+                     st.lists(st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats()),
+                              min_size=cols, max_size=cols)),
+           min_size=1, max_size=5)),
+       st.booleans())
+@example([("a,b", [0.1]), ('"q"', [-0.0]), ("", [5e-324]), ("x\ry", [1e16]), ("z\n", [0.1])],
+         False)
+@example([("\u03bb", list(SPECIAL_VALUES))], True)
+def test_write_matrix_bytes_equal_csv_writer(rows, centers):
+    # the bytes of csv.writer(lineterminator="\n") for the same rows, for the
+    # two tables the CLI writes: ids x p memberships and cluster numbers x t centers
+    matrix = np.array([values for _, values in rows])
+    if centers:
+        key, ids, prefix = "cluster", range(1, len(rows) + 1), "t"
+    else:
+        key, ids, prefix = "id", [sid for sid, _ in rows], "p"
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        _write_matrix(got, key, ids, prefix, matrix)
+        with open(want, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([key] + [f"{prefix}{j + 1}" for j in range(matrix.shape[1])])
+            writer.writerows([sid] + row for sid, row in zip(ids, matrix.tolist()))
         assert got.read_bytes() == want.read_bytes()
