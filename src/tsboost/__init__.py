@@ -1,7 +1,7 @@
 """Boosted-oriented probabilistic clustering of time series."""
 
 from .boost import BoostConfig, ClusterResult, run_boost
-from .core import Dataset, TimeSeriesRecord, harden, validate_dataset, validate_membership
+from .core import Dataset, harden, validate_membership
 from .distance import (
     DistanceKind,
     distance_matrix,
@@ -41,7 +41,6 @@ __all__ = [
     "FcmResult",
     "LambdaCriterion",
     "SimConfig",
-    "TimeSeriesRecord",
     "bc_index",
     "build_basis",
     "classic_rand",
@@ -65,6 +64,5 @@ __all__ = [
     "run_fcm",
     "select_lambda",
     "smooth_series",
-    "validate_dataset",
     "validate_membership",
 ]

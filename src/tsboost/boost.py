@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, checked_values
+from .core import Dataset
 from .distance import DistanceKind, _sq_distances, _sq_norms, distance_space
 from .errors import ConfigError, DegenerateBeta
 from .pdclust import _loss, _probabilities
@@ -313,7 +313,7 @@ def _stream_keys(seed_words, restarts, k):
 
 def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
     """Run the full multi-restart algorithm and keep the best-BC restart."""
-    values = checked_values(data)
+    values = data.values
     n_series = data.n_series
     k, restarts, seed = config.n_clusters, config.restarts, config.seed
     if not k < n_series:

@@ -26,12 +26,13 @@ import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .boost import BoostConfig, run_boost
-from .core import Dataset, harden, validate_dataset, validate_membership
+from .core import Dataset, harden, validate_membership
 from .distance import DistanceKind
 from .errors import ConfigError, DomainTooShort, IoError, ParseError, TsboostError
 from .evaluate import classic_rand, confusion_matrix, fuzzy_rand, reference_partition
@@ -53,7 +54,11 @@ def _fmt(x):
 
 def _write_csv(path, header, rows):
     with _open_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        # with \r\n as its line terminator the csv module quotes a field that
+        # holds a lone \r, as it quotes one holding \n, so that the row reads
+        # back; each row it writes is passed on ending in \n
+        rows_out = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        writer = csv.writer(rows_out, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -227,7 +232,7 @@ def read_wide(path):
     """Wide CSV (header id,t1..tn) -> Dataset on an equally spaced [0,1] domain."""
     ids, values = _read_matrix(path, "id,t1,...,tn")
     domain = np.linspace(0.0, 1.0, values.shape[1])
-    return validate_dataset(Dataset.from_values(domain, values, ids))
+    return Dataset(domain, values, ids)
 
 
 def read_long(path):
@@ -242,7 +247,7 @@ def read_long(path):
         if [t for t, _ in points] != domain:
             raise ParseError(f"{path}: series {sid!r} does not share the common domain")
     values = [[v for _, v in points] for points in series.values()]
-    return validate_dataset(Dataset.from_values(domain, values, list(series)))
+    return Dataset(domain, values, list(series))
 
 
 def read_dataset(path, fmt="wide"):
@@ -268,6 +273,10 @@ def read_membership(path):
 
 
 def _digest(path):
+    """SHA-256 of an input file; None for a path that is not a regular file,
+    such as a pipe, which was read once already."""
+    if not os.path.isfile(path):
+        return None
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -301,7 +310,7 @@ def cmd_simulate(args):
     data, labels = generate(config)
     t1 = time.perf_counter()
     out = _output_dir(args.out)
-    _write_matrix(out / "series.csv", "id", data.ids, "t", data.values())
+    _write_matrix(out / "series.csv", "id", data.ids, "t", data.values)
     _write_csv(out / "labels.csv", ["id", "label"], zip(data.ids, labels.tolist()))
     t2 = time.perf_counter()
     _write_manifest(
@@ -432,13 +441,10 @@ def cmd_evaluate(args):
 
 def cmd_smooth(args):
     data = read_dataset(args.input, args.format)
-    if args.series_id is None:
-        record = data.series[0]
-    else:
-        matches = [rec for rec in data.series if rec.id == args.series_id]
-        if not matches:
-            raise ConfigError(f"series id {args.series_id!r} not found in {args.input}")
-        record = matches[0]
+    series_id = data.ids[0] if args.series_id is None else args.series_id
+    if series_id not in data.ids:
+        raise ConfigError(f"series id {series_id!r} not found in {args.input}")
+    series = data.values[data.ids.index(series_id)]
     # --degree and --penalty-order are options, so a basis they cannot build
     # is a configuration error, also when the domain is too short for it
     try:
@@ -446,12 +452,12 @@ def cmd_smooth(args):
         penalty = pspline.difference_penalty(basis.n_bases, args.penalty_order)
     except (ValueError, DomainTooShort) as exc:
         raise ConfigError(str(exc)) from None
-    fit, selection = pspline.smooth_series(record.values, basis, penalty, args.criterion)
+    fit, selection = pspline.smooth_series(series, basis, penalty, args.criterion)
     out = _output_dir(args.out)
     _write_csv(
         out / "fit.csv", ["t", "y", "fitted"],
         ([_fmt(t), _fmt(y), _fmt(f)] for t, y, f in
-         zip(data.domain, record.values, fit.fitted)),
+         zip(data.domain, series, fit.fitted)),
     )
     _write_csv(
         out / "profile.csv", ["lambda", "score"],
@@ -459,11 +465,11 @@ def cmd_smooth(args):
          zip(selection.lambdas, selection.scores)),
     )
     _write_manifest(out, "smooth", {
-        "input": str(args.input), "series_id": record.id,
+        "input": str(args.input), "series_id": series_id,
         "criterion": selection.criterion, "degree": args.degree,
         "penalty_order": args.penalty_order, "lambda": selection.lam,
     }, [args.input], {})
-    print(f"series {record.id}: selected lambda = {selection.lam:.6g} ({selection.criterion})")
+    print(f"series {series_id}: selected lambda = {selection.lam:.6g} ({selection.criterion})")
     return 0
 
 

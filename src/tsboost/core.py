@@ -1,11 +1,12 @@
 """Shared domain types: datasets, membership matrices and hard assignments.
 
-All containers are plain frozen dataclasses over numpy arrays. Arrays are
-copied on construction and never mutated afterwards, so instances can be
-shared freely across threads.
+A ``Dataset`` is N series observed on one shared time domain, held as one
+read-only float (N, n) array with a list of N ids. It checks every invariant
+once, on construction, and copies its arrays, so a caller's later change to
+its input cannot reach it and instances can be shared freely across threads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,88 +21,63 @@ ROW_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class TimeSeriesRecord:
-    """One observed series on the shared time domain."""
-
-    id: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.array(self.values, dtype=float))
-        self.values.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """N series observed on one strictly increasing time domain."""
+    """N >= 2 finite series observed on one strictly increasing time domain.
+
+    ``values`` is the read-only (N, n) array whose row i is the series
+    ``ids[i]``; the ids default to s0001, s0002, ...
+    """
 
     domain: np.ndarray
-    series: tuple = field(default_factory=tuple)
+    values: np.ndarray
+    ids: list = None
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", np.array(self.domain, dtype=float))
-        object.__setattr__(self, "series", tuple(self.series))
-        self.domain.setflags(write=False)
-
-    @classmethod
-    def from_values(cls, domain, values, ids=None):
-        """Build a dataset from an (N, n) value matrix."""
-        values = np.asarray(values, dtype=float)
-        if ids is None:
-            ids = [f"s{i+1:04d}" for i in range(values.shape[0])]
-        series = tuple(TimeSeriesRecord(str(sid), row) for sid, row in zip(ids, values))
-        return cls(domain=domain, series=series)
+        domain = np.array(self.domain, dtype=float)
+        n = domain.shape[0]
+        if n < 2:
+            raise NonIncreasingDomain("domain must contain at least 2 points")
+        if not np.all(np.isfinite(domain)):
+            raise NonFiniteValue("domain contains non-finite values")
+        if not np.all(np.diff(domain) > 0):
+            raise NonIncreasingDomain("domain must be strictly increasing")
+        n_series = len(self.values)
+        if n_series < 2:
+            raise TooFewSeries(f"need at least 2 series, got {n_series}")
+        ids = ([f"s{i + 1:04d}" for i in range(n_series)] if self.ids is None
+               else [str(sid) for sid in self.ids])
+        if len(ids) != n_series:
+            raise ValueError(f"{len(ids)} ids for {n_series} series")
+        values = _matrix(self.values, ids, n)
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise NonFiniteValue(f"series {ids[int(np.argmin(finite))]!r} contains NaN or Inf")
+        domain.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ids", ids)
 
     @property
     def n_series(self):
-        return len(self.series)
+        return self.values.shape[0]
 
     @property
     def n_points(self):
         return self.domain.shape[0]
 
-    @property
-    def ids(self):
-        return [rec.id for rec in self.series]
 
-    def values(self):
-        """(N, n) matrix of series values."""
-        return np.vstack([rec.values for rec in self.series])
-
-
-def checked_values(data: Dataset) -> np.ndarray:
-    """Check all dataset invariants and return the (N, n) matrix of series values."""
-    n = data.n_points
-    if n < 2:
-        raise NonIncreasingDomain("domain must contain at least 2 points")
-    if not np.all(np.isfinite(data.domain)):
-        raise NonFiniteValue("domain contains non-finite values")
-    if not np.all(np.diff(data.domain) > 0):
-        raise NonIncreasingDomain("domain must be strictly increasing")
-    if data.n_series < 2:
-        raise TooFewSeries(f"need at least 2 series, got {data.n_series}")
-    # the first bad series is named; of a ragged and a non-finite series,
-    # the earlier one is reported
-    ragged = next((j for j, rec in enumerate(data.series) if rec.values.shape != (n,)),
-                  data.n_series)
-    if ragged:
-        values = np.stack([rec.values for rec in data.series[:ragged]])
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            bad = data.series[int(np.argmin(finite))]
-            raise NonFiniteValue(f"series {bad.id!r} contains NaN or Inf")
-    if ragged < data.n_series:
-        rec = data.series[ragged]
-        raise RaggedLengths(
-            f"series {rec.id!r} has length {rec.values.shape[0]}, expected {n}"
-        )
-    return values
-
-
-def validate_dataset(data: Dataset) -> Dataset:
-    """Check all dataset invariants; returns the dataset unchanged if valid."""
-    checked_values(data)
-    return data
+def _matrix(rows, ids, n):
+    """A float (N, n) copy of ``rows``; RaggedLengths names the first row of another length."""
+    try:
+        values = np.array(rows, dtype=float)
+        if values.shape[1:] == (n,):
+            return values
+    except ValueError:  # rows of unequal lengths, or a value that is not a number
+        if all(np.shape(row) == (n,) for row in rows):
+            raise
+    sid, row = next((sid, row) for sid, row in zip(ids, rows) if np.shape(row) != (n,))
+    raise RaggedLengths(f"series {sid!r} has length {np.size(row)}, expected {n}")
 
 
 def validate_membership(P) -> np.ndarray:

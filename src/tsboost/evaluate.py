@@ -12,7 +12,7 @@ them.
 
 import numpy as np
 
-from .core import Dataset, checked_values
+from .core import Dataset
 from .distance import distance_matrix
 from .errors import DimensionMismatch, SizeMismatch, TooFewLabels, TooFewObjects
 from .pdclust import pd_probabilities
@@ -125,7 +125,7 @@ def reference_partition(data: Dataset, true_labels, kind, criterion="vcurve"):
 
     Returns (membership, centers) with clusters ordered by sorted label value.
     """
-    values = checked_values(data)
+    values = data.values
     labels = np.asarray(true_labels)
     if labels.shape[0] != data.n_series:
         raise SizeMismatch(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, checked_values
+from .core import Dataset
 from .distance import _sq_distances, _sq_norms
 from .errors import ConfigError, EmptyCluster
 
@@ -89,7 +89,7 @@ def _initial_membership(n_series, n_clusters, rng):
 
 
 def run_fcm(data: Dataset, config: FcmConfig) -> FcmResult:
-    values = checked_values(data)
+    values = data.values
     if not config.n_clusters < data.n_series:
         raise ConfigError(f"need K < N, got K={config.n_clusters}, N={data.n_series}")
     rng = np.random.default_rng(np.random.SeedSequence((config.seed,)))

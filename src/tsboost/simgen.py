@@ -99,6 +99,5 @@ def generate(config: SimConfig):
     for j in range(1, n):
         noise[:, j] += phi * noise[:, j - 1]
     rows += noise
-    del noise  # freed before the records copy the rows
-    data = Dataset.from_values(x, rows)
-    return data, labels
+    del noise  # freed before the dataset copies the rows
+    return Dataset(x, rows), labels

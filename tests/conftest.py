@@ -12,7 +12,7 @@ def random_membership(rng, n, k):
 def two_level_dataset(n_per_group=5, n_points=10, levels=(0.0, 10.0)):
     """Two well-separated groups of constant series."""
     rows = np.vstack([np.full((n_per_group, n_points), lev) for lev in levels])
-    return Dataset.from_values(np.linspace(0.0, 1.0, n_points), rows)
+    return Dataset(np.linspace(0.0, 1.0, n_points), rows)
 
 
 @pytest.fixture

@@ -236,7 +236,7 @@ def test_criterion_08_fcm_baseline(benchmark_run, report):
             worst_rise = max(worst_rise, float(np.max(np.diff(trace))))
     # separated two-level fixture must be recovered exactly
     rows = np.vstack([np.full((5, 10), 0.0), np.full((5, 10), 10.0)])
-    fixture = Dataset.from_values(np.linspace(0, 1, 10), rows)
+    fixture = Dataset(np.linspace(0, 1, 10), rows)
     labels = harden(run_fcm(fixture, FcmConfig(n_clusters=2, seed=0)).membership)
     recovered = (len(set(labels[:5])) == 1 and len(set(labels[5:])) == 1
                  and labels[0] != labels[5])

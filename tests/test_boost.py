@@ -25,7 +25,7 @@ def per_restart_oracle(data, config):
     stream and fits its pooled mean with ``smooth_series``; returns
     (centers, membership, beta trace) per restart.
     """
-    values = data.values()
+    values = data.values
     n_series, k = values.shape[0], config.n_clusters
     basis = pspline.build_basis(data.domain)
     penalty = pspline.difference_penalty(basis.n_bases)
@@ -189,7 +189,7 @@ class TestRunningMeanCenters:
             values = np.tile(rng.normal(size=n), (12, 1))
         else:
             values = rng.normal(size=(12, n)) + np.repeat([0.0, 3.0, 6.0], 4)[:, None]
-        data = Dataset.from_values(np.linspace(0, 1, n), values)
+        data = Dataset(np.linspace(0, 1, n), values)
         fits = []
 
         def recording(*args):
@@ -233,7 +233,7 @@ class TestRunBoost:
 
     def test_deterministic_reruns(self, rng):
         values = rng.normal(size=(12, 10)) + np.repeat([0.0, 4.0, 8.0], 4)[:, None]
-        data = Dataset.from_values(np.linspace(0, 1, 10), values)
+        data = Dataset(np.linspace(0, 1, 10), values)
         config = BoostConfig(n_clusters=3, maxiter=8, restarts=3, seed=11)
         a = run_boost(data, config)
         b = run_boost(data, config)
@@ -252,13 +252,13 @@ class TestRunBoost:
 
         monkeypatch.setattr(pspline, "_spectrum", counting)
         values = rng.normal(size=(12, 10)) + np.repeat([0.0, 4.0, 8.0], 4)[:, None]
-        data = Dataset.from_values(np.linspace(0, 1, 10), values)
+        data = Dataset(np.linspace(0, 1, 10), values)
         run_boost(data, BoostConfig(n_clusters=3, maxiter=5, restarts=3, seed=1))
         assert len(calls) == 1
 
     def test_restart_selection_and_traces(self, rng):
         values = rng.normal(size=(9, 12))
-        data = Dataset.from_values(np.linspace(0, 1, 12), values)
+        data = Dataset(np.linspace(0, 1, 12), values)
         config = BoostConfig(n_clusters=3, maxiter=7, restarts=4, seed=5)
         result = run_boost(data, config)
         assert result.restart_final_bc.shape == (4,)
@@ -283,13 +283,13 @@ def _early_stop_dataset():
      DistanceKind.EUCLIDEAN, 3, 4),
     (lambda rng: rng.normal(size=(18, 12)) + np.linspace(0, 2, 12) * np.repeat([-1.0, 0.0, 1.0], 6)[:, None],
      DistanceKind.PENROSE_SHAPE, 3, 5),
-    (lambda rng: _early_stop_dataset().values(), DistanceKind.EUCLIDEAN, 2, 6),
+    (lambda rng: _early_stop_dataset().values, DistanceKind.EUCLIDEAN, 2, 6),
     (lambda rng: np.sin(np.outer(np.repeat([1.0, 2.5, 4.0], 5), np.arange(16)))
      + rng.normal(0, 0.3, size=(15, 16)), DistanceKind.PERIODOGRAM, 3, 4),
 ], ids=["euclidean", "penrose", "early-stop", "periodogram"])
 def test_lockstep_matches_per_restart_oracle(rng, monkeypatch, make_data, kind, k, restarts):
     values = make_data(rng)
-    data = Dataset.from_values(np.linspace(0, 1, values.shape[1]), values)
+    data = Dataset(np.linspace(0, 1, values.shape[1]), values)
     config = BoostConfig(n_clusters=k, maxiter=12, restarts=restarts, distance=kind, seed=4)
     batch_rows = []
 

@@ -54,7 +54,7 @@ class TestReaders:
         path = tmp_path / "data.csv"
         write_wide(path, values)
         data = read_wide(path)
-        assert np.array_equal(data.values(), values)  # exact, not approximate
+        assert np.array_equal(data.values, values)  # exact, not approximate
         assert data.ids == ["s0001", "s0002", "s0003", "s0004"]
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -70,7 +70,7 @@ class TestReaders:
             data = read_wide(f"/dev/fd/{read_end}")
         finally:
             os.close(read_end)
-        assert np.array_equal(data.values(), values)
+        assert np.array_equal(data.values, values)
 
     def test_wide_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -107,7 +107,7 @@ class TestReaders:
         data = read_long(path)
         assert data.n_series == 2
         assert np.array_equal(data.domain, [0.0, 0.5, 1.0])
-        assert np.array_equal(data.values()[1], [11.0, 12.0, 13.0])
+        assert np.array_equal(data.values[1], [11.0, 12.0, 13.0])
 
     def test_long_ragged_domain(self, tmp_path):
         path = tmp_path / "long.csv"
@@ -130,7 +130,7 @@ class TestReaders:
         a, b = read_dataset(plain, fmt), read_dataset(padded, fmt)
         assert a.ids == b.ids
         assert np.array_equal(a.domain, b.domain)
-        assert np.array_equal(a.values(), b.values())
+        assert np.array_equal(a.values, b.values)
 
 
 class TestSimulate:
@@ -193,6 +193,42 @@ class TestCluster:
         _, membership = read_membership(out / "membership.csv")
         assert membership.shape == (12, 3)
         assert np.max(np.abs(membership.sum(axis=1) - 1.0)) < 1e-9
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_input_digest_is_null(self, tmp_path, toy_csv):
+        # a pipe, as in --input <(...), is read once: its digest is null,
+        # not the digest of the nothing left to read again
+        args = ["--k", "3", "--algorithm", "fcm", "--seed", "0"]
+        assert main(["cluster", "--input", str(toy_csv), "--out", str(tmp_path / "file")]
+                    + args) == 0
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(toy_csv.read_bytes())
+        try:
+            assert main(["cluster", "--input", f"/dev/fd/{read_end}",
+                         "--out", str(tmp_path / "pipe")] + args) == 0
+        finally:
+            os.close(read_end)
+        manifest = manifest_without_timings(tmp_path / "pipe" / "manifest.json")
+        assert manifest[f"digest_{read_end}"] is None
+        file_manifest = manifest_without_timings(tmp_path / "file" / "manifest.json")
+        assert len(file_manifest["digest_toy.csv"]) == 64
+        for name in ("membership.csv", "centers.csv"):
+            assert ((tmp_path / "pipe" / name).read_bytes()
+                    == (tmp_path / "file" / name).read_bytes())
+
+    def test_carriage_return_id_reads_back(self, tmp_path):
+        # an id holding a lone \r is written quoted, so evaluate reads the membership back
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b'id,t1,t2\n"a\rb",0.0,1.0\nc,0.5,1.5\nd,9.0,8.0\ne,9.5,8.5\n')
+        out = tmp_path / "fcm"
+        assert main(["cluster", "--input", str(path), "--out", str(out),
+                     "--k", "2", "--algorithm", "fcm"]) == 0
+        membership = str(out / "membership.csv")
+        assert main(["evaluate", "--membership", membership,
+                     "--reference-membership", membership]) == 0
+        assert read_membership(out / "membership.csv")[0] == ["a\rb", "c", "d", "e"]
+        assert (out / "assignments.csv").read_bytes().split(b"\n")[1].startswith(b'"a\rb",')
 
     def test_fcm_converges_by_default(self, tmp_path, slow_fcm_csv):
         out = tmp_path / "fcm"
@@ -509,3 +545,14 @@ class TestSmooth:
         write_wide(path, np.zeros((2, 10)) + np.arange(10))
         assert main(["smooth", "--input", str(path), "--out", str(tmp_path / "o"),
                      "--series-id", "missing"]) == 1
+
+    def test_series_id_picks_its_row(self, tmp_path):
+        sim, out = tmp_path / "sim", tmp_path / "fit"
+        assert main(["simulate", "--out", str(sim), "--seed", "0"]) == 0
+        assert main(["smooth", "--input", str(sim / "series.csv"), "--out", str(out),
+                     "--series-id", "s0003"]) == 0
+        data = read_wide(sim / "series.csv")
+        rows = (out / "fit.csv").read_text().strip().splitlines()[1:]
+        y = [float(row.split(",")[1]) for row in rows]
+        assert y == data.values[data.ids.index("s0003")].tolist()
+        assert manifest_without_timings(out / "manifest.json")["series_id"] == "s0003"

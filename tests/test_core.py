@@ -1,19 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tsboost import (
-    BoostConfig,
-    Dataset,
-    DistanceKind,
-    FcmConfig,
-    harden,
-    reference_partition,
-    run_boost,
-    run_fcm,
-    validate_dataset,
-    validate_membership,
-)
-from tsboost.core import checked_values
+from tsboost import Dataset, harden, validate_membership
 from tsboost.errors import (
     NonFiniteValue,
     NonIncreasingDomain,
@@ -21,99 +11,108 @@ from tsboost.errors import (
     TooFewSeries,
 )
 
-from conftest import two_level_dataset
-
 
 def make(domain, rows, ids=None):
-    return Dataset.from_values(domain, rows, ids)
+    return Dataset(domain, rows, ids)
 
 
 class TestValidateDataset:
     def test_well_formed(self):
-        data = make(np.linspace(0, 1, 10), np.random.default_rng(0).normal(size=(3, 10)))
-        assert validate_dataset(data) is data
+        rows = np.random.default_rng(0).normal(size=(3, 10))
+        data = make(np.linspace(0, 1, 10), rows)
+        assert np.array_equal(data.values, rows)
+        assert data.ids == ["s0001", "s0002", "s0003"]
+        assert (data.n_series, data.n_points) == (3, 10)
 
-    def test_checked_values_is_the_stacked_series(self):
-        data = make(np.linspace(0, 1, 10), np.random.default_rng(0).normal(size=(3, 10)))
-        assert np.array_equal(checked_values(data), data.values())
-
-    def test_runs_stack_the_series_once(self, monkeypatch):
-        # the runs and the reference partition take checked_values' stack
-        # instead of stacking the series a second time
-        data = two_level_dataset()
-
-        def second_stack(self):
-            raise AssertionError("Dataset.values() called after checked_values")
-
-        monkeypatch.setattr(Dataset, "values", second_stack)
-        run_fcm(data, FcmConfig(n_clusters=2))
-        run_boost(data, BoostConfig(n_clusters=2, maxiter=2, restarts=1))
-        reference_partition(data, np.repeat([1, 2], 5), DistanceKind.EUCLIDEAN)
+    def test_one_id_per_series(self):
+        with pytest.raises(ValueError, match="2 ids for 3 series"):
+            make(np.linspace(0, 1, 4), np.zeros((3, 4)), ids=["a", "b"])
 
     def test_ragged_lengths(self):
-        from tsboost import TimeSeriesRecord
-
-        data = Dataset(
-            domain=np.linspace(0, 1, 10),
-            series=(
-                TimeSeriesRecord("a", np.zeros(10)),
-                TimeSeriesRecord("b", np.zeros(9)),
-            ),
-        )
-        with pytest.raises(RaggedLengths):
-            validate_dataset(data)
+        with pytest.raises(RaggedLengths, match="'s0001' has length 9, expected 10"):
+            make(np.linspace(0, 1, 10), np.zeros((2, 9)))
+        with pytest.raises(RaggedLengths, match="'b' has length 9, expected 10"):
+            make(np.linspace(0, 1, 10), [[0.0] * 10, [0.0] * 9], ids=["a", "b"])
 
     def test_nan_rejected(self):
         rows = np.zeros((2, 10))
         rows[1, 3] = np.nan
         with pytest.raises(NonFiniteValue):
-            validate_dataset(make(np.linspace(0, 1, 10), rows))
+            make(np.linspace(0, 1, 10), rows)
 
     @pytest.mark.parametrize("column", [0, -1], ids=["first-point", "last-point"])
     def test_non_finite_at_either_end_rejected(self, column):
         rows = np.zeros((3, 6))
         rows[2, column] = np.nan
         with pytest.raises(NonFiniteValue, match="'s0003'"):
-            validate_dataset(make(np.linspace(0, 1, 6), rows))
+            make(np.linspace(0, 1, 6), rows)
 
     def test_inf_rejected(self):
         rows = np.zeros((2, 5))
         rows[0, 0] = np.inf
         with pytest.raises(NonFiniteValue):
-            validate_dataset(make(np.linspace(0, 1, 5), rows))
+            make(np.linspace(0, 1, 5), rows)
 
     def test_first_non_finite_series_named(self):
         rows = np.zeros((5, 4))
         rows[1, 2] = np.nan
         rows[4, 1] = np.inf
         with pytest.raises(NonFiniteValue, match="'b'"):
-            validate_dataset(make(np.linspace(0, 1, 4), rows, ids="abcde"))
-
-    @pytest.mark.parametrize("bad, error", [(1, NonFiniteValue), (3, RaggedLengths)])
-    def test_earlier_of_ragged_and_non_finite_reported(self, bad, error):
-        from tsboost import TimeSeriesRecord
-
-        series = [TimeSeriesRecord(sid, np.zeros(4)) for sid in "abcde"]
-        series[bad] = TimeSeriesRecord(series[bad].id, [0.0, np.nan, 0.0, 0.0])
-        series[4 - bad] = TimeSeriesRecord(series[4 - bad].id, np.zeros(3))
-        data = Dataset(domain=np.linspace(0, 1, 4), series=tuple(series))
-        with pytest.raises(error, match=f"'{'abcde'[min(bad, 4 - bad)]}'"):
-            validate_dataset(data)
+            make(np.linspace(0, 1, 4), rows, ids="abcde")
 
     def test_non_increasing_domain(self):
         with pytest.raises(NonIncreasingDomain):
-            validate_dataset(make(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros((2, 4))))
+            make(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros((2, 4)))
 
     def test_too_few_series(self):
         with pytest.raises(TooFewSeries):
-            validate_dataset(make(np.linspace(0, 1, 5), np.zeros((1, 5))))
+            make(np.linspace(0, 1, 5), np.zeros((1, 5)))
 
     def test_immutability(self):
-        data = make(np.linspace(0, 1, 5), np.ones((2, 5)))
+        domain, rows = np.linspace(0, 1, 5), np.ones((2, 5))
+        data = make(domain, rows)
         with pytest.raises(ValueError):
             data.domain[0] = 99.0
         with pytest.raises(ValueError):
-            data.series[0].values[0] = 99.0
+            data.values[0, 0] = 99.0
+        # the dataset holds copies: the caller's arrays stay its own
+        domain[0], rows[0, 0] = -1.0, 99.0
+        assert data.domain[0] == 0.0 and data.values[0, 0] == 1.0
+
+
+@st.composite
+def dataset_inputs(draw):
+    """(domain, rows): N, n in 1..5, maybe a repeated domain point, maybe non-finite cells."""
+    n_series, n_points = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    domain = np.arange(n_points, dtype=float)
+    if n_points > 1 and draw(st.booleans()):
+        j = draw(st.integers(1, n_points - 1))
+        domain[j] = domain[j - 1]
+    cell = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([np.nan, np.inf, -np.inf]))
+    rows = np.array(draw(st.lists(st.lists(cell, min_size=n_points, max_size=n_points),
+                                  min_size=n_series, max_size=n_series)))
+    return domain, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(dataset_inputs())
+def test_construction_checks_in_order(case):
+    # a bad domain first, then too few series, then the first non-finite row
+    domain, rows = case
+    ids = [f"id{i}" for i in range(rows.shape[0])]
+    finite = np.isfinite(rows).all(axis=1)
+    if domain.shape[0] < 2 or not np.all(np.diff(domain) > 0):
+        error, match = NonIncreasingDomain, "domain"
+    elif rows.shape[0] < 2:
+        error, match = TooFewSeries, "need at least 2 series"
+    elif not finite.all():
+        error, match = NonFiniteValue, f"series 'id{np.argmin(finite)}' contains NaN or Inf"
+    else:
+        data = make(domain, rows, ids)
+        assert data.values.tobytes() == rows.tobytes() and data.ids == ids
+        return
+    with pytest.raises(error, match=match):
+        make(domain, rows, ids)
 
 
 class TestHarden:

@@ -231,7 +231,7 @@ class TestReferencePartition:
         # center reproduces its own series exactly
         x = np.linspace(0, 1, 10)
         values = np.vstack([np.full(10, 0.0), np.full(10, 5.0), np.full(10, 10.0)])
-        data = Dataset.from_values(x, values)
+        data = Dataset(x, values)
         membership, centers = reference_partition(data, [1, 2, 3], DistanceKind.EUCLIDEAN)
         assert np.max(np.abs(np.eye(3) - membership)) < 1e-6
         assert np.max(np.abs(centers - values)) < 1e-6
@@ -239,18 +239,18 @@ class TestReferencePartition:
     def test_matches_compositional_oracle(self, rng):
         x = np.linspace(0, 1, 12)
         values = rng.normal(size=(9, 12)) + np.repeat([0.0, 3.0, 6.0], 3)[:, None]
-        data = Dataset.from_values(x, values)
+        data = Dataset(x, values)
         labels = np.repeat([1, 2, 3], 3)
         membership, centers = reference_partition(data, labels, DistanceKind.EUCLIDEAN)
         oracle = pd_probabilities(distance_matrix(values, centers, DistanceKind.EUCLIDEAN))
         assert np.max(np.abs(membership - oracle)) < 1e-12
 
     def test_single_label(self, rng):
-        data = Dataset.from_values(np.linspace(0, 1, 8), rng.normal(size=(4, 8)))
+        data = Dataset(np.linspace(0, 1, 8), rng.normal(size=(4, 8)))
         with pytest.raises(TooFewLabels, match="1 distinct label"):
             reference_partition(data, [2, 2, 2, 2], DistanceKind.EUCLIDEAN)
 
     def test_label_count_mismatch(self, rng):
-        data = Dataset.from_values(np.linspace(0, 1, 8), rng.normal(size=(4, 8)))
+        data = Dataset(np.linspace(0, 1, 8), rng.normal(size=(4, 8)))
         with pytest.raises(SizeMismatch):
             reference_partition(data, [1, 2, 3], DistanceKind.EUCLIDEAN)

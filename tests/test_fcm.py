@@ -145,21 +145,21 @@ class TestRunFcm:
 
     def test_objective_non_increasing(self, rng):
         values = rng.normal(size=(30, 8))
-        data = Dataset.from_values(np.linspace(0, 1, 8), values)
+        data = Dataset(np.linspace(0, 1, 8), values)
         for seed in range(5):
             result = run_fcm(data, FcmConfig(n_clusters=3, seed=seed))
             assert np.all(np.diff(result.objective_trace) <= 1e-9)
 
     def test_membership_valid_after_run(self, rng):
         values = rng.normal(size=(15, 6))
-        data = Dataset.from_values(np.linspace(0, 1, 6), values)
+        data = Dataset(np.linspace(0, 1, 6), values)
         result = run_fcm(data, FcmConfig(n_clusters=4, seed=2))
         assert np.all(result.membership >= 0)
         assert np.max(np.abs(result.membership.sum(axis=1) - 1.0)) < 1e-9
 
     def test_softness_grows_with_fuzzifier(self, rng):
         values = rng.normal(size=(24, 6)) + np.repeat([0.0, 3.0, 6.0], 8)[:, None]
-        data = Dataset.from_values(np.linspace(0, 1, 6), values)
+        data = Dataset(np.linspace(0, 1, 6), values)
         entropies = []
         for m in (1.5, 2.0, 4.0, 10.0):
             result = run_fcm(data, FcmConfig(n_clusters=3, fuzzifier=m, seed=0))
@@ -209,7 +209,7 @@ def _assert_within_round_off(got, oracle):
 
 def _assert_run_matches_full_tensor_loop(data, config):
     result = run_fcm(data, config)
-    U, centers, trace, sweeps = full_tensor_fcm(data.values(), config)
+    U, centers, trace, sweeps = full_tensor_fcm(data.values, config)
     assert result.sweeps == sweeps
     _assert_within_round_off(result.membership, U)
     _assert_within_round_off(result.centers, centers)
@@ -224,7 +224,7 @@ def test_run_matches_full_tensor_loop(k, m, seed):
     # centers and objective of the full-tensor loop up to round-off
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(40, 7)) + np.repeat(np.arange(4.0), 10)[:, None]
-    data = Dataset.from_values(np.linspace(0, 1, 7), values)
+    data = Dataset(np.linspace(0, 1, 7), values)
     _assert_run_matches_full_tensor_loop(
         data, FcmConfig(n_clusters=k, fuzzifier=m, seed=seed, max_sweeps=60))
 

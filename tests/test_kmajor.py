@@ -119,7 +119,7 @@ def nk_run_boost(data, config, distances=kernel_distances):
     Returns the final centers, memberships and BC indices of every restart
     and the number of iterations each one ran.
     """
-    values = data.values()
+    values = data.values
     n_series, k, restarts = values.shape[0], config.n_clusters, config.restarts
     basis = pspline.build_basis(data.domain)
     spectrum = pspline._spectrum(basis, pspline.difference_penalty(basis.n_bases))

@@ -1,6 +1,7 @@
 """Property tests for the invariants of PD clustering, the indices, the smoother and CSV I/O."""
 
 import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -350,7 +351,7 @@ def test_csv_round_trip_is_exact(values, P):
                      series_ids, values)
         data = read_wide(series)
         assert data.ids == series_ids
-        assert data.values().tobytes() == values.tobytes()
+        assert data.values.tobytes() == values.tobytes()
 
         member_ids = [f"m{i + 1}" for i in range(P.shape[0])]
         membership = Path(tmp) / "membership.csv"
@@ -486,29 +487,57 @@ def test_fast_reader_agrees_with_csv_module(case):
 SPECIAL_VALUES = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16, 0.1)
 
 
+# ids of the characters the csv module may quote, and rows of odd floats
+matrix_rows = st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.tuples(st.text(st.sampled_from('ab,"\r\n \xe9\u03bb'), max_size=3),
+              st.lists(st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats()),
+                       min_size=cols, max_size=cols)),
+    min_size=1, max_size=5))
+
+
+def _csv_line(fields):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(fields)
+    return buffer.getvalue()
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda cols: st.lists(
-           st.tuples(st.text(st.sampled_from('ab,"\r\n \xe9\u03bb'), max_size=3),
-                     st.lists(st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats()),
-                              min_size=cols, max_size=cols)),
-           min_size=1, max_size=5)),
-       st.booleans())
+@given(matrix_rows, st.booleans())
 @example([("a,b", [0.1]), ('"q"', [-0.0]), ("", [5e-324]), ("x\ry", [1e16]), ("z\n", [0.1])],
          False)
 @example([("\u03bb", list(SPECIAL_VALUES))], True)
 def test_write_matrix_bytes_equal_csv_writer(rows, centers):
     # the bytes of csv.writer(lineterminator="\n") for the same rows, for the
-    # two tables the CLI writes: ids x p memberships and cluster numbers x t centers
+    # two tables the CLI writes: ids x p memberships and cluster numbers x t centers;
+    # only an id holding a carriage return is quoted, as one holding \n is
     matrix = np.array([values for _, values in rows])
     if centers:
         key, ids, prefix = "cluster", range(1, len(rows) + 1), "t"
     else:
         key, ids, prefix = "id", [sid for sid, _ in rows], "p"
+    lines = [_csv_line([key] + [f"{prefix}{j + 1}" for j in range(matrix.shape[1])])]
+    for sid, row in zip(ids, matrix.tolist()):
+        if "\r" in str(sid):
+            lines.append('"' + sid.replace('"', '""') + '",' + _csv_line(row))
+        else:
+            lines.append(_csv_line([sid] + row))
     with tempfile.TemporaryDirectory() as tmp:
-        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        got = Path(tmp) / "got.csv"
         _write_matrix(got, key, ids, prefix, matrix)
-        with open(want, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([key] + [f"{prefix}{j + 1}" for j in range(matrix.shape[1])])
-            writer.writerows([sid] + row for sid, row in zip(ids, matrix.tolist()))
-        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes() == "".join(lines).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_rows)
+@example([("x\ry", [1e16]), ("\r", [0.1]), ("\r\n", [-0.0])])
+def test_written_matrix_reads_back(rows):
+    # the CLI reads back every id and the repr of every value it wrote
+    ids = [sid for sid, _ in rows]
+    matrix = np.array([values for _, values in rows])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "membership.csv"
+        _write_matrix(path, "id", ids, "p", matrix)
+        read_ids, values = _read_matrix(path, "id,p1,...,pK")
+    assert read_ids == ids
+    assert [list(map(repr, row)) for row in values.tolist()] == \
+        [list(map(repr, row)) for row in matrix.tolist()]

@@ -45,10 +45,10 @@ class TestGenerate:
     def test_deterministic(self):
         a, la = generate(SimConfig(seed=123))
         b, lb = generate(SimConfig(seed=123))
-        assert np.array_equal(a.values(), b.values())
+        assert np.array_equal(a.values, b.values)
         assert np.array_equal(la, lb)
         c, _ = generate(SimConfig(seed=124))
-        assert not np.array_equal(a.values(), c.values())
+        assert not np.array_equal(a.values, c.values)
 
     def test_linear_decline_model_noiseless(self):
         # the sixth model has no random coefficients; with vanishing level
@@ -57,13 +57,13 @@ class TestGenerate:
         data, labels = generate(cfg)
         x = np.linspace(0, 1, cfg.n_points)
         expected = -3.0 * (x - 0.5)
-        for row in data.values()[labels == 6]:
+        for row in data.values[labels == 6]:
             assert np.max(np.abs(row - expected)) < 1e-12
 
     def test_constant_model_noiseless(self):
         cfg = SimConfig(sizes=(1, 1, 5, 1, 1, 1), sigma2_u=TINY, ar_var=TINY, seed=3)
         data, labels = generate(cfg)
-        for row in data.values()[labels == 3]:
+        for row in data.values[labels == 3]:
             assert np.max(np.abs(row - row[0])) < 1e-9
 
     def test_constant_model_level_is_centered(self):
@@ -72,7 +72,7 @@ class TestGenerate:
         n_draws = 10_000
         cfg = SimConfig(sizes=(1, 1, n_draws, 1, 1, 1), seed=11)
         data, labels = generate(cfg)
-        means = data.values()[labels == 3].mean(axis=1)
+        means = data.values[labels == 3].mean(axis=1)
         # per-series variance: coefficient 0.08 + level 0.3 + AR noise
         bound = 5 * np.sqrt((cfg.sigma2_e + cfg.sigma2_u + cfg.ar_var) / n_draws)
         assert abs(means.mean()) < bound
@@ -81,7 +81,7 @@ class TestGenerate:
         # the bilinear-power model must never blow up despite the delta^-3 term
         cfg = SimConfig(sizes=(1, 2000, 1, 1, 1, 1), seed=19)
         data, labels = generate(cfg)
-        rows = data.values()[labels == 2]
+        rows = data.values[labels == 2]
         assert np.all(np.isfinite(rows))
         assert np.max(np.abs(rows)) < 1e5
 
@@ -118,5 +118,5 @@ def test_generate_matches_per_point_draws(n_points, seed):
     config = SimConfig(sizes=(3, 2, 3, 2, 3, 2), n_points=n_points, seed=seed)
     data, labels = generate(config)
     expected, expected_labels = per_point_generate(config)
-    assert np.array_equal(data.values(), expected)
+    assert np.array_equal(data.values, expected)
     assert np.array_equal(labels, expected_labels)
