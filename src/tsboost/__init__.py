@@ -25,7 +25,6 @@ from .pspline import (
     difference_penalty,
     effective_dimension,
     fit_pspline,
-    select_lambda,
     smooth_series,
 )
 from .simgen import SimConfig, generate
@@ -62,7 +61,6 @@ __all__ = [
     "reference_partition",
     "run_boost",
     "run_fcm",
-    "select_lambda",
     "smooth_series",
     "validate_membership",
 ]

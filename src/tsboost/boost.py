@@ -20,8 +20,9 @@ depends on when another one stopped.
 
 Randomness is split into dedicated streams keyed by (seed, restart) for the
 initial centers and (seed, restart, iteration, cluster) for the resampling
-draws. The R*K resampling keys of an iteration are hashed in one batch,
-bit for bit as ``SeedSequence`` hashes each (``_seed_states``).
+draws. The R initial-center keys, and the R*K resampling keys of an
+iteration, are hashed in one batch, bit for bit as ``SeedSequence`` hashes
+each (``_seed_states``).
 
 Each iteration's distances are one call of the guarded matrix-product
 kernel ``distance._sq_distances`` on all R*K mapped centers, whose
@@ -61,6 +62,10 @@ class BoostConfig:
             raise ConfigError("maxiter and restarts must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.distance, DistanceKind):
+            raise ConfigError(f"distance must be a DistanceKind, got {self.distance!r}")
+        if not (isinstance(self.criterion, str) and self.criterion.lower() in pspline.CRITERIA):
+            raise ConfigError(f"unknown criterion {self.criterion!r}")
 
 
 @dataclass(frozen=True)
@@ -82,34 +87,14 @@ class ClusterResult:
     config: BoostConfig
 
 
-def raw_weights(D, P, beta):
-    """Un-normalized boosting weights beta^(gamma * Gamma).
-
-    gamma_{i,k} = d_{i,k} / max_h d_{i,h}; Gamma is +1 at the row's
-    highest-probability cluster (lowest index on ties) and -1 elsewhere.
-    D and P are (..., N, K) and beta holds one value per leading index.
-    """
-    return _swapped(_raw_weights, D, P, beta)
-
-
-def compute_weights(D, P, beta):
-    """Resampling weight matrix: raw weights row- then column-normalized.
-
-    Every returned column sums to 1, so each column is a sampling
-    distribution over the series for one cluster.
-    """
-    return _swapped(_weights, D, P, beta)
-
-
-def _swapped(core, D, P, beta):
-    """A (..., K, N) weight core applied to (..., N, K) arrays."""
-    D = np.asarray(D, dtype=float).swapaxes(-1, -2)
-    P = np.asarray(P, dtype=float).swapaxes(-1, -2)
-    return np.ascontiguousarray(core(D, P, beta).swapaxes(-1, -2))
-
-
 def _raw_weights(D, P, beta):
-    """``raw_weights`` of (..., K, N) distances and probabilities."""
+    """Un-normalized boosting weights beta^(gamma * Gamma), cluster axis first.
+
+    D and P are (..., K, N) distances and probabilities and beta holds one
+    value per leading index. gamma_{k,i} = d_{k,i} / max_h d_{h,i}; Gamma is
+    +1 at the series' highest-probability cluster (lowest index on ties)
+    and -1 elsewhere.
+    """
     beta = np.asarray(beta, dtype=float)
     if np.any(beta <= 0):
         raise DegenerateBeta("beta must be positive; a zero loss means a perfect partition")
@@ -120,8 +105,10 @@ def _raw_weights(D, P, beta):
 
 
 def _weights(D, P, beta):
-    """``compute_weights`` of (..., K, N) arrays. The total over the series
-    is a running sum, the order of ``sum(axis=-2)`` on (..., N, K)."""
+    """Resampling weights (..., K, N): raw weights normalized per series, then per
+    cluster, so that each cluster row is a sampling distribution over the series.
+    The total over the series is a running sum, the order of ``sum(axis=-2)`` on
+    (..., N, K)."""
     w = _raw_weights(D, P, beta)
     w /= w.sum(axis=-2, keepdims=True)
     return w / w.cumsum(axis=-1)[..., -1:]
@@ -180,16 +167,6 @@ def _seed_words(seed):
     while seed := seed >> 32:
         words.append(seed & 0xFFFFFFFF)
     return words
-
-
-def _stream(seed_words, *key):
-    """Generator keyed by (seed, *key): equal to ``SeedSequence((seed, *key))``'s.
-
-    A uint32 key skips the per-int conversion of a tuple key; every key
-    entry after the seed is below 2**32.
-    """
-    entropy = np.array((*seed_words, *key), dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 # the constants of SeedSequence's hash (numpy/random/bit_generator.pyx)
@@ -315,29 +292,27 @@ def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
     """Run the full multi-restart algorithm and keep the best-BC restart."""
     values = data.values
     n_series = data.n_series
-    k, restarts, seed = config.n_clusters, config.restarts, config.seed
+    k, restarts = config.n_clusters, config.restarts
     if not k < n_series:
         raise ConfigError(f"need K < N, got K={k}, N={n_series}")
     basis = pspline.build_basis(data.domain)
     penalty = pspline.difference_penalty(basis.n_bases)
     spectrum = pspline._spectrum(basis, penalty)
     criterion = pspline.LambdaCriterion(config.criterion)
-    words = _seed_words(seed)
-    keys = _stream_keys(words, restarts, k)
-    points, _ = distance_space(values, config.distance)
+    keys = _stream_keys(_seed_words(config.seed), restarts, k)
+    points = distance_space(values, config.distance)
     norms = _sq_norms(points)
 
     def distances(centers):
         # one kernel call on all R*K centers; its (R*K, N) result is the
         # cluster-first (R, K, N) stack without a copy
-        mapped = distance_space(centers, config.distance)[0]
+        mapped = distance_space(centers, config.distance)
         d2 = _sq_distances(points, mapped.reshape(restarts * k, -1), norms)
         return np.sqrt(d2, out=d2).reshape(restarts, k, n_series)
 
-    centers = np.stack([
-        values[_stream(words, r).choice(n_series, size=k, replace=False)]
-        for r in range(restarts)
-    ])
+    # the initial-center keys (*seed_words, restart) lead each restart's resampling keys
+    starts = _keyed_streams(keys[::k, :-2])
+    centers = np.stack([values[rng.choice(n_series, size=k, replace=False)] for rng in starts])
     sums = np.zeros_like(centers)
     active = np.ones(restarts, dtype=bool)
     betas = [[] for _ in range(restarts)]

@@ -114,16 +114,14 @@ def periodogram_distance(y, c):
 
 
 def distance_space(values, kind):
-    """(points, kind') such that the kind-distance of two series is the
-    kind'-distance of their points: EUCLIDEAN for every kind. A caller that
-    compares the same series against many centers maps the series once.
-    """
+    """Points whose Euclidean distance is the kind-distance of their series; a
+    caller that compares the same series against many centers maps them once."""
     if kind == DistanceKind.PERIODOGRAM:
-        return periodogram(values), DistanceKind.EUCLIDEAN
+        return periodogram(values)
     if kind == DistanceKind.PENROSE_SHAPE:
-        return _centered(values), DistanceKind.EUCLIDEAN
+        return _centered(values)
     if kind == DistanceKind.EUCLIDEAN:
-        return values, kind
+        return values
     raise ValueError(f"unknown distance kind {kind!r}")
 
 
@@ -136,12 +134,16 @@ def distance_matrix(values, centers, kind):
     relative of the distance computed from differences, m being the length
     of a mapped point, and exactly 0 where a mapped center equals a mapped
     series.
+
+    A stacked call's slices equal separate calls bit for bit only when each
+    stack holds at least 2 centers: a one-center call is a matrix-vector
+    product, whose last bits may differ from the stacked matrix product's.
     """
     Y = np.atleast_2d(np.asarray(values, dtype=float))
     C = np.atleast_2d(np.asarray(centers, dtype=float))
     if Y.shape[1] != C.shape[-1]:
         raise LengthMismatch(f"series length {Y.shape[1]} vs center length {C.shape[-1]}")
-    Y, _ = distance_space(Y, kind)
-    C, _ = distance_space(C, kind)
+    Y = distance_space(Y, kind)
+    C = distance_space(C, kind)
     D = np.sqrt(_sq_distances(Y, C.reshape(-1, C.shape[-1])))
     return np.ascontiguousarray(D.reshape(C.shape[:-1] + (Y.shape[0],)).swapaxes(-1, -2))

@@ -47,14 +47,6 @@ class SingularSystem(TsboostError):
     pass
 
 
-class LeverageOne(TsboostError):
-    """A hat-matrix diagonal reached 1; the LOO-CV shortcut is undefined."""
-
-
-class FlatCriterion(TsboostError):
-    """Selection scores are constant across the grid (degenerate data)."""
-
-
 # -- distances -----------------------------------------------------------------
 
 class LengthMismatch(DataError):

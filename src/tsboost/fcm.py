@@ -49,18 +49,16 @@ class FcmResult:
 
 
 def _weighted_means(values, um):
+    """Cluster means (K, n) weighted by um = mu^m (N, K)."""
     colsum = um.sum(axis=0)
     if np.any(colsum < 1e-300):
         raise EmptyCluster("a cluster has vanishing total membership weight")
     return (um.T @ values) / colsum[:, None]
 
 
-def fcm_centers(values, U, m):
-    """mu^m-weighted cluster means."""
-    return _weighted_means(values, np.asarray(U, dtype=float) ** m)
-
-
 def _memberships(d2, m):
+    """Inverse-distance membership update from (N, K) squared distances;
+    a point that coincides with a center gets a one-hot row."""
     zero = d2 == 0.0
     coincident = zero.any(axis=1)
     if not coincident.any():
@@ -71,11 +69,6 @@ def _memberships(d2, m):
     regular = ~coincident
     U[regular] = _memberships(d2[regular], m)
     return U
-
-
-def fcm_memberships(values, centers, m):
-    """Inverse-distance membership update; coincident points get a one-hot row."""
-    return _memberships(_sq_distance_matrix(values, centers), m)
 
 
 def _sq_distance_matrix(values, centers, norms=None):

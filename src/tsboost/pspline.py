@@ -13,10 +13,10 @@ a diagonal scaling. ``select_rows`` is the one selection engine: it scores
 the whole lambda grid for a batch of series at once and takes each row's
 coefficients at its chosen lambda from the same factorisation, so the
 boosted loop factors one spectrum per run and smooths all cluster centers
-of an iteration in one call. ``select_lambda`` and ``smooth_series`` are
-its one-series case. ``fit_pspline`` is the dense solve of the (optionally
-weighted) normal equations at one fixed lambda, the reference the spectral
-path is tested against.
+of an iteration in one call. ``smooth_series`` is its one-series case.
+``fit_pspline`` is the dense solve of the (optionally weighted) normal
+equations at one fixed lambda, the reference the spectral path is tested
+against.
 """
 
 import math
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainTooShort, FlatCriterion, LeverageOne, SingularSystem
+from .errors import DomainTooShort, SingularSystem
 
 DEFAULT_DEGREE = 3
 DEFAULT_PENALTY_ORDER = 2
@@ -83,11 +83,6 @@ class SplineBasis:
     def n_bases(self):
         return self.matrix.shape[1]
 
-    def design(self, x):
-        """Evaluate the basis at arbitrary points inside the domain span."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return bspline_design(x, self.knots, self.degree)
-
 
 @dataclass(frozen=True)
 class PenaltyMatrix:
@@ -115,8 +110,10 @@ class LambdaCriterion:
             raise ValueError(f"unknown criterion {self.name!r}; expected one of {CRITERIA}")
         object.__setattr__(self, "name", name)
         grid = np.asarray(self.grid, dtype=float)
-        if grid.size < 10 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-            raise ValueError("lambda grid must be strictly positive, increasing, >= 10 points")
+        # negated in-range tests, so that NaN fails them too
+        in_range = np.all((grid > 0) & (grid < np.inf)) and np.all(np.diff(grid) > 0)
+        if grid.size < 10 or not in_range:
+            raise ValueError("lambda grid must be finite, positive, increasing, >= 10 points")
         object.__setattr__(self, "grid", grid)
 
 
@@ -190,15 +187,6 @@ def _spectrum(basis, penalty):
     return np.clip(mu, 0.0, 1.0), V, B @ V, penalty.matrix @ V
 
 
-def _divisors(mu, lam):
-    """d = mu + lambda (1 - mu) for one lambda; lambda = 0 needs B'B nonsingular."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if lam == 0 and mu[0] <= mu.shape[0] * np.finfo(float).eps:
-        raise SingularSystem("B'B is numerically singular at lambda = 0")
-    return mu + lam * (1.0 - mu)
-
-
 def fit_pspline(y, basis, penalty, lam, weights=None):
     """Penalized weighted least-squares spline fit at a fixed lambda (dense solve).
 
@@ -230,27 +218,14 @@ def fit_pspline(y, basis, penalty, lam, weights=None):
 
 
 def effective_dimension(basis, penalty, lam):
-    """trace[(B'B + lambda D'D)^{-1} B'B] = sum mu / d; degrees of freedom of the smoother."""
+    """trace[(B'B + lambda D'D)^{-1} B'B] = sum mu / d, d = mu + lambda (1 - mu): the
+    degrees of freedom of the smoother. lambda = 0 needs B'B nonsingular."""
     mu, _, _, _ = _spectrum(basis, penalty)
-    return float(np.sum(mu / _divisors(mu, lam)))
-
-
-def _hat_diagonal(basis, penalty, lam):
-    """diag[B (B'B + lambda D'D)^{-1} B'] = (Q^2)(1 / d)."""
-    mu, _, Q, _ = _spectrum(basis, penalty)
-    return (Q**2) @ (1.0 / _divisors(mu, lam))
-
-
-def score_loocv(y, basis, penalty, lam):
-    """Leave-one-out CV via the hat-matrix shortcut; h and the fit share one spectrum."""
-    y = np.asarray(y, dtype=float)
-    mu, _, Q, _ = _spectrum(basis, penalty)
-    d = _divisors(mu, lam)
-    h = (Q**2) @ (1.0 / d)
-    if np.any(h >= 1.0 - 1e-12):
-        raise LeverageOne("a hat diagonal reached 1; LOO-CV undefined")
-    resid = y - Q @ ((Q.T @ y) / d)
-    return float(np.sum((resid / (1.0 - h)) ** 2))
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
+    if lam == 0 and mu[0] <= mu.shape[0] * np.finfo(float).eps:
+        raise SingularSystem("B'B is numerically singular at lambda = 0")
+    return float(np.sum(mu / (mu + lam * (1.0 - mu))))
 
 
 class RowSelection(NamedTuple):
@@ -352,7 +327,7 @@ def select_rows(Y, spectrum, criterion):
 def _spectral_rss(Y, Qty, mu, Q, grid, d):
     """Residual sums of squares (rows, G) of the fits at every grid lambda, from the spectrum.
 
-    Q'Q = diag(mu), so over the columns J with mu > m eps (the ``_divisors``
+    Q'Q = diag(mu), so over the columns J with mu > m eps (``effective_dimension``'s
     threshold) the fit splits into the lambda-0 residual e = y - Q_J (Q'y / mu)_J
     and a shrinkage orthogonal to it:
     rss = ||e||^2 + sum_J (Q'y)^2 / mu * (lambda (1 - mu) / d)^2, a sum of
@@ -395,31 +370,18 @@ def _corner_argmin(v):
     return np.where(dip.any(axis=-1), lowest_dip, np.argmin(v, axis=-1))
 
 
-def _select_one(y, basis, penalty, criterion):
-    """``select_rows`` for one series: (LambdaSelection, flat); a flat profile is left empty."""
+def smooth_series(y, basis, penalty, criterion):
+    """Select lambda by the given criterion and return (fit, selection).
+
+    The one-series case of ``select_rows``. A flat profile (an all-zero
+    series, for example) gives the fit at the largest grid lambda, with an
+    empty diagnostic profile.
+    """
     if isinstance(criterion, str):
         criterion = LambdaCriterion(criterion)
     y = np.asarray(y, dtype=float)
     rows = select_rows(y[None, :], _spectrum(basis, penalty), criterion)
-    flat = bool(rows.flat[0])
-    lambdas, scores = (np.empty(0), np.empty(0)) if flat else (rows.lambdas, rows.scores[0])
-    return LambdaSelection(float(rows.lam[0]), criterion.name, lambdas, scores, rows.coef[0]), flat
-
-
-def select_lambda(y, basis, penalty, criterion):
-    """Lambda selection for one series (see ``select_rows``); FlatCriterion on a flat profile."""
-    selection, flat = _select_one(y, basis, penalty, criterion)
-    if flat:
-        raise FlatCriterion(f"{selection.criterion} profile is flat across the grid")
-    return selection
-
-
-def smooth_series(y, basis, penalty, criterion):
-    """Select lambda by the given criterion and return (fit, selection).
-
-    A flat profile (an all-zero series, for example) gives the fit at the
-    largest grid lambda, with an empty diagnostic profile.
-    """
-    selection, _ = _select_one(y, basis, penalty, criterion)
-    fitted = basis.matrix @ selection.coef
-    return SplineFit(basis, penalty, selection.lam, selection.coef, fitted), selection
+    lambdas, scores = (np.empty(0), np.empty(0)) if rows.flat[0] else (rows.lambdas, rows.scores[0])
+    lam, coef = float(rows.lam[0]), rows.coef[0]
+    selection = LambdaSelection(lam, criterion.name, lambdas, scores, coef)
+    return SplineFit(basis, penalty, lam, coef, basis.matrix @ coef), selection

@@ -153,9 +153,14 @@ def test_criterion_04_pspline_limits(report):
     y15 = np.sin(2 * np.pi * x15) + rng.normal(0, 0.2, size=n)
     basis15 = pspline.build_basis(x15, degree=3, interior_knots=3)
     pen15 = pspline.difference_penalty(basis15.n_bases, 2)
+    # the scores of the selection engine, read at three points of a 12-point grid
+    grid = np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
+    rows = pspline.select_rows(y15, pspline._spectrum(basis15, pen15),
+                               pspline.LambdaCriterion("loocv", grid=grid))
+    scores = dict(zip(grid.tolist(), rows.scores[0]))
     cv_rel = 0.0
     for lam in (0.05, 1.0, 20.0):
-        shortcut = pspline.score_loocv(y15, basis15, pen15, lam)
+        shortcut = scores[lam]
         explicit = 0.0
         for j in range(n):
             w = np.ones(n)

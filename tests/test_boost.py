@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tsboost import BoostConfig, Dataset, DistanceKind, harden, run_boost
-from tsboost.boost import compute_weights, estimate_centers, raw_weights, resample_counts
+from tsboost.boost import _raw_weights, _weights, estimate_centers, resample_counts
 from tsboost.distance import distance_matrix
 from tsboost.errors import ConfigError, DegenerateBeta
 from tsboost.pdclust import loss_beta, pd_probabilities
@@ -43,7 +43,7 @@ def per_restart_oracle(data, config):
             betas.append(beta)
             if beta < boost.PERFECT_PARTITION_TOL:
                 break
-            W = compute_weights(D, P, beta)
+            W = _weights(D.T, P.T, beta).T
             for cluster in range(k):
                 rng = np.random.default_rng(
                     np.random.SeedSequence((config.seed, restart, iteration, cluster)))
@@ -59,43 +59,45 @@ def per_restart_oracle(data, config):
 
 
 class TestWeights:
+    # the weight cores take (K, N) arrays, the cluster axis first
     def test_raw_exponent_rule_hand_case(self):
-        D = np.array([[2.0, 1.0]])   # gamma = (1, 0.5)
-        P = np.array([[0.9, 0.1]])   # indicator (+1, -1)
-        w = raw_weights(D, P, beta=4.0)
-        assert np.max(np.abs(w - np.array([[4.0, 0.5]]))) < 1e-12
+        D = np.array([[2.0, 1.0]]).T   # gamma = (1, 0.5)
+        P = np.array([[0.9, 0.1]]).T   # indicator (+1, -1)
+        w = _raw_weights(D, P, beta=4.0)
+        assert np.max(np.abs(w - np.array([[4.0], [0.5]]))) < 1e-12
 
     def test_beta_one_gives_uniform(self, rng):
-        D = rng.uniform(0.1, 5.0, size=(8, 3))
-        P = rng.dirichlet(np.ones(3), size=8)
-        W = compute_weights(D, P, beta=1.0)
+        D = rng.uniform(0.1, 5.0, size=(8, 3)).T
+        P = rng.dirichlet(np.ones(3), size=8).T
+        W = _weights(D, P, beta=1.0)
         assert np.max(np.abs(W - 1.0 / 8)) < 1e-12
 
     def test_columns_sum_to_one(self, rng):
+        # each cluster's weights, a column of the paper's N x K matrix, sum to 1
         for beta in (0.3, 1.7, 5.0):
-            D = rng.uniform(0.1, 5.0, size=(12, 4))
-            P = rng.dirichlet(np.ones(4), size=12)
-            W = compute_weights(D, P, beta)
-            assert np.max(np.abs(W.sum(axis=0) - 1.0)) < 1e-9
+            D = rng.uniform(0.1, 5.0, size=(12, 4)).T
+            P = rng.dirichlet(np.ones(4), size=12).T
+            W = _weights(D, P, beta)
+            assert np.max(np.abs(W.sum(axis=1) - 1.0)) < 1e-9
             assert np.all(W >= 0)
 
     def test_degenerate_beta(self, rng):
-        D = rng.uniform(0.1, 5.0, size=(3, 2))
-        P = rng.dirichlet(np.ones(2), size=3)
+        D = rng.uniform(0.1, 5.0, size=(3, 2)).T
+        P = rng.dirichlet(np.ones(2), size=3).T
         with pytest.raises(DegenerateBeta):
-            raw_weights(D, P, beta=0.0)
+            _raw_weights(D, P, beta=0.0)
 
     def test_weight_direction_above_one(self, rng):
         # with beta > 1 the raw weight peaks at the series' own cluster
         for _ in range(20):
-            D = rng.uniform(0.1, 5.0, size=(10, 4))
-            P = rng.dirichlet(np.ones(4), size=10)
-            w = raw_weights(D, P, beta=3.0)
-            own = np.argmax(P, axis=1)
-            rows = np.arange(10)
-            assert np.all(w[rows, own] >= 1.0)
+            D = rng.uniform(0.1, 5.0, size=(10, 4)).T
+            P = rng.dirichlet(np.ones(4), size=10).T
+            w = _raw_weights(D, P, beta=3.0)
+            own = np.argmax(P, axis=0)
+            series = np.arange(10)
+            assert np.all(w[own, series] >= 1.0)
             mask = np.ones_like(w, dtype=bool)
-            mask[rows, own] = False
+            mask[own, series] = False
             assert np.all(w[mask] <= 1.0)
 
 
@@ -109,15 +111,15 @@ def test_layers_take_a_restart_axis(rng, kind):
     D = distance_matrix(values, centers, kind)
     P = pd_probabilities(D)
     beta = loss_beta(P)
-    W = compute_weights(D, P, beta)
-    assert D.shape == P.shape == W.shape == (3, 9, 4) and beta.shape == (3,)
+    W = _weights(D.swapaxes(-1, -2), P.swapaxes(-1, -2), beta)
+    assert D.shape == P.shape == (3, 9, 4) and W.shape == (3, 4, 9) and beta.shape == (3,)
     for r in range(3):
         D_r = distance_matrix(values, centers[r], kind)
         P_r = pd_probabilities(D_r)
         assert np.array_equal(D[r], D_r)
         assert np.array_equal(P[r], P_r)
         assert beta[r] == loss_beta(P_r)
-        assert np.array_equal(W[r], compute_weights(D_r, P_r, loss_beta(P_r)))
+        assert np.array_equal(W[r], _weights(D_r.T, P_r.T, loss_beta(P_r)))
 
 
 class TestSampling:
@@ -230,6 +232,18 @@ class TestRunBoost:
         # a negative seed has no stream key; it is a configuration error
         with pytest.raises(ConfigError):
             BoostConfig(n_clusters=2, seed=-1)
+
+    def test_unknown_criterion_and_distance_rejected(self):
+        # rejected by the config, before run_boost builds anything
+        for bad in ({"criterion": "bogus"}, {"criterion": None},
+                    {"distance": "penrose"}, {"distance": None}):
+            with pytest.raises(ConfigError):
+                BoostConfig(n_clusters=2, **bad)
+        # criterion names are case-insensitive, as LambdaCriterion's are
+        data = two_level_dataset()
+        upper = run_boost(data, BoostConfig(n_clusters=2, maxiter=3, restarts=2, criterion="GCV"))
+        lower = run_boost(data, BoostConfig(n_clusters=2, maxiter=3, restarts=2, criterion="gcv"))
+        assert np.array_equal(upper.membership, lower.membership)
 
     def test_deterministic_reruns(self, rng):
         values = rng.normal(size=(12, 10)) + np.repeat([0.0, 4.0, 8.0], 4)[:, None]

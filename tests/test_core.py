@@ -148,3 +148,14 @@ class TestValidateMembership:
         for bad in ([[1.2, -0.2]], [[0.5, 0.5], [np.nan, 1.0]]):
             with pytest.raises(ValueError):
                 validate_membership(np.array(bad))
+
+
+def test_exports_resolve():
+    import tsboost
+
+    assert len(set(tsboost.__all__)) == len(tsboost.__all__)
+    for name in tsboost.__all__:
+        assert getattr(tsboost, name) is not None, name
+    # names deleted from the package are not exported
+    for name in ("select_lambda", "TimeSeriesRecord", "validate_dataset"):
+        assert name not in tsboost.__all__ and not hasattr(tsboost, name), name

@@ -251,8 +251,8 @@ def test_row_blocks_equal_one_unblocked_tensor(kind, center_shape):
         [distance_matrix(values[s : s + block], centers, kind) for s in range(0, len(values), block)],
         axis=-2,
     )
-    points, _ = distance_space(values, kind)
-    mapped, _ = distance_space(centers, kind)
+    points = distance_space(values, kind)
+    mapped = distance_space(centers, kind)
     exact = exact_distances(points, mapped)
     bound = kernel_bound(points.shape[1]) * exact
     assert whole.shape == blocked.shape == exact.shape
@@ -274,8 +274,8 @@ def test_distance_matrix_within_kernel_bound(kind, n, n_series, k, restarts, lev
     centers = level + spread * rng.normal(size=shape)
     centers[..., 0, :] = values[0]
     D = distance_matrix(values, centers, kind)
-    points, _ = distance_space(values, kind)
-    mapped, _ = distance_space(centers, kind)
+    points = distance_space(values, kind)
+    mapped = distance_space(centers, kind)
     exact = exact_distances(points, mapped)
     assert D.shape == exact.shape and D.flags.c_contiguous
     assert np.all(np.abs(D - exact) <= kernel_bound(points.shape[1]) * exact)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tsboost import Dataset, FcmConfig, fcm, harden, run_fcm
 from tsboost.errors import ConfigError, EmptyCluster
-from tsboost.fcm import _sq_distance_matrix, fcm_centers, fcm_memberships
+from tsboost.fcm import _memberships, _sq_distance_matrix, _weighted_means
 
 from conftest import two_level_dataset
 
@@ -34,19 +34,19 @@ class TestCenters:
         U = np.zeros((6, 2))
         U[:3, 0] = 1.0
         U[3:, 1] = 1.0
-        centers = fcm_centers(values, U, m=2.0)
+        centers = _weighted_means(values, U**2.0)
         assert np.max(np.abs(centers[0] - values[:3].mean(axis=0))) < 1e-12
         assert np.max(np.abs(centers[1] - values[3:].mean(axis=0))) < 1e-12
 
     def test_all_ones_single_cluster_gives_global_mean(self, rng):
         values = rng.normal(size=(5, 3))
-        centers = fcm_centers(values, np.ones((5, 1)), m=2.0)
+        centers = _weighted_means(values, np.ones((5, 1)))
         assert np.max(np.abs(centers[0] - values.mean(axis=0))) < 1e-12
 
     def test_direct_summation_oracle(self, rng):
         values = rng.normal(size=(7, 5))
         U = rng.dirichlet(np.ones(3), size=7)
-        centers = fcm_centers(values, U, m=2.0)
+        centers = _weighted_means(values, U**2.0)
         for k in range(3):
             weights = U[:, k] ** 2
             oracle = sum(w * y for w, y in zip(weights, values)) / weights.sum()
@@ -57,25 +57,25 @@ class TestCenters:
         U = np.zeros((4, 2))
         U[:, 0] = 1.0
         with pytest.raises(EmptyCluster):
-            fcm_centers(values, U, m=2.0)
+            _weighted_means(values, U**2.0)
 
 
 class TestMemberships:
     def test_equidistant_point(self):
         values = np.array([[0.0, 0.0]])
         centers = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        U = fcm_memberships(values, centers, m=2.0)
+        U = _memberships(_sq_distance_matrix(values, centers), m=2.0)
         assert np.max(np.abs(U - 0.5)) < 1e-12
 
     def test_coincident_point_one_hot(self, rng):
         centers = rng.normal(size=(3, 4))
-        U = fcm_memberships(centers[1][None, :], centers, m=2.0)
+        U = _memberships(_sq_distance_matrix(centers[1][None, :], centers), m=2.0)
         assert np.array_equal(U, [[0.0, 1.0, 0.0]])
 
     def test_direct_summation_oracle(self, rng):
         values = rng.normal(size=(6, 4))
         centers = rng.normal(size=(3, 4))
-        U = fcm_memberships(values, centers, m=2.0)
+        U = _memberships(_sq_distance_matrix(values, centers), m=2.0)
         for i in range(6):
             d2 = np.array([np.sum((values[i] - c) ** 2) for c in centers])
             for k in range(3):
@@ -83,7 +83,8 @@ class TestMemberships:
                 assert abs(U[i, k] - oracle) < 1e-12
 
     def test_rows_stochastic(self, rng):
-        U = fcm_memberships(rng.normal(size=(20, 5)), rng.normal(size=(4, 5)), m=3.0)
+        values, centers = rng.normal(size=(20, 5)), rng.normal(size=(4, 5))
+        U = _memberships(_sq_distance_matrix(values, centers), m=3.0)
         assert np.max(np.abs(U.sum(axis=1) - 1.0)) < 1e-12
 
 

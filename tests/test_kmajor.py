@@ -3,8 +3,8 @@
 The loop holds distances, probabilities and weights as C-contiguous
 (R, K, N) stacks and reduces over the cluster axis -2. The ``nk_*``
 functions below are the same arithmetic on (..., N, K) arrays, reducing
-over the last axis, as the public ``pd_probabilities``, ``loss_beta`` and
-``compute_weights`` compute it. numpy sums a contiguous axis of fewer than
+over the last axis, as the public ``pd_probabilities`` and ``loss_beta``
+compute it and as the paper writes the weights. numpy sums a contiguous axis of fewer than
 8 terms in order, so up to K = 7 both layouts give every bit; from K = 8 it
 sums the contiguous (N, K) rows pairwise, and the results differ by
 round-off. A transposed view reduces in its memory order, so each core is
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from tsboost import BoostConfig, DistanceKind, boost, pspline, run_boost, simgen
-from tsboost.boost import _weights, compute_weights, estimate_centers, resample_counts
+from tsboost.boost import _weights, estimate_centers, resample_counts
 from tsboost.distance import _sq_distances, distance_space
 from tsboost.pdclust import _loss, _probabilities, loss_beta, pd_probabilities
 
@@ -103,14 +103,9 @@ def test_cores_equal_nk_arithmetic(k):
 def test_public_functions_keep_the_nk_contract(k):
     rng = np.random.default_rng(100 + k)
     D, P, beta = stacks(k, rng)
-    results = (pd_probabilities(D), loss_beta(P), compute_weights(D, P, beta))
-    for result in (results[0], results[2]):
-        assert result.shape == D.shape and result.flags.c_contiguous
-    assert np.array_equal(results[0], P) and np.array_equal(results[1], beta)
-    if k <= 7:
-        assert np.array_equal(results[2], nk_weights(D, P, beta))
-    else:
-        assert ulps(results[2], nk_weights(D, P, beta)) <= 16
+    probabilities = pd_probabilities(D)
+    assert probabilities.shape == D.shape and probabilities.flags.c_contiguous
+    assert np.array_equal(probabilities, P) and np.array_equal(loss_beta(P), beta)
 
 
 def nk_run_boost(data, config, distances=kernel_distances):
@@ -125,16 +120,17 @@ def nk_run_boost(data, config, distances=kernel_distances):
     spectrum = pspline._spectrum(basis, pspline.difference_penalty(basis.n_bases))
     criterion = pspline.LambdaCriterion(config.criterion)
     words = boost._seed_words(config.seed)
-    points, _ = distance_space(values, config.distance)
+    points = distance_space(values, config.distance)
     centers = np.stack([
-        values[boost._stream(words, r).choice(n_series, size=k, replace=False)]
+        values[np.random.default_rng(np.random.SeedSequence((config.seed, r)))
+               .choice(n_series, size=k, replace=False)]
         for r in range(restarts)
     ])
     sums = np.zeros_like(centers)
     active = np.ones(restarts, dtype=bool)
     iterations = np.zeros(restarts, dtype=int)
     for iteration in range(1, config.maxiter + 1):
-        D = distances(points, distance_space(centers, config.distance)[0])
+        D = distances(points, distance_space(centers, config.distance))
         P = nk_probabilities(D)
         beta = nk_loss(P)
         iterations += active
@@ -153,7 +149,7 @@ def nk_run_boost(data, config, distances=kernel_distances):
         live = active[:, None, None]
         np.add(sums, fitted.reshape(centers.shape), out=sums, where=live)
         np.divide(sums, iteration, out=centers, where=live)
-    P = nk_probabilities(distances(points, distance_space(centers, config.distance)[0]))
+    P = nk_probabilities(distances(points, distance_space(centers, config.distance)))
     return centers, P, nk_loss(P) / n_series, iterations
 
 

@@ -5,18 +5,27 @@ import numpy as np
 import pytest
 
 from tsboost import pspline
-from tsboost.errors import DomainTooShort, FlatCriterion, LeverageOne, SingularSystem
+from tsboost.errors import DomainTooShort, SingularSystem
 from tsboost.pspline import (
     LambdaCriterion,
+    bspline_design,
     build_basis,
     default_interior_knots,
     difference_penalty,
     effective_dimension,
     fit_pspline,
-    score_loocv,
-    select_lambda,
+    select_rows,
     smooth_series,
 )
+
+# a lambda grid (>= 10 points) on which the LOO-CV tests read their scores
+LOOCV_GRID = np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
+
+
+def loocv_scores(y, basis, pen, grid=LOOCV_GRID):
+    """{lambda: LOO-CV score} of one series, as the selection engine scores it."""
+    rows = select_rows(y, pspline._spectrum(basis, pen), LambdaCriterion("loocv", grid=grid))
+    return dict(zip(grid.tolist(), rows.scores[0]))
 
 
 def degree0_basis(n_points, interior):
@@ -67,7 +76,7 @@ class TestBasis:
             assert np.max(np.abs(basis.matrix.sum(axis=1) - 1.0)) < 1e-10
             # also at arbitrary interior points
             x = rng.uniform(0, 1, size=40)
-            B = basis.design(x)
+            B = bspline_design(x, basis.knots, basis.degree)
             assert np.max(np.abs(B.sum(axis=1) - 1.0)) < 1e-10
 
     @pytest.mark.parametrize("degree", range(6))
@@ -77,7 +86,8 @@ class TestBasis:
         lo, hi = basis.domain[0], basis.domain[-1]
         inside = basis.knots[(basis.knots >= lo) & (basis.knots <= hi)]
         x = np.concatenate([inside, [lo, hi], rng.uniform(lo, hi, size=60), basis.domain])
-        assert np.array_equal(basis.design(x), scalar_design_oracle(x, basis.knots, degree))
+        B = bspline_design(x, basis.knots, basis.degree)
+        assert np.array_equal(B, scalar_design_oracle(x, basis.knots, degree))
         oracle = scalar_design_oracle(basis.domain, basis.knots, degree)
         assert np.array_equal(basis.matrix, oracle)
 
@@ -192,16 +202,15 @@ class TestEffectiveDimension:
             warnings.simplefilter("error")
             with pytest.raises(SingularSystem):
                 effective_dimension(basis, pen, 0.0)
-            with pytest.raises(SingularSystem):
-                pspline._hat_diagonal(basis, pen, 0.0)
             # the lambda -> 0+ limit is rank(B) = 5
             assert abs(effective_dimension(basis, pen, 1e-12) - 5.0) < 1e-6
 
     def test_matches_hat_trace(self):
         basis = build_basis(np.linspace(0, 1, 25), degree=3, interior_knots=5)
         pen = difference_penalty(basis.n_bases, 2)
+        B = basis.matrix
         for lam in (0.01, 1.0, 100.0):
-            h = pspline._hat_diagonal(basis, pen, lam)
+            h = np.diag(B @ np.linalg.solve(B.T @ B + lam * pen.matrix.T @ pen.matrix, B.T))
             assert abs(h.sum() - effective_dimension(basis, pen, lam)) < 1e-8
 
 
@@ -229,8 +238,9 @@ class TestScores:
         y = np.sin(2 * np.pi * x) + rng.normal(0, 0.2, size=n)
         basis = build_basis(x, degree=3, interior_knots=3)
         pen = difference_penalty(basis.n_bases, 2)
+        scores = loocv_scores(y, basis, pen)
         for lam in (0.1, 1.0, 10.0):
-            shortcut = score_loocv(y, basis, pen, lam)
+            shortcut = scores[lam]
             explicit = 0.0
             for j in range(n):
                 w = np.ones(n)
@@ -244,13 +254,21 @@ class TestScores:
         y = 3.0 - 2.0 * x
         basis = build_basis(x, degree=3, interior_knots=4)
         pen = difference_penalty(basis.n_bases, 2)
-        assert score_loocv(y, basis, pen, 50.0) < 1e-18
+        assert loocv_scores(y, basis, pen)[50.0] < 1e-18
 
     def test_loocv_leverage_one(self):
+        # B = I: at lambda <= 1e-13 a hat diagonal is within 1e-12 of 1, where
+        # the shortcut is undefined, and those grid points score inf
         basis = degree0_basis(8, 7)
         pen = difference_penalty(basis.n_bases, 2)
-        with pytest.raises(LeverageOne):
-            score_loocv(np.arange(8.0), basis, pen, 0.0)
+        grid = np.logspace(-15, 3, 10)
+        scores = np.array(list(loocv_scores(np.arange(8.0), basis, pen, grid).values()))
+        assert np.all(np.isinf(scores[:2])) and np.all(np.isfinite(scores[2:]))
+        # a series off the penalty null space picks the best finite score
+        y = np.sin(np.arange(8.0))
+        scores = np.array(list(loocv_scores(y, basis, pen, grid).values()))
+        selection = smooth_series(y, basis, pen, LambdaCriterion("loocv", grid))[1]
+        assert selection.lam == grid[2 + np.argmin(scores[2:])]
 
 
 class TestSelectLambda:
@@ -261,6 +279,13 @@ class TestSelectLambda:
             LambdaCriterion("gcv", grid=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             LambdaCriterion("gcv", grid=np.linspace(-1, 1, 20))
+        # NaN and inf grid points fail the negated in-range tests
+        grid = np.logspace(-3, 3, 20)
+        for index, value in ((5, np.nan), (-1, np.inf)):
+            bad = grid.copy()
+            bad[index] = value
+            with pytest.raises(ValueError):
+                LambdaCriterion("vcurve", grid=bad)
 
     def test_noiseless_line_degenerates_gracefully(self):
         # residual and penalty both vanish for data in the penalty null space,
@@ -270,8 +295,9 @@ class TestSelectLambda:
         basis = build_basis(x, degree=3, interior_knots=5)
         pen = difference_penalty(basis.n_bases, 2)
         for name in pspline.CRITERIA:
-            with pytest.raises(FlatCriterion):
-                select_lambda(y, basis, pen, name)
+            selection = smooth_series(y, basis, pen, name)[1]
+            assert selection.scores.size == 0 and selection.lambdas.size == 0, name
+            assert selection.lam == pspline.default_lambda_grid()[-1], name
 
     def test_flat_flag_does_not_depend_on_units(self, rng):
         # a noisy sine keeps its pick at any amplitude; the GCV and LOO-CV
@@ -299,7 +325,7 @@ class TestSelectLambda:
         # the default grid reaches lambda = 1e6, where the penalty SS is tiny
         # and must not be floored by round-off on the penalty null space
         for grid in (np.logspace(-3, 3, 12), pspline.default_lambda_grid()):
-            selection = select_lambda(y, basis, pen, LambdaCriterion("vcurve", grid=grid))
+            selection = smooth_series(y, basis, pen, LambdaCriterion("vcurve", grid=grid))[1]
             psi, phi = [], []
             for lam in grid:
                 fit = fit_pspline(y, basis, pen, lam)
@@ -333,7 +359,7 @@ class TestSelectLambda:
         basis = build_basis(x, degree=3, interior_knots=12)
         pen = difference_penalty(basis.n_bases, 2)
         for name in ("aic", "gcv", "loocv"):
-            selection = select_lambda(y, basis, pen, name)
+            selection = smooth_series(y, basis, pen, name)[1]
             pick = np.argmin(selection.scores)
             assert selection.lam == selection.lambdas[pick]
 
@@ -351,7 +377,7 @@ class TestSelectLambda:
 
 
 def dense_profiles(y, basis, pen, grid):
-    """ED, hat diagonals and the five criterion profiles from per-lambda dense solves."""
+    """ED and the five criterion profiles from per-lambda dense solves."""
     B, D = basis.matrix, pen.matrix
     n = y.shape[0]
     BtB = B.T @ B
@@ -375,7 +401,7 @@ def dense_profiles(y, basis, pen, grid):
         "vcurve": np.hypot(np.diff(psi), np.diff(phi)) / np.diff(u),
         "lcurve": (dpsi * d2phi - d2psi * dphi) / (dpsi**2 + dphi**2) ** 1.5,
     }
-    return ed, hat, scores
+    return ed, scores
 
 
 def close(actual, expected, rtol=1e-8):
@@ -399,10 +425,9 @@ def test_engine_matches_dense_solves(case):
     pen = difference_penalty(basis.n_bases, 2)
     y = np.sin(5 * basis.domain) + rng.normal(0, 0.3, size=n)
     grid = pspline.default_lambda_grid()
-    ed, hat, scores = dense_profiles(y, basis, pen, grid)
+    ed, scores = dense_profiles(y, basis, pen, grid)
     for g in (0, 17, 33, 49):
         assert close(effective_dimension(basis, pen, grid[g]), ed[g])
-        assert close(pspline._hat_diagonal(basis, pen, grid[g]), hat[g])
     for name in pspline.CRITERIA:
-        selection = select_lambda(y, basis, pen, name)
+        selection = smooth_series(y, basis, pen, name)[1]
         assert close(selection.scores, scores[name]), name
