@@ -64,8 +64,10 @@ class BoostConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.distance, DistanceKind):
             raise ConfigError(f"distance must be a DistanceKind, got {self.distance!r}")
-        if not (isinstance(self.criterion, str) and self.criterion.lower() in pspline.CRITERIA):
-            raise ConfigError(f"unknown criterion {self.criterion!r}")
+        try:
+            pspline.LambdaCriterion(self.criterion)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,9 @@ class ClusterResult:
     centers: np.ndarray       # (K, n) final center curves on the domain
     membership: np.ndarray    # (N, K) final PD probabilities
     bc_final: float
-    beta_trace: np.ndarray    # winning restart
-    bc_trace: np.ndarray
     restart_index: int
     restart_final_bc: np.ndarray
-    traces: tuple             # RestartTrace per restart
+    traces: tuple             # RestartTrace per restart; the winner's is traces[restart_index]
     config: BoostConfig
 
 
@@ -344,8 +344,6 @@ def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
         centers=centers[best],
         membership=np.ascontiguousarray(P[best].T),
         bc_final=float(finals[best]),
-        beta_trace=traces[best].beta,
-        bc_trace=traces[best].bc,
         restart_index=best,
         restart_final_bc=finals,
         traces=traces,

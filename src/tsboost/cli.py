@@ -452,24 +452,27 @@ def cmd_smooth(args):
         penalty = pspline.difference_penalty(basis.n_bases, args.penalty_order)
     except (ValueError, DomainTooShort) as exc:
         raise ConfigError(str(exc)) from None
-    fit, selection = pspline.smooth_series(series, basis, penalty, args.criterion)
+    criterion = pspline.LambdaCriterion(args.criterion)
+    rows = pspline.select_rows(series, pspline._spectrum(basis, penalty), criterion)
+    lam, fitted = float(rows.lam[0]), basis.matrix @ rows.coef[0]
+    # a flat profile (an all-zero or constant series) picks nothing, so none is written
+    profile = () if rows.flat[0] else zip(rows.lambdas, rows.scores[0])
     out = _output_dir(args.out)
     _write_csv(
         out / "fit.csv", ["t", "y", "fitted"],
         ([_fmt(t), _fmt(y), _fmt(f)] for t, y, f in
-         zip(data.domain, series, fit.fitted)),
+         zip(data.domain, series, fitted)),
     )
     _write_csv(
         out / "profile.csv", ["lambda", "score"],
-        ([_fmt(lam), _fmt(score)] for lam, score in
-         zip(selection.lambdas, selection.scores)),
+        ([_fmt(point), _fmt(score)] for point, score in profile),
     )
     _write_manifest(out, "smooth", {
         "input": str(args.input), "series_id": series_id,
-        "criterion": selection.criterion, "degree": args.degree,
-        "penalty_order": args.penalty_order, "lambda": selection.lam,
+        "criterion": criterion.name, "degree": args.degree,
+        "penalty_order": args.penalty_order, "lambda": lam,
     }, [args.input], {})
-    print(f"series {series_id}: selected lambda = {selection.lam:.6g} ({selection.criterion})")
+    print(f"series {series_id}: selected lambda = {lam:.6g} ({criterion.name})")
     return 0
 
 

@@ -31,14 +31,6 @@ class DistanceKind(enum.Enum):
     PERIODOGRAM = "periodogram"
 
 
-def _pair(y, c):
-    y = np.asarray(y, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if y.shape != c.shape or y.ndim != 1:
-        raise LengthMismatch(f"series lengths differ: {y.shape} vs {c.shape}")
-    return y, c
-
-
 def _sq_norms(values):
     return np.einsum("ij,ij->i", values, values)
 
@@ -77,17 +69,6 @@ def _sq_distances(points, centers, norms=None):
     return d2
 
 
-def euclidean(y, c):
-    y, c = _pair(y, c)
-    return float(np.sqrt(np.sum((y - c) ** 2)))
-
-
-def penrose_shape(y, c):
-    """sqrt(n/(n-1) * (dbar^2 - q^2)), insensitive to a common level shift."""
-    y, c = _pair(y, c)
-    return euclidean(_centered(y), _centered(c))
-
-
 def _centered(values):
     """(y - mean(y)) / sqrt(n - 1) along the last axis: the Penrose space."""
     n = values.shape[-1]
@@ -106,11 +87,6 @@ def periodogram(y):
     # only rotates the phase and leaves the modulus unchanged
     spectrum = np.fft.rfft(y, axis=-1)[..., 1 : n // 2 + 1]
     return (spectrum.real**2 + spectrum.imag**2) / n
-
-
-def periodogram_distance(y, c):
-    y, c = _pair(y, c)
-    return float(np.sqrt(np.sum((periodogram(y) - periodogram(c)) ** 2)))
 
 
 def distance_space(values, kind):

@@ -3,7 +3,8 @@
 Configuration and usage problems derive from ``ConfigError``, which the CLI
 maps to exit code 1; data errors (bad input files or malformed arrays)
 derive from ``DataError``. The CLI maps every other ``TsboostError`` to
-exit code 2.
+exit code 2. Every class below the three bases is raised by the package;
+one whose last raise is deleted is deleted with it.
 """
 
 
@@ -72,10 +73,6 @@ class EmptyCluster(TsboostError):
 
 
 # -- evaluation ----------------------------------------------------------------
-
-class DimensionMismatch(DataError):
-    pass
-
 
 class SizeMismatch(DataError):
     pass

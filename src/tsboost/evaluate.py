@@ -6,29 +6,20 @@ minus the mean absolute disagreement of E over the N(N-1)/2 unordered
 pairs, accumulated over blocks of rows so memory stays linear in N. On
 crisp partitions it reduces to the classic Rand index. The reference
 partition rebuilds the "true" fuzzy solution the same way the clustering
-does: per-label pooled P-spline centers, then PD probabilities against
-them.
+does: per-label pooled P-spline centers, smoothed one row at a time from
+one spline factorisation per call, then PD probabilities against them.
 """
 
 import numpy as np
 
 from .core import Dataset
 from .distance import distance_matrix
-from .errors import DimensionMismatch, SizeMismatch, TooFewLabels, TooFewObjects
+from .errors import SizeMismatch, TooFewLabels, TooFewObjects
 from .pdclust import pd_probabilities
 from . import pspline
 
 # rows per block in the pairwise indices; bounds their memory to O(block * N)
 PAIR_BLOCK = 64
-
-
-def fuzzy_equivalence(p, q):
-    """Degree of equivalence of two membership vectors, in [0, 1]."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise DimensionMismatch(f"membership vectors differ: {p.shape} vs {q.shape}")
-    return float(1.0 - 0.5 * np.sum(np.abs(p - q)))
 
 
 def _pairwise_equivalence(rows, cols):
@@ -134,13 +125,13 @@ def reference_partition(data: Dataset, true_labels, kind, criterion="vcurve"):
     unique = np.unique(labels)
     if unique.size < 2:
         raise TooFewLabels(f"reference labels hold {unique.size} distinct label; need at least 2")
-    basis = pspline.build_basis(data.domain)
-    penalty = pspline.difference_penalty(basis.n_bases)
     crit = pspline.LambdaCriterion(criterion)
-    centers = []
-    for label in unique:
-        pooled = values[labels == label].mean(axis=0)
-        centers.append(pspline.smooth_series(pooled, basis, penalty, crit)[0].fitted)
-    centers = np.vstack(centers)
+    basis = pspline.build_basis(data.domain)
+    spectrum = pspline._spectrum(basis, pspline.difference_penalty(basis.n_bases))
+    # one row per call, each center the product B a of one coefficient vector:
+    # the round-off of a batched product depends on its row count
+    coefs = [pspline.select_rows(values[labels == label].mean(axis=0), spectrum, crit).coef[0]
+             for label in unique]
+    centers = np.vstack([basis.matrix @ coef for coef in coefs])
     membership = pd_probabilities(distance_matrix(values, centers, kind))
     return membership, centers

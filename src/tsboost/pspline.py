@@ -9,14 +9,13 @@ coefficients are
 Five smoothing parameter selectors are provided: AIC, leave-one-out CV,
 GCV, the L-curve corner and the V-curve. ``_spectrum`` factors a (basis,
 penalty) pair once (Demmler-Reinsch), which turns every grid quantity into
-a diagonal scaling. ``select_rows`` is the one selection engine: it scores
-the whole lambda grid for a batch of series at once and takes each row's
-coefficients at its chosen lambda from the same factorisation, so the
-boosted loop factors one spectrum per run and smooths all cluster centers
-of an iteration in one call. ``smooth_series`` is its one-series case.
-``fit_pspline`` is the dense solve of the (optionally weighted) normal
-equations at one fixed lambda, the reference the spectral path is tested
-against.
+a diagonal scaling. ``select_rows`` is the one selection engine and the
+only way into the smoother: it scores the whole lambda grid for a batch of
+series at once and takes each row's coefficients at its chosen lambda from
+the same factorisation. The boosted loop factors one spectrum per run and
+smooths all cluster centers of an iteration in one call; the ``smooth``
+command and the reference partition factor one per call and smooth one
+row at a time.
 """
 
 import math
@@ -74,7 +73,6 @@ def bspline_design(x, knots, degree):
 @dataclass(frozen=True)
 class SplineBasis:
     degree: int
-    interior_knot_count: int
     knots: np.ndarray
     matrix: np.ndarray  # (n, m) evaluation of the basis on the domain
     domain: np.ndarray
@@ -85,48 +83,20 @@ class SplineBasis:
 
 
 @dataclass(frozen=True)
-class PenaltyMatrix:
-    order: int
-    matrix: np.ndarray  # (m - order, m)
-
-
-@dataclass(frozen=True)
-class SplineFit:
-    basis: SplineBasis
-    penalty: PenaltyMatrix
-    lam: float
-    coef: np.ndarray
-    fitted: np.ndarray
-
-
-@dataclass(frozen=True)
 class LambdaCriterion:
     name: str
     grid: np.ndarray = field(default_factory=default_lambda_grid)
 
     def __post_init__(self):
-        name = self.name.lower()
-        if name not in CRITERIA:
+        if not (isinstance(self.name, str) and self.name.lower() in CRITERIA):
             raise ValueError(f"unknown criterion {self.name!r}; expected one of {CRITERIA}")
-        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "name", self.name.lower())
         grid = np.asarray(self.grid, dtype=float)
         # negated in-range tests, so that NaN fails them too
         in_range = np.all((grid > 0) & (grid < np.inf)) and np.all(np.diff(grid) > 0)
         if grid.size < 10 or not in_range:
             raise ValueError("lambda grid must be finite, positive, increasing, >= 10 points")
         object.__setattr__(self, "grid", grid)
-
-
-@dataclass(frozen=True)
-class LambdaSelection:
-    """Selected smoothing parameter, the per-grid diagnostic profile and the
-    spline coefficients at the selected lambda."""
-
-    lam: float
-    criterion: str
-    lambdas: np.ndarray  # points at which scores are attributed
-    scores: np.ndarray
-    coef: np.ndarray
 
 
 def build_basis(domain, degree=DEFAULT_DEGREE, interior_knots=None):
@@ -149,21 +119,14 @@ def build_basis(domain, degree=DEFAULT_DEGREE, interior_knots=None):
     h = (hi - lo) / (interior_knots + 1)
     knots = lo + h * np.arange(-degree, interior_knots + degree + 2)
     B = bspline_design(domain, knots, degree)
-    return SplineBasis(
-        degree=degree,
-        interior_knot_count=interior_knots,
-        knots=knots,
-        matrix=B,
-        domain=domain,
-    )
+    return SplineBasis(degree=degree, knots=knots, matrix=B, domain=domain)
 
 
 def difference_penalty(n_bases, order=DEFAULT_PENALTY_ORDER):
-    """d-th order difference penalty matrix for a coefficient vector of length m."""
+    """d-th order difference penalty matrix D (m - d, m) for a coefficient vector of length m."""
     if not 1 <= order < n_bases:
         raise ValueError(f"penalty order must be in [1, {n_bases - 1}]")
-    D = np.diff(np.eye(n_bases), order, axis=0)
-    return PenaltyMatrix(order=order, matrix=D)
+    return np.diff(np.eye(n_bases), order, axis=0)
 
 
 def _spectrum(basis, penalty):
@@ -178,54 +141,13 @@ def _spectrum(basis, penalty):
     B = basis.matrix
     BtB = B.T @ B
     try:
-        L = np.linalg.cholesky(BtB + penalty.matrix.T @ penalty.matrix)
+        L = np.linalg.cholesky(BtB + penalty.T @ penalty)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     Linv = np.linalg.inv(L)
     mu, U = np.linalg.eigh(Linv @ BtB @ Linv.T)
     V = Linv.T @ U
-    return np.clip(mu, 0.0, 1.0), V, B @ V, penalty.matrix @ V
-
-
-def fit_pspline(y, basis, penalty, lam, weights=None):
-    """Penalized weighted least-squares spline fit at a fixed lambda (dense solve).
-
-    The reference for the spectral path of ``select_rows``; ``weights``
-    (nonnegative, one per point) give a weighted fit, e.g. a leave-one-out
-    refit with one zero weight.
-    """
-    y = np.asarray(y, dtype=float)
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (y.shape[0],):
-            raise ValueError(f"weights must have length {y.shape[0]}")
-        if np.any(weights < 0) or not np.any(weights > 0):
-            raise ValueError("weights must be nonnegative and not all zero")
-    B = basis.matrix
-    Bw = B if weights is None else B * weights[:, None]
-    BtWy = Bw.T @ y
-    A = Bw.T @ B + lam * (penalty.matrix.T @ penalty.matrix)
-    try:
-        coef = np.linalg.solve(A, BtWy)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    rel = np.linalg.norm(A @ coef - BtWy) / max(np.linalg.norm(BtWy), 1e-300)
-    if not np.all(np.isfinite(coef)) or rel > 1e-6:
-        raise SingularSystem("normal equations are numerically singular")
-    return SplineFit(basis=basis, penalty=penalty, lam=float(lam), coef=coef, fitted=B @ coef)
-
-
-def effective_dimension(basis, penalty, lam):
-    """trace[(B'B + lambda D'D)^{-1} B'B] = sum mu / d, d = mu + lambda (1 - mu): the
-    degrees of freedom of the smoother. lambda = 0 needs B'B nonsingular."""
-    mu, _, _, _ = _spectrum(basis, penalty)
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if lam == 0 and mu[0] <= mu.shape[0] * np.finfo(float).eps:
-        raise SingularSystem("B'B is numerically singular at lambda = 0")
-    return float(np.sum(mu / (mu + lam * (1.0 - mu))))
+    return np.clip(mu, 0.0, 1.0), V, B @ V, penalty @ V
 
 
 class RowSelection(NamedTuple):
@@ -327,8 +249,8 @@ def select_rows(Y, spectrum, criterion):
 def _spectral_rss(Y, Qty, mu, Q, grid, d):
     """Residual sums of squares (rows, G) of the fits at every grid lambda, from the spectrum.
 
-    Q'Q = diag(mu), so over the columns J with mu > m eps (``effective_dimension``'s
-    threshold) the fit splits into the lambda-0 residual e = y - Q_J (Q'y / mu)_J
+    Q'Q = diag(mu), so over the columns J with mu > m eps (a smaller mu is
+    round-off of a zero) the fit splits into the lambda-0 residual e = y - Q_J (Q'y / mu)_J
     and a shrinkage orthogonal to it:
     rss = ||e||^2 + sum_J (Q'y)^2 / mu * (lambda (1 - mu) / d)^2, a sum of
     nonnegative terms that never forms the (rows, G, n) residuals.
@@ -369,19 +291,3 @@ def _corner_argmin(v):
     lowest_dip = np.argmin(np.where(dip, mid, np.inf), axis=-1) + 1
     return np.where(dip.any(axis=-1), lowest_dip, np.argmin(v, axis=-1))
 
-
-def smooth_series(y, basis, penalty, criterion):
-    """Select lambda by the given criterion and return (fit, selection).
-
-    The one-series case of ``select_rows``. A flat profile (an all-zero
-    series, for example) gives the fit at the largest grid lambda, with an
-    empty diagnostic profile.
-    """
-    if isinstance(criterion, str):
-        criterion = LambdaCriterion(criterion)
-    y = np.asarray(y, dtype=float)
-    rows = select_rows(y[None, :], _spectrum(basis, penalty), criterion)
-    lambdas, scores = (np.empty(0), np.empty(0)) if rows.flat[0] else (rows.lambdas, rows.scores[0])
-    lam, coef = float(rows.lam[0]), rows.coef[0]
-    selection = LambdaSelection(lam, criterion.name, lambdas, scores, coef)
-    return SplineFit(basis, penalty, lam, coef, basis.matrix @ coef), selection

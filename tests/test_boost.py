@@ -22,13 +22,13 @@ def per_restart_oracle(data, config):
     """The boosted loop one restart and one cluster at a time.
 
     Each (restart, iteration, cluster) draws with ``rng.choice`` on its own
-    stream and fits its pooled mean with ``smooth_series``; returns
+    stream and fits its pooled mean alone with ``select_rows``; returns
     (centers, membership, beta trace) per restart.
     """
     values = data.values
     n_series, k = values.shape[0], config.n_clusters
     basis = pspline.build_basis(data.domain)
-    penalty = pspline.difference_penalty(basis.n_bases)
+    spectrum = pspline._spectrum(basis, pspline.difference_penalty(basis.n_bases))
     criterion = pspline.LambdaCriterion(config.criterion)
     outcomes = []
     for restart in range(config.restarts):
@@ -51,7 +51,8 @@ def per_restart_oracle(data, config):
                 sample = rng.choice(n_series, size=n_series, replace=True, p=w / w.sum())
                 counts = np.bincount(sample, minlength=n_series).astype(float)
                 pooled = (counts @ values) / counts.sum()
-                sums[cluster] += pspline.smooth_series(pooled, basis, penalty, criterion)[0].fitted
+                coef = pspline.select_rows(pooled, spectrum, criterion).coef[0]
+                sums[cluster] += basis.matrix @ coef
             centers = sums / iteration
         P = pd_probabilities(distance_matrix(values, centers, config.distance))
         outcomes.append((centers, P, np.array(betas)))
@@ -201,7 +202,7 @@ class TestRunningMeanCenters:
 
         monkeypatch.setattr(boost, "estimate_centers", recording)
         result = run_boost(data, BoostConfig(n_clusters=k, maxiter=maxiter, restarts=1, seed=3))
-        assert len(fits) == result.beta_trace.shape[0] == maxiter
+        assert len(fits) == result.traces[result.restart_index].beta.shape[0] == maxiter
         for cluster in range(k):
             own = np.array([fitted[cluster] for fitted in fits])
             assert np.array_equal(result.centers[cluster], np.mean(own, axis=0))
@@ -244,6 +245,15 @@ class TestRunBoost:
         upper = run_boost(data, BoostConfig(n_clusters=2, maxiter=3, restarts=2, criterion="GCV"))
         lower = run_boost(data, BoostConfig(n_clusters=2, maxiter=3, restarts=2, criterion="gcv"))
         assert np.array_equal(upper.membership, lower.membership)
+
+    @pytest.mark.parametrize("criterion", [None, 3, b"gcv"], ids=repr)
+    def test_non_string_criterion_rejected(self, criterion):
+        # the config reports LambdaCriterion's own message as a ConfigError
+        with pytest.raises(ValueError) as expected:
+            pspline.LambdaCriterion(criterion)
+        with pytest.raises(ConfigError) as raised:
+            BoostConfig(n_clusters=2, criterion=criterion)
+        assert str(raised.value) == str(expected.value)
 
     def test_deterministic_reruns(self, rng):
         values = rng.normal(size=(12, 10)) + np.repeat([0.0, 4.0, 8.0], 4)[:, None]

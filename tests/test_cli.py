@@ -540,6 +540,18 @@ class TestSmooth:
         fitted = np.array([float(r.split(",")[2]) for r in rows])
         assert np.max(np.abs(fitted - 2.5)) < 1e-8
 
+    def test_constant_series_writes_header_only_profile(self, tmp_path):
+        # every criterion's profile is flat on a constant, so none is written,
+        # and the fit is taken at the largest grid lambda
+        path = tmp_path / "const.csv"
+        write_wide(path, np.full((2, 20), 2.5))
+        for crit in ("aic", "loocv", "gcv", "lcurve", "vcurve"):
+            out = tmp_path / crit
+            assert main(["smooth", "--input", str(path), "--out", str(out),
+                         "--criterion", crit]) == 0
+            assert (out / "profile.csv").read_bytes() == b"lambda,score\n", crit
+            assert '"lambda": 1000000.0,' in (out / "manifest.json").read_text(), crit
+
     def test_unknown_series_id(self, tmp_path):
         path = tmp_path / "d.csv"
         write_wide(path, np.zeros((2, 10)) + np.arange(10))

@@ -157,5 +157,17 @@ def test_exports_resolve():
     for name in tsboost.__all__:
         assert getattr(tsboost, name) is not None, name
     # names deleted from the package are not exported
-    for name in ("select_lambda", "TimeSeriesRecord", "validate_dataset"):
+    deleted = (
+        "select_lambda", "TimeSeriesRecord", "validate_dataset",
+        "smooth_series", "LambdaSelection", "SplineFit", "fit_pspline", "effective_dimension",
+        "euclidean", "penrose_shape", "periodogram_distance", "fuzzy_equivalence",
+        "DimensionMismatch", "PenaltyMatrix",
+    )
+    for name in deleted:
         assert name not in tsboost.__all__ and not hasattr(tsboost, name), name
+    # nor are they left in the modules that defined them
+    from tsboost import distance, errors, evaluate, pspline
+
+    for module in (distance, errors, evaluate, pspline):
+        for name in deleted + ("_pair",):
+            assert not hasattr(module, name), (module.__name__, name)

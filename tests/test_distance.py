@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsboost import (
-    DistanceKind,
-    distance_matrix,
-    euclidean,
-    penrose_shape,
-    periodogram,
-    periodogram_distance,
-)
+from tsboost import DistanceKind, distance_matrix, periodogram
 from tsboost.distance import _sq_distances, _sq_norms, distance_space
 from tsboost.errors import LengthMismatch, SeriesTooShort
+
+from oracles import euclidean, penrose_shape, periodogram_distance
 
 
 class TestEuclidean:

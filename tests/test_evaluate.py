@@ -10,12 +10,12 @@ from tsboost import (
     classic_rand,
     confusion_matrix,
     distance_matrix,
-    fuzzy_equivalence,
     fuzzy_rand,
     pd_probabilities,
     reference_partition,
 )
-from tsboost.errors import DimensionMismatch, SizeMismatch, TooFewLabels, TooFewObjects
+from tsboost import pspline
+from tsboost.errors import SizeMismatch, TooFewLabels, TooFewObjects
 from tsboost.evaluate import PAIR_BLOCK, _pairwise_equivalence, _upper_blocks
 
 
@@ -114,21 +114,6 @@ def test_fuzzy_rand_matches_summed_tensor_on_any_shape(data):
                              elements=st.floats(0.0, 1.0)))
             for _ in range(2))
     assert fuzzy_rand(P, Q) == summed_tensor_fuzzy_rand(P, Q)
-
-
-class TestFuzzyEquivalence:
-    def test_identical_vectors(self):
-        assert fuzzy_equivalence([0.2, 0.3, 0.5], [0.2, 0.3, 0.5]) == 1.0
-
-    def test_disjoint_one_hot(self):
-        assert fuzzy_equivalence([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_hand_case(self):
-        assert fuzzy_equivalence([0.5, 0.5], [1.0, 0.0]) == 0.5
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            fuzzy_equivalence([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 class TestFuzzyRand:
@@ -254,3 +239,22 @@ class TestReferencePartition:
         data = Dataset(np.linspace(0, 1, 8), rng.normal(size=(4, 8)))
         with pytest.raises(SizeMismatch):
             reference_partition(data, [1, 2, 3], DistanceKind.EUCLIDEAN)
+
+    @pytest.mark.parametrize("criterion", [None, 3, b"gcv"], ids=repr)
+    def test_non_string_criterion_rejected(self, rng, criterion):
+        data = Dataset(np.linspace(0, 1, 8), rng.normal(size=(4, 8)))
+        with pytest.raises(ValueError, match="unknown criterion"):
+            reference_partition(data, [1, 1, 2, 2], DistanceKind.EUCLIDEAN, criterion=criterion)
+
+    def test_spectrum_factored_once_per_call(self, rng, monkeypatch):
+        calls = []
+        factor = pspline._spectrum
+
+        def counting(*args):
+            calls.append(args)
+            return factor(*args)
+
+        monkeypatch.setattr(pspline, "_spectrum", counting)
+        data = Dataset(np.linspace(0, 1, 10), rng.normal(size=(12, 10)))
+        reference_partition(data, np.repeat(np.arange(6), 2), DistanceKind.EUCLIDEAN)
+        assert len(calls) == 1

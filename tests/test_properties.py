@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tsboost import bc_index, fuzzy_rand, pd_probabilities, penrose_shape
+from tsboost import bc_index, fuzzy_rand, pd_probabilities
 from tsboost.boost import _keyed_streams, _pcg64_state, _seed_states, _seed_words, resample_counts
 from tsboost.cli import (
     _fmt,
@@ -33,11 +33,10 @@ from tsboost.pspline import (
     _spectrum,
     build_basis,
     difference_penalty,
-    effective_dimension,
-    fit_pspline,
     select_rows,
-    smooth_series,
 )
+
+from oracles import effective_dimension, fit_pspline, penrose_shape
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -118,17 +117,19 @@ def test_effective_dimension_monotone_and_bounded(n, degree, interior, order):
 @given(n=st.integers(5, 40), degree=st.integers(0, 3), interior=st.integers(1, 12),
        order=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_spectral_fit_matches_dense_solve(n, degree, interior, order, seed):
-    # the fit smooth_series takes from the selection's spectrum equals the
+    # the fit select_rows takes from the selection's spectrum equals the
     # dense normal-equation solve at the selected lambda, also for m > n
     basis = build_basis(np.linspace(0, 1, n), degree=degree, interior_knots=interior)
     m = basis.n_bases
     pen = difference_penalty(m, min(order, m - 1))
     rng = np.random.default_rng(seed)
     y = np.sin(5 * basis.domain) + rng.normal(0, 0.3, size=n)
+    spectrum = _spectrum(basis, pen)
     for name in CRITERIA:
-        fit, selection = smooth_series(y, basis, pen, name)
-        dense = fit_pspline(y, basis, pen, selection.lam)
-        for got, want in ((fit.fitted, dense.fitted), (fit.coef, dense.coef)):
+        rows = select_rows(y, spectrum, LambdaCriterion(name))
+        dense = fit_pspline(y, basis, pen, rows.lam[0])
+        fitted = basis.matrix @ rows.coef[0]
+        for got, want in ((fitted, dense.fitted), (rows.coef[0], dense.coef)):
             assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want)), name
 
 
@@ -236,7 +237,7 @@ def test_corner_argmin_matches_scalar_rule(V):
 @SETTINGS
 @given(n=st.integers(5, 30), rows=st.integers(3, 8), seed=st.integers(0, 2**32 - 1))
 def test_batched_rows_match_one_row_selection(n, rows, seed):
-    # every row of the batch picks what smooth_series picks for it alone, and
+    # every row of the batch picks what select_rows picks for it alone, and
     # its coefficients agree; row 0 is zero, whose profile is flat for every
     # criterion, and row 1 a nonzero constant, which lies in the penalty null
     # space: every lambda fits it exactly, so it is flagged flat as well
@@ -253,11 +254,11 @@ def test_batched_rows_match_one_row_selection(n, rows, seed):
         for row in (0, 1):
             assert batch.flat[row] and batch.lam[row] == criterion.grid[-1], name
         for row, y in enumerate(Y):
-            one = smooth_series(y, basis, pen, criterion)[1]
-            assert batch.lam[row] == one.lam, name
-            assert bool(batch.flat[row]) == (one.scores.size == 0), name
+            one = select_rows(y, spectrum, criterion)
+            assert batch.lam[row] == one.lam[0], name
+            assert batch.flat[row] == one.flat[0], name
             scale = max(np.max(np.abs(one.coef)), 1e-300)
-            assert np.max(np.abs(batch.coef[row] - one.coef)) <= 1e-12 * scale, name
+            assert np.max(np.abs(batch.coef[row] - one.coef[0])) <= 1e-12 * scale, name
 
 
 def tensor_profiles(Y, spectrum, grid):

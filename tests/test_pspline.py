@@ -12,19 +12,25 @@ from tsboost.pspline import (
     build_basis,
     default_interior_knots,
     difference_penalty,
-    effective_dimension,
-    fit_pspline,
     select_rows,
-    smooth_series,
 )
+
+from oracles import effective_dimension, fit_pspline
 
 # a lambda grid (>= 10 points) on which the LOO-CV tests read their scores
 LOOCV_GRID = np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
 
 
+def select_one(y, basis, pen, criterion):
+    """The selection engine on the one series y, from its own spectrum."""
+    if isinstance(criterion, str):
+        criterion = LambdaCriterion(criterion)
+    return select_rows(y, pspline._spectrum(basis, pen), criterion)
+
+
 def loocv_scores(y, basis, pen, grid=LOOCV_GRID):
     """{lambda: LOO-CV score} of one series, as the selection engine scores it."""
-    rows = select_rows(y, pspline._spectrum(basis, pen), LambdaCriterion("loocv", grid=grid))
+    rows = select_one(y, basis, pen, LambdaCriterion("loocv", grid=grid))
     return dict(zip(grid.tolist(), rows.scores[0]))
 
 
@@ -107,13 +113,13 @@ class TestPenalty:
         m = 12
         idx = np.arange(m, dtype=float)
         for order in (1, 2, 3):
-            D = difference_penalty(m, order).matrix
+            D = difference_penalty(m, order)
             for deg in range(order):
                 assert np.max(np.abs(D @ idx**deg)) == 0.0
 
     def test_shape(self):
         pen = difference_penalty(10, 2)
-        assert pen.matrix.shape == (8, 10)
+        assert pen.shape == (8, 10)
 
 
 class TestFit:
@@ -151,7 +157,7 @@ class TestFit:
         fit = fit_pspline(y, basis, pen, lam)
 
         def objective(a):
-            return np.sum((y - basis.matrix @ a) ** 2) + lam * np.sum((pen.matrix @ a) ** 2)
+            return np.sum((y - basis.matrix @ a) ** 2) + lam * np.sum((pen @ a) ** 2)
 
         best = objective(fit.coef)
         for _ in range(20):
@@ -171,7 +177,7 @@ class TestFit:
         B = basis.matrix
         reps = np.repeat(np.arange(12), w.astype(int))
         Bx, yx = B[reps], y[reps]
-        A = Bx.T @ Bx + 0.5 * pen.matrix.T @ pen.matrix
+        A = Bx.T @ Bx + 0.5 * pen.T @ pen
         coef = np.linalg.solve(A, Bx.T @ yx)
         assert np.max(np.abs(weighted.coef - coef)) < 1e-10
 
@@ -210,7 +216,7 @@ class TestEffectiveDimension:
         pen = difference_penalty(basis.n_bases, 2)
         B = basis.matrix
         for lam in (0.01, 1.0, 100.0):
-            h = np.diag(B @ np.linalg.solve(B.T @ B + lam * pen.matrix.T @ pen.matrix, B.T))
+            h = np.diag(B @ np.linalg.solve(B.T @ B + lam * pen.T @ pen, B.T))
             assert abs(h.sum() - effective_dimension(basis, pen, lam)) < 1e-8
 
 
@@ -267,8 +273,8 @@ class TestScores:
         # a series off the penalty null space picks the best finite score
         y = np.sin(np.arange(8.0))
         scores = np.array(list(loocv_scores(y, basis, pen, grid).values()))
-        selection = smooth_series(y, basis, pen, LambdaCriterion("loocv", grid))[1]
-        assert selection.lam == grid[2 + np.argmin(scores[2:])]
+        rows = select_one(y, basis, pen, LambdaCriterion("loocv", grid))
+        assert rows.lam[0] == grid[2 + np.argmin(scores[2:])]
 
 
 class TestSelectLambda:
@@ -287,6 +293,11 @@ class TestSelectLambda:
             with pytest.raises(ValueError):
                 LambdaCriterion("vcurve", grid=bad)
 
+    @pytest.mark.parametrize("name", [None, 3, b"gcv"], ids=repr)
+    def test_non_string_criterion_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown criterion"):
+            LambdaCriterion(name)
+
     def test_noiseless_line_degenerates_gracefully(self):
         # residual and penalty both vanish for data in the penalty null space,
         # so every criterion flags the profile instead of picking from round-off
@@ -295,9 +306,9 @@ class TestSelectLambda:
         basis = build_basis(x, degree=3, interior_knots=5)
         pen = difference_penalty(basis.n_bases, 2)
         for name in pspline.CRITERIA:
-            selection = smooth_series(y, basis, pen, name)[1]
-            assert selection.scores.size == 0 and selection.lambdas.size == 0, name
-            assert selection.lam == pspline.default_lambda_grid()[-1], name
+            rows = select_one(y, basis, pen, name)
+            assert rows.flat[0], name
+            assert rows.lam[0] == pspline.default_lambda_grid()[-1], name
 
     def test_flat_flag_does_not_depend_on_units(self, rng):
         # a noisy sine keeps its pick at any amplitude; the GCV and LOO-CV
@@ -325,18 +336,18 @@ class TestSelectLambda:
         # the default grid reaches lambda = 1e6, where the penalty SS is tiny
         # and must not be floored by round-off on the penalty null space
         for grid in (np.logspace(-3, 3, 12), pspline.default_lambda_grid()):
-            selection = smooth_series(y, basis, pen, LambdaCriterion("vcurve", grid=grid))[1]
+            rows = select_one(y, basis, pen, LambdaCriterion("vcurve", grid=grid))
             psi, phi = [], []
             for lam in grid:
                 fit = fit_pspline(y, basis, pen, lam)
                 psi.append(np.log(np.sum((y - fit.fitted) ** 2)))
-                phi.append(np.log(np.sum((pen.matrix @ fit.coef) ** 2)))
+                phi.append(np.log(np.sum((pen @ fit.coef) ** 2)))
             u = np.log(grid)
             du = np.diff(u)
             expected = np.hypot(np.diff(psi) / du, np.diff(phi) / du)
-            assert selection.scores.shape == (grid.size - 1,)
-            assert np.max(np.abs(selection.scores - expected)) < 1e-8
-            assert np.max(np.abs(selection.lambdas - np.exp((u[:-1] + u[1:]) / 2))) < 1e-12
+            assert rows.scores.shape == (1, grid.size - 1)
+            assert np.max(np.abs(rows.scores[0] - expected)) < 1e-8
+            assert np.max(np.abs(rows.lambdas - np.exp((u[:-1] + u[1:]) / 2))) < 1e-12
 
     def test_vcurve_never_forms_the_residual_tensor(self, rng):
         # the V-curve is scored from spectral sums, so selecting for 12 rows
@@ -359,26 +370,24 @@ class TestSelectLambda:
         basis = build_basis(x, degree=3, interior_knots=12)
         pen = difference_penalty(basis.n_bases, 2)
         for name in ("aic", "gcv", "loocv"):
-            selection = smooth_series(y, basis, pen, name)[1]
-            pick = np.argmin(selection.scores)
-            assert selection.lam == selection.lambdas[pick]
+            rows = select_one(y, basis, pen, name)
+            pick = np.argmin(rows.scores[0])
+            assert rows.lam[0] == rows.lambdas[pick]
 
-    def test_smooth_series_returns_selected_fit(self, rng):
+    def test_selected_fit_matches_dense_solve(self, rng):
         x = np.linspace(0, 1, 50)
         y = np.cos(3 * x) + rng.normal(0, 0.1, size=50)
         basis = build_basis(x, degree=3, interior_knots=10)
         pen = difference_penalty(basis.n_bases, 2)
-        fit, selection = smooth_series(y, basis, pen, "gcv")
-        assert fit.lam == selection.lam
-        assert np.array_equal(fit.coef, selection.coef)
-        refit = fit_pspline(y, basis, pen, selection.lam)
-        assert close(fit.fitted, refit.fitted, 1e-8)
-        assert close(fit.coef, refit.coef, 1e-8)
+        rows = select_one(y, basis, pen, "gcv")
+        refit = fit_pspline(y, basis, pen, rows.lam[0])
+        assert close(basis.matrix @ rows.coef[0], refit.fitted, 1e-8)
+        assert close(rows.coef[0], refit.coef, 1e-8)
 
 
 def dense_profiles(y, basis, pen, grid):
     """ED and the five criterion profiles from per-lambda dense solves."""
-    B, D = basis.matrix, pen.matrix
+    B, D = basis.matrix, pen
     n = y.shape[0]
     BtB = B.T @ B
     ed, hat, resid, rss, pss = [], [], [], [], []
@@ -429,5 +438,5 @@ def test_engine_matches_dense_solves(case):
     for g in (0, 17, 33, 49):
         assert close(effective_dimension(basis, pen, grid[g]), ed[g])
     for name in pspline.CRITERIA:
-        selection = smooth_series(y, basis, pen, name)[1]
-        assert close(selection.scores, scores[name]), name
+        rows = select_one(y, basis, pen, name)
+        assert close(rows.scores[0], scores[name]), name
