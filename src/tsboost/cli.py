@@ -10,7 +10,10 @@ form, so rereading an emitted CSV reproduces the in-memory values exactly.
 Matrix tables (an id column, then float columns) are read and written by a
 fast path: ``str.join`` of each row's reprs, and ``np.loadtxt``. A table
 whose text the csv module might read or write differently goes through the
-csv module instead, with the same values and messages.
+csv module instead, with the same values and messages. Either way a table
+is written from chunks of rows and read into float arrays row by row, and
+an input's manifest digest is hashed from fixed-size reads, so none of
+these holds a whole table as Python objects or a whole file as bytes.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 any other package
 error (bad data, an input that cannot be read, an output that cannot be
@@ -21,6 +24,7 @@ reader, as in ``tsboost evaluate ... | head -1``.
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -66,17 +70,24 @@ def _write_csv(path, header, rows):
 # the csv module may quote an empty id and one holding any of these characters
 _QUOTED_ID = ',"\r\n'
 
+# matrix rows turned into Python floats at a time by _write_matrix
+_WRITE_ROWS = 256
+
 
 def _write_matrix(path, key, ids, prefix, matrix):
     """Write header ``key,<prefix>1,...`` and one row per id: the id, then its matrix row.
 
     Each row is joined into the text the csv module writes for it, a float
     as its repr (what _fmt gives). A table with an id that the csv module
-    may quote is written by the csv module.
+    may quote is written by the csv module. Rows become Python floats
+    ``_WRITE_ROWS`` at a time, so the table is never held as Python objects.
     """
     header = [key] + [f"{prefix}{j + 1}" for j in range(matrix.shape[1])]
     ids = [str(sid) for sid in ids]
-    rows = np.asarray(matrix, dtype=float).tolist()
+    matrix = np.asarray(matrix, dtype=float)
+    rows = itertools.chain.from_iterable(
+        matrix[start : start + _WRITE_ROWS].tolist()
+        for start in range(0, matrix.shape[0], _WRITE_ROWS))
     if any(not sid or any(char in sid for char in _QUOTED_ID) for sid in ids):
         _write_csv(path, header, ([sid] + row for sid, row in zip(ids, rows)))
         return
@@ -211,16 +222,20 @@ def _read_plain_matrix(path, columns):
 
 
 def _read_csv_matrix(path, columns):
-    """``_read_matrix`` through the csv module and float(), for any file."""
+    """``_read_matrix`` through the csv module and float(), for any file.
+
+    Each row becomes a float array as it is read, so the table is never
+    held as Python floats.
+    """
     ids, rows = [], []
     for line_no, row in _read_table(path, columns):
         ids.append(row[0])
         try:
-            rows.append(list(map(float, row[1:])))
+            rows.append(np.fromiter(map(float, row[1:]), float, len(row) - 1))
         except ValueError:
             # the same float() again, token by token, to name the bad one
-            rows.append([_parse_float(tok, path, line_no) for tok in row[1:]])
-    return ids, np.array(rows)
+            rows.append(np.array([_parse_float(tok, path, line_no) for tok in row[1:]]))
+    return ids, np.vstack(rows)
 
 
 def _read_matrix(path, columns):
@@ -272,12 +287,21 @@ def read_membership(path):
         raise ParseError(f"{path}: {exc}") from None
 
 
+# bytes per read when an input file is hashed
+_DIGEST_READ = 1 << 16
+
+
 def _digest(path):
-    """SHA-256 of an input file; None for a path that is not a regular file,
-    such as a pipe, which was read once already."""
+    """SHA-256 of an input file, read in ``_DIGEST_READ`` blocks; None for a
+    path that is not a regular file, such as a pipe, which was read once
+    already."""
     if not os.path.isfile(path):
         return None
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(_DIGEST_READ), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _write_manifest(out_dir, command, settings, inputs, timings):

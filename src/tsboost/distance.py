@@ -74,7 +74,9 @@ def _centered(values):
     n = values.shape[-1]
     if n < 2:
         raise SeriesTooShort("Penrose shape distance needs n >= 2")
-    return (values - values.mean(axis=-1, keepdims=True)) / np.sqrt(n - 1)
+    centered = values - values.mean(axis=-1, keepdims=True)
+    centered /= np.sqrt(n - 1)
+    return centered
 
 
 def periodogram(y):

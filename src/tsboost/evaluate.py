@@ -3,7 +3,8 @@
 The fuzzy Rand index compares two fuzzy partitions through their pairwise
 equivalence degrees E(i, j) = 1 - 0.5 * L1(p_i, p_j): the index is one
 minus the mean absolute disagreement of E over the N(N-1)/2 unordered
-pairs, accumulated over blocks of rows so memory stays linear in N. On
+pairs, accumulated over square tiles of TILE x TILE pairs in reused
+buffers, so its working memory stays O(TILE^2) whatever N and K are. On
 crisp partitions it reduces to the classic Rand index. The reference
 partition rebuilds the "true" fuzzy solution the same way the clustering
 does: per-label pooled P-spline centers, smoothed one row at a time from
@@ -18,39 +19,44 @@ from .errors import SizeMismatch, TooFewLabels, TooFewObjects
 from .pdclust import pd_probabilities
 from . import pspline
 
-# rows per block in the pairwise indices; bounds their memory to O(block * N)
-PAIR_BLOCK = 64
+# side of the square tiles of pairs in the fuzzy Rand index; bounds its
+# working memory to a few TILE x TILE arrays for any N and K
+TILE = 128
 
 
-def _pairwise_equivalence(rows, cols):
-    # E[i, j] = 1 - 0.5 * L1 distance of rows[:, i] and cols[:, j], from
-    # cluster-major (K, rows) and (K, cols) memberships. The L1 sum runs one
-    # cluster at a time from the first cluster's term, which is the order of
-    # sum(axis=2) for K <= 7 (numpy sums 8 or more terms pairwise), and it
-    # never allocates the (rows, cols, K) difference tensor
+def _pairwise_equivalence(rows, cols, out, diff):
+    """E[i, j] = 1 - 0.5 * L1 distance of rows[:, i] and cols[:, j], into ``out``.
+
+    The inputs are cluster-major (K, rows) and (K, cols) memberships, and
+    ``out`` and ``diff`` are (rows, cols) buffers. The L1 sum runs one
+    cluster at a time from the first cluster's term, which is the order of
+    sum(axis=2) for K <= 7 (numpy sums 8 or more terms pairwise), and it
+    never allocates the (rows, cols, K) difference tensor.
+    """
     if not len(rows):
-        return np.ones((rows.shape[1], cols.shape[1]))
-    l1 = np.subtract(rows[0, :, None], cols[0])
-    np.abs(l1, out=l1)
-    diff = np.empty_like(l1)
+        out.fill(1.0)
+        return out
+    np.subtract(rows[0, :, None], cols[0], out=out)
+    np.abs(out, out=out)
     for row, col in zip(rows[1:], cols[1:]):
         np.subtract(row[:, None], col, out=diff)
-        l1 += np.abs(diff, out=diff)
-    l1 *= -0.5
-    l1 += 1.0
-    return l1
+        out += np.abs(diff, out=diff)
+    out *= -0.5
+    out += 1.0
+    return out
 
 
-def _upper_blocks(n):
-    """Row blocks of the pairs j > i: yields (start, stop, mask).
+def _tiles(n):
+    """The tiles that cover the pairs j > i of n objects, in a fixed order.
 
-    The mask has shape (stop - start, n - start) and selects, for rows
-    start..stop-1, the columns j > i among columns start..n-1, so each block
-    holds O(PAIR_BLOCK * n) pairs instead of all N^2.
+    Yields (rows, cols) slices of at most TILE objects each, row tile by row
+    tile, with cols.start >= rows.start; a tile with cols.start ==
+    rows.start lies on the diagonal, and only its pairs j > i count.
     """
-    for start in range(0, n, PAIR_BLOCK):
-        stop = min(start + PAIR_BLOCK, n)
-        yield start, stop, np.arange(start, n) > np.arange(start, stop)[:, None]
+    for start in range(0, n, TILE):
+        rows = slice(start, min(start + TILE, n))
+        for col in range(start, n, TILE):
+            yield rows, slice(col, min(col + TILE, n))
 
 
 def fuzzy_rand(P, Q):
@@ -64,12 +70,21 @@ def fuzzy_rand(P, Q):
         raise TooFewObjects(f"the fuzzy Rand index needs at least 2 objects, got {n}")
     P = np.ascontiguousarray(P.T)
     Q = np.ascontiguousarray(Q.T)
+    # each tile takes a contiguous (rows, cols) view of the front of a flat
+    # buffer, so its sum runs in the order of a fresh (rows, cols) array's
+    buffers = np.empty((3, TILE * TILE))
+    upper = np.triu(np.ones((TILE, TILE), dtype=bool), 1)
     disagreement = 0.0
-    for start, stop, upper in _upper_blocks(n):
-        ep = _pairwise_equivalence(P[:, start:stop], P[:, start:])
-        eq = _pairwise_equivalence(Q[:, start:stop], Q[:, start:])
+    for rows, cols in _tiles(n):
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        ep, eq, diff = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
+        _pairwise_equivalence(P[:, rows], P[:, cols], ep, diff)
+        _pairwise_equivalence(Q[:, rows], Q[:, cols], eq, diff)
         ep -= eq
-        disagreement += np.abs(ep, out=ep)[upper].sum()
+        np.abs(ep, out=ep)
+        if rows.start == cols.start:
+            ep = ep[upper[: shape[0], : shape[1]]]
+        disagreement += ep.sum()
     return float(1.0 - disagreement / (n * (n - 1) / 2))
 
 

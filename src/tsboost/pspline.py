@@ -178,7 +178,8 @@ def select_rows(Y, spectrum, criterion):
 
     The residual and penalty sums of squares are sums over the spectrum,
     two (rows, m) x (m, G) products (``_spectral_rss`` and ``_spectral_pen``);
-    only LOO-CV forms the (rows, G, n) residuals.
+    only LOO-CV forms (rows, G, n) residuals, for a few rows at a time
+    (``_loocv_scores``).
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     grid = criterion.grid
@@ -192,14 +193,7 @@ def select_rows(Y, spectrum, criterion):
     if name in ("aic", "loocv", "gcv"):
         with np.errstate(divide="ignore", invalid="ignore"):
             if name == "loocv":
-                # LOO-CV divides every point's residual by its own leverage,
-                # so it alone forms the (rows, G, n) residuals
-                resid = (Qty[:, None, :] / d) @ Q.T
-                np.subtract(Y[:, None, :], resid, out=resid)
-                hdiag = (1.0 / d) @ (Q**2).T
-                bad = np.any(hdiag >= 1.0 - 1e-12, axis=1)
-                cv = np.sum((resid / (1.0 - np.minimum(hdiag, 1.0 - 1e-12))) ** 2, axis=-1)
-                scores = np.where(bad, np.inf, cv)
+                scores = _loocv_scores(Y, Qty, Q, d)
             elif name == "aic":
                 ed = np.sum(mu / d, axis=1)
                 scores = np.where(rss / n > 1e-300, 2.0 * ed + n * np.log(rss / n), np.inf)
@@ -244,6 +238,35 @@ def select_rows(Y, spectrum, criterion):
     lam = np.where(flat, grid[-1], lambdas[pick])
     coef = (Qty / (mu + lam[:, None] * (1.0 - mu))) @ V.T
     return RowSelection(lam, coef, flat, lambdas, scores)
+
+
+# bytes of LOO-CV residuals formed at a time: the rows of a chunk hold
+# G x n residuals each
+_LOOCV_BYTES = 1 << 21
+
+
+def _loocv_scores(Y, Qty, Q, d):
+    """Leave-one-out CV scores (rows, G): each point's residual over 1 - its leverage.
+
+    The leverage diagonal (G, n) is computed once, and a grid point where a
+    leverage reaches 1 - 1e-12 scores inf. The (rows, G, n) residuals are
+    formed for chunks of rows of at most ``_LOOCV_BYTES``; every row's
+    residuals are the same (G, m) x (m, n) product whatever the chunk, so
+    the scores do not depend on it.
+    """
+    hdiag = (1.0 / d) @ (Q**2).T
+    bad = np.any(hdiag >= 1.0 - 1e-12, axis=1)
+    denom = 1.0 - np.minimum(hdiag, 1.0 - 1e-12)
+    step = max(1, _LOOCV_BYTES // hdiag.nbytes)
+    cv = np.empty((Y.shape[0], d.shape[0]))
+    for start in range(0, Y.shape[0], step):
+        chunk = slice(start, start + step)
+        resid = (Qty[chunk, None, :] / d) @ Q.T
+        np.subtract(Y[chunk, None, :], resid, out=resid)
+        resid /= denom
+        np.square(resid, out=resid)
+        np.sum(resid, axis=-1, out=cv[chunk])
+    return np.where(bad, np.inf, cv)
 
 
 def _spectral_rss(Y, Qty, mu, Q, grid, d):

@@ -1,15 +1,19 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tsboost
-from tsboost.cli import main, read_dataset, read_long, read_membership, read_wide
+from tsboost.cli import (
+    _digest, _write_matrix, main, read_dataset, read_long, read_membership, read_wide,
+)
 from tsboost.errors import ParseError
 
 
@@ -131,6 +135,50 @@ class TestReaders:
         assert a.ids == b.ids
         assert np.array_equal(a.domain, b.domain)
         assert np.array_equal(a.values, b.values)
+
+
+def traced_peak(call, *args):
+    """tracemalloc peak of call(*args) beyond what existed before it."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    @pytest.mark.parametrize("prefix, rows", [("s", 20_000), ("s,", 5_000)],
+                             ids=["join", "csv-module"])
+    def test_matrix_writer_holds_chunks_of_rows(self, tmp_path, rng, prefix, rows):
+        # both paths turn rows into Python floats a chunk at a time, so
+        # neither holds the table as Python objects (about 4x its bytes);
+        # an id with a comma takes the slower csv-module path, on fewer rows
+        matrix = rng.normal(size=(rows, 50))
+        ids = [f"{prefix}{i}" for i in range(rows)]
+        peak = traced_peak(_write_matrix, tmp_path / "m.csv", "id", ids, "t", matrix)
+        assert peak < matrix.nbytes
+
+    def test_csv_module_reader_holds_float_arrays(self, tmp_path, rng):
+        # CRLF line ends send the file to the csv-module reader; it keeps a
+        # float array per row, not N * n Python floats (over 5x the values)
+        values = rng.normal(size=(5_000, 50))
+        path = tmp_path / "crlf.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("id," + ",".join(f"t{j + 1}" for j in range(50)) + "\r\n")
+            fh.writelines(f"s{i}," + ",".join(map(repr, row)) + "\r\n"
+                          for i, row in enumerate(values.tolist()))
+        peak = traced_peak(read_wide, path)
+        assert np.array_equal(read_wide(path).values, values)
+        assert peak < 4 * values.nbytes
+
+    def test_digest_reads_in_blocks(self, tmp_path):
+        path = tmp_path / "big.csv"
+        data = os.urandom(6 * 2**20)
+        path.write_bytes(data)
+        del data
+        assert traced_peak(_digest, path) < 2**20
+        assert _digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestSimulate:

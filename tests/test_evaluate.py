@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from tsboost import (
 )
 from tsboost import pspline
 from tsboost.errors import SizeMismatch, TooFewLabels, TooFewObjects
-from tsboost.evaluate import PAIR_BLOCK, _pairwise_equivalence, _upper_blocks
+from tsboost.evaluate import TILE, _pairwise_equivalence, _tiles
 
 
 def crisp(labels, k):
@@ -47,7 +49,9 @@ def rand_indices_by_full_matrices(P, Q, a, b):
 
 
 class TestBlockedPairs:
-    @pytest.mark.parametrize("n", [2, PAIR_BLOCK + 1, 2 * PAIR_BLOCK + 22])
+    # inside one tile (65 and TILE - 1), on either side of a tile edge, and
+    # over several row tiles that end in a partial one
+    @pytest.mark.parametrize("n", [2, 65, 150, TILE - 1, TILE + 1, 2 * TILE + 22])
     def test_matches_full_matrix_oracle(self, rng, n):
         P = rng.dirichlet(np.ones(3), size=n)
         Q = rng.dirichlet(np.ones(5), size=n)
@@ -64,13 +68,16 @@ def summed_tensor_equivalence(rows, cols):
 
 
 def summed_tensor_fuzzy_rand(P, Q):
-    """fuzzy_rand with every block's equivalences from the summed difference tensor."""
+    """fuzzy_rand with every tile's equivalences from the summed difference tensor."""
     n = P.shape[0]
     disagreement = 0.0
-    for start, stop, upper in _upper_blocks(n):
-        ep = summed_tensor_equivalence(P[start:stop], P[start:])
-        eq = summed_tensor_equivalence(Q[start:stop], Q[start:])
-        disagreement += np.abs(ep - eq)[upper].sum()
+    for rows, cols in _tiles(n):
+        ep = summed_tensor_equivalence(P[rows], P[cols])
+        eq = summed_tensor_equivalence(Q[rows], Q[cols])
+        tile = np.abs(ep - eq)
+        if rows.start == cols.start:
+            tile = tile[np.triu(np.ones(tile.shape, dtype=bool), 1)]
+        disagreement += tile.sum()
     return float(1.0 - disagreement / (n * (n - 1) / 2))
 
 
@@ -83,15 +90,17 @@ class TestClusterByClusterSum:
     # per-cluster sum must give the summed tensor's bits
 
     @pytest.mark.parametrize("k", range(8))
-    @pytest.mark.parametrize("rows", [1, 7, PAIR_BLOCK])
+    @pytest.mark.parametrize("rows", [1, 7, 64, TILE])
     def test_equivalence_matches_summed_tensor(self, rng, k, rows):
         P = memberships_with_k(rng, rows + 40, k)
-        got = _pairwise_equivalence(P[:rows].T, P.T)  # cluster-major inputs
+        out, diff = np.empty((2, rows, rows + 40))
+        got = _pairwise_equivalence(P[:rows].T, P.T, out, diff)  # cluster-major inputs
+        assert got is out
         assert np.array_equal(got, summed_tensor_equivalence(P[:rows], P))
 
     @pytest.mark.parametrize("k", range(8))
     def test_fuzzy_rand_matches_summed_tensor(self, rng, k):
-        n = 2 * PAIR_BLOCK + 22
+        n = 2 * TILE + 22
         P = memberships_with_k(rng, n, k)
         for q_clusters in (k, 3):
             Q = memberships_with_k(rng, n, q_clusters)
@@ -101,19 +110,37 @@ class TestClusterByClusterSum:
     def test_many_clusters_within_round_off(self, rng):
         # from K = 8 numpy sums pairwise, so a pair's E may move by an ulp
         for k in range(8, 41):
-            P = memberships_with_k(rng, PAIR_BLOCK + 9, k)
-            Q = memberships_with_k(rng, PAIR_BLOCK + 9, k)
+            P = memberships_with_k(rng, TILE + 9, k)
+            Q = memberships_with_k(rng, TILE + 9, k)
             assert abs(fuzzy_rand(P, Q) - summed_tensor_fuzzy_rand(P, Q)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_fuzzy_rand_matches_summed_tensor_on_any_shape(data):
-    n = data.draw(st.integers(2, 3 * PAIR_BLOCK))
+    n = data.draw(st.integers(2, 3 * TILE))
     P, Q = (data.draw(arrays(float, (n, data.draw(st.integers(0, 7))),
                              elements=st.floats(0.0, 1.0)))
             for _ in range(2))
     assert fuzzy_rand(P, Q) == summed_tensor_fuzzy_rand(P, Q)
+
+
+def fuzzy_rand_peak(rng, n):
+    """tracemalloc peak of one fuzzy_rand call beyond its inputs, at K = 6."""
+    P = rng.dirichlet(np.ones(6), size=n)
+    Q = rng.dirichlet(np.ones(6), size=n)
+    tracemalloc.start()
+    try:
+        fuzzy_rand(P, Q)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fuzzy_rand_memory_does_not_grow_with_n(rng):
+    # the tiles' buffers are TILE x TILE whatever N is; only the
+    # cluster-major copies of the inputs grow with N
+    assert fuzzy_rand_peak(rng, 16 * TILE) < fuzzy_rand_peak(rng, 4 * TILE) + 2**20
 
 
 class TestFuzzyRand:

@@ -364,6 +364,40 @@ class TestSelectLambda:
             tracemalloc.stop()
         assert peak < Y.nbytes * criterion.grid.size / 5
 
+    def test_loocv_never_forms_the_residual_tensor(self, rng):
+        # LOO-CV forms residuals for a few rows at a time, so selecting for
+        # the boosted loop's 60 rows at n = 2000 peaks far below one
+        # (rows, G, n) float64 tensor
+        basis = build_basis(np.linspace(0, 1, 2000))
+        spectrum = pspline._spectrum(basis, difference_penalty(basis.n_bases, 2))
+        criterion = LambdaCriterion("loocv")
+        Y = rng.normal(size=(60, 2000))
+        tracemalloc.start()
+        try:
+            pspline.select_rows(Y, spectrum, criterion)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < Y.nbytes * criterion.grid.size / 5
+
+    def test_loocv_chunks_match_the_residual_tensor(self, rng):
+        # 12 rows of n = 2000 span several chunks; the scores are those of
+        # the whole (rows, G, n) residual tensor, and the pick is the same
+        basis = build_basis(np.linspace(0, 1, 2000))
+        spectrum = pspline._spectrum(basis, difference_penalty(basis.n_bases, 2))
+        criterion = LambdaCriterion("loocv")
+        Y = rng.normal(size=(12, 2000)) + np.sin(np.linspace(0, 6, 2000))
+        mu, V, Q, DV = spectrum
+        d = mu + criterion.grid[:, None] * (1.0 - mu)
+        resid = Y[:, None, :] - ((Y @ Q)[:, None, :] / d) @ Q.T
+        hdiag = (1.0 / d) @ (Q**2).T
+        assert np.all(hdiag < 1.0 - 1e-12)
+        expected = np.sum((resid / (1.0 - hdiag)) ** 2, axis=-1)
+        rows = pspline.select_rows(Y, spectrum, criterion)
+        assert Y.shape[0] * hdiag.nbytes > pspline._LOOCV_BYTES
+        assert np.max(np.abs(rows.scores - expected) / expected) < 1e-12
+        assert np.array_equal(rows.lam, criterion.grid[np.argmin(expected, axis=1)])
+
     def test_minimizing_criteria_pick_grid_argmin(self, rng):
         x = np.linspace(0, 1, 60)
         y = np.sin(2 * np.pi * x) + rng.normal(0, 0.2, size=60)
