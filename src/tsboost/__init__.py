@@ -8,10 +8,10 @@ with the tests.
 
 from .boost import BoostConfig, ClusterResult, run_boost
 from .core import Dataset, harden, validate_membership
-from .distance import DistanceKind, distance_matrix, periodogram
+from .distance import DistanceKind, periodogram
 from .evaluate import classic_rand, confusion_matrix, fuzzy_rand, reference_partition
 from .fcm import FcmConfig, FcmResult, run_fcm
-from .pdclust import bc_index, loss_beta, pd_probabilities
+from .pdclust import bc_index
 from .pspline import LambdaCriterion, build_basis, difference_penalty
 from .simgen import SimConfig, generate
 
@@ -31,12 +31,9 @@ __all__ = [
     "classic_rand",
     "confusion_matrix",
     "difference_penalty",
-    "distance_matrix",
     "fuzzy_rand",
     "generate",
     "harden",
-    "loss_beta",
-    "pd_probabilities",
     "periodogram",
     "reference_partition",
     "run_boost",

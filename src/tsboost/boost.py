@@ -144,7 +144,7 @@ def resample_counts(weights, keys):
     return np.bincount(draws.ravel(), minlength=rows * n).reshape(rows, n)
 
 
-def estimate_centers(values, counts, basis, spectrum, criterion):
+def estimate_centers(values, counts, B, spectrum, criterion):
     """Center fits (rows, n) from resampled multisets of series, one per row of counts.
 
     All points of the sampled series are pooled, a series drawn r times
@@ -158,7 +158,7 @@ def estimate_centers(values, counts, basis, spectrum, criterion):
     if not np.all(total > 0):
         raise ValueError("every sample must be nonempty")
     pooled = (counts @ values) / total
-    return pspline.select_rows(pooled, spectrum, criterion).coef @ basis.matrix.T
+    return pspline.select_rows(pooled, spectrum, criterion).coef @ B.T
 
 
 def _seed_words(seed):
@@ -295,9 +295,8 @@ def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
     k, restarts = config.n_clusters, config.restarts
     if not k < n_series:
         raise ConfigError(f"need K < N, got K={k}, N={n_series}")
-    basis = pspline.build_basis(data.domain)
-    penalty = pspline.difference_penalty(basis.n_bases)
-    spectrum = pspline._spectrum(basis, penalty)
+    B = pspline.build_basis(data.domain)
+    spectrum = pspline._spectrum(B, pspline.difference_penalty(B.shape[1]))
     criterion = pspline.LambdaCriterion(config.criterion)
     keys = _stream_keys(_seed_words(config.seed), restarts, k)
     points = distance_space(values, config.distance)
@@ -331,7 +330,7 @@ def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
         counts = np.ones_like(columns)
         keys[:, -2] = iteration
         counts[drawn] = resample_counts(columns[drawn], keys[drawn])
-        fitted = estimate_centers(values, counts, basis, spectrum, criterion)
+        fitted = estimate_centers(values, counts, B, spectrum, criterion)
         live = active[:, None, None]
         np.add(sums, fitted.reshape(centers.shape), out=sums, where=live)
         np.divide(sums, iteration, out=centers, where=live)

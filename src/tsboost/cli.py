@@ -11,8 +11,8 @@ Matrix tables (an id column, then float columns) are read and written by a
 fast path: ``str.join`` of each row's reprs, and ``np.loadtxt``. A table
 whose text the csv module might read or write differently goes through the
 csv module instead, with the same values and messages. Either way a table
-is written from chunks of rows and read into float arrays row by row, and
-an input's manifest digest is hashed from fixed-size reads, so none of
+is written from chunks of rows and read into one flat array of doubles,
+and an input's manifest digest is hashed from fixed-size reads, so none of
 these holds a whole table as Python objects or a whole file as bytes.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 any other package
@@ -22,6 +22,7 @@ reader, as in ``tsboost evaluate ... | head -1``.
 """
 
 import argparse
+import array
 import csv
 import hashlib
 import itertools
@@ -44,12 +45,6 @@ from .fcm import FcmConfig, run_fcm
 from .pdclust import bc_index
 from . import pspline
 from .simgen import SimConfig, generate
-
-_DISTANCES = {
-    "euclidean": DistanceKind.EUCLIDEAN,
-    "penrose": DistanceKind.PENROSE_SHAPE,
-    "periodogram": DistanceKind.PERIODOGRAM,
-}
 
 
 def _fmt(x):
@@ -224,18 +219,19 @@ def _read_plain_matrix(path, columns):
 def _read_csv_matrix(path, columns):
     """``_read_matrix`` through the csv module and float(), for any file.
 
-    Each row becomes a float array as it is read, so the table is never
-    held as Python floats.
+    The values go into one flat array of C doubles as each row is read, so
+    the table is never held as Python floats, and the result is a view of
+    that array, not a copy.
     """
-    ids, rows = [], []
+    ids, flat = [], array.array("d")
     for line_no, row in _read_table(path, columns):
         ids.append(row[0])
         try:
-            rows.append(np.fromiter(map(float, row[1:]), float, len(row) - 1))
+            flat.fromlist(list(map(float, row[1:])))
         except ValueError:
             # the same float() again, token by token, to name the bad one
-            rows.append(np.array([_parse_float(tok, path, line_no) for tok in row[1:]]))
-    return ids, np.vstack(rows)
+            flat.fromlist([_parse_float(tok, path, line_no) for tok in row[1:]])
+    return ids, np.frombuffer(flat).reshape(len(ids), -1)
 
 
 def _read_matrix(path, columns):
@@ -372,7 +368,7 @@ def cmd_cluster(args):
         limit = {} if args.iters is None else {"maxiter": args.iters}
         config = BoostConfig(
             n_clusters=args.k, restarts=args.restarts,
-            distance=_DISTANCES[args.distance], seed=args.seed,
+            distance=DistanceKind(args.distance), seed=args.seed,
             criterion=args.lambda_criterion, **limit,
         )
     t0 = time.perf_counter()
@@ -438,7 +434,7 @@ def cmd_evaluate(args):
             raise ConfigError("labels file ids do not match the input series ids")
         if ids != data.ids:
             raise ConfigError("membership ids do not match the input series ids")
-        reference, _ = reference_partition(data, truth, _DISTANCES[args.distance],
+        reference, _ = reference_partition(data, truth, DistanceKind(args.distance),
                                            criterion=args.lambda_criterion)
         report["reference_bc"] = bc_index(reference)
     else:
@@ -472,13 +468,13 @@ def cmd_smooth(args):
     # --degree and --penalty-order are options, so a basis they cannot build
     # is a configuration error, also when the domain is too short for it
     try:
-        basis = pspline.build_basis(data.domain, degree=args.degree)
-        penalty = pspline.difference_penalty(basis.n_bases, args.penalty_order)
+        B = pspline.build_basis(data.domain, degree=args.degree)
+        penalty = pspline.difference_penalty(B.shape[1], args.penalty_order)
     except (ValueError, DomainTooShort) as exc:
         raise ConfigError(str(exc)) from None
     criterion = pspline.LambdaCriterion(args.criterion)
-    rows = pspline.select_rows(series, pspline._spectrum(basis, penalty), criterion)
-    lam, fitted = float(rows.lam[0]), basis.matrix @ rows.coef[0]
+    rows = pspline.select_rows(series, pspline._spectrum(B, penalty), criterion)
+    lam, fitted = float(rows.lam[0]), B @ rows.coef[0]
     # a flat profile (an all-zero or constant series) picks nothing, so none is written
     profile = () if rows.flat[0] else zip(rows.lambdas, rows.scores[0])
     out = _output_dir(args.out)
@@ -528,7 +524,8 @@ def build_parser():
     clu.add_argument("--out", required=True)
     clu.add_argument("--k", type=int, required=True)
     clu.add_argument("--algorithm", choices=("boost", "fcm"), default="boost")
-    clu.add_argument("--distance", choices=tuple(_DISTANCES), default="euclidean")
+    clu.add_argument("--distance", choices=[kind.value for kind in DistanceKind],
+                       default="euclidean")
     clu.add_argument("--iters", type=int, default=None,
                      help="boosting iterations (boost, default 100) or the cap on "
                           "sweeps (fcm, default 500: run until converged)")
@@ -545,7 +542,8 @@ def build_parser():
     ev.add_argument("--reference-labels", dest="reference_labels")
     ev.add_argument("--input", help="dataset; required with --reference-labels")
     ev.add_argument("--format", choices=("wide", "long"), default="wide")
-    ev.add_argument("--distance", choices=tuple(_DISTANCES), default="euclidean")
+    ev.add_argument("--distance", choices=[kind.value for kind in DistanceKind],
+                      default="euclidean")
     ev.add_argument("--lambda-criterion", choices=pspline.CRITERIA,
                     default="vcurve", dest="lambda_criterion")
     ev.add_argument("--out", help="optional JSON report path")

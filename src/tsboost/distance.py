@@ -3,7 +3,9 @@
 Every measure is the Euclidean distance between mapped series
 (``distance_space``), so one kernel serves all three, and FCM too:
 ``_sq_distances``, one guarded matrix product for a whole stack of
-centers. Euclidean maps nothing. The Penrose shape distance
+centers, whose (K, N) result is cluster-first like every kernel of the
+package; a caller that returns distances or memberships per series
+transposes it. Euclidean maps nothing. The Penrose shape distance
 sqrt(n/(n-1) * (dbar^2 - q^2)) (Penrose 1952, "Distance, size and shape")
 ignores levels: it maps a series to (y - mean(y)) / sqrt(n - 1), which,
 unlike the radicand, never cancels two nearly equal numbers at high
@@ -16,7 +18,7 @@ import enum
 
 import numpy as np
 
-from .errors import LengthMismatch, SeriesTooShort
+from .errors import SeriesTooShort
 
 
 # a matrix-product entry is kept only above this share of its scale
@@ -101,27 +103,3 @@ def distance_space(values, kind):
     if kind == DistanceKind.EUCLIDEAN:
         return values
     raise ValueError(f"unknown distance kind {kind!r}")
-
-
-def distance_matrix(values, centers, kind):
-    """(N, K) matrix of distances between series rows and center rows.
-
-    Centers with leading axes, such as (R, K, n) for R restarts, give one
-    matrix per leading index: (R, N, K). Every entry is the square root of
-    ``_sq_distances`` on the mapped points, so it is within (m + 2) * 2^-46
-    relative of the distance computed from differences, m being the length
-    of a mapped point, and exactly 0 where a mapped center equals a mapped
-    series.
-
-    A stacked call's slices equal separate calls bit for bit only when each
-    stack holds at least 2 centers: a one-center call is a matrix-vector
-    product, whose last bits may differ from the stacked matrix product's.
-    """
-    Y = np.atleast_2d(np.asarray(values, dtype=float))
-    C = np.atleast_2d(np.asarray(centers, dtype=float))
-    if Y.shape[1] != C.shape[-1]:
-        raise LengthMismatch(f"series length {Y.shape[1]} vs center length {C.shape[-1]}")
-    Y = distance_space(Y, kind)
-    C = distance_space(C, kind)
-    D = np.sqrt(_sq_distances(Y, C.reshape(-1, C.shape[-1])))
-    return np.ascontiguousarray(D.reshape(C.shape[:-1] + (Y.shape[0],)).swapaxes(-1, -2))

@@ -50,10 +50,6 @@ class SingularSystem(TsboostError):
 
 # -- distances -----------------------------------------------------------------
 
-class LengthMismatch(DataError):
-    pass
-
-
 class SeriesTooShort(DataError):
     pass
 

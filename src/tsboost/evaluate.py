@@ -14,9 +14,9 @@ one spline factorisation per call, then PD probabilities against them.
 import numpy as np
 
 from .core import Dataset
-from .distance import distance_matrix
+from .distance import _sq_distances, distance_space
 from .errors import SizeMismatch, TooFewLabels, TooFewObjects
-from .pdclust import pd_probabilities
+from .pdclust import _probabilities
 from . import pspline
 
 # side of the square tiles of pairs in the fuzzy Rand index; bounds its
@@ -141,12 +141,12 @@ def reference_partition(data: Dataset, true_labels, kind, criterion="vcurve"):
     if unique.size < 2:
         raise TooFewLabels(f"reference labels hold {unique.size} distinct label; need at least 2")
     crit = pspline.LambdaCriterion(criterion)
-    basis = pspline.build_basis(data.domain)
-    spectrum = pspline._spectrum(basis, pspline.difference_penalty(basis.n_bases))
+    B = pspline.build_basis(data.domain)
+    spectrum = pspline._spectrum(B, pspline.difference_penalty(B.shape[1]))
     # one row per call, each center the product B a of one coefficient vector:
     # the round-off of a batched product depends on its row count
     coefs = [pspline.select_rows(values[labels == label].mean(axis=0), spectrum, crit).coef[0]
              for label in unique]
-    centers = np.vstack([basis.matrix @ coef for coef in coefs])
-    membership = pd_probabilities(distance_matrix(values, centers, kind))
-    return membership, centers
+    centers = np.vstack([B @ coef for coef in coefs])
+    d2 = _sq_distances(distance_space(values, kind), distance_space(centers, kind))
+    return np.ascontiguousarray(_probabilities(np.sqrt(d2, out=d2)).T), centers

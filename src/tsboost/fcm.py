@@ -71,11 +71,6 @@ def _memberships(d2, m):
     return U
 
 
-def _sq_distance_matrix(values, centers, norms=None):
-    """(N, K) squared distances: the shared kernel's (K, N) result, series first."""
-    return np.ascontiguousarray(_sq_distances(values, centers, norms).T)
-
-
 def _initial_membership(n_series, n_clusters, rng):
     # uniform on the simplex, row by row
     return rng.dirichlet(np.ones(n_clusters), size=n_series)
@@ -97,7 +92,9 @@ def run_fcm(data: Dataset, config: FcmConfig) -> FcmResult:
     um = U**m
     for sweep in range(1, config.max_sweeps + 1):
         centers = _weighted_means(values, um)
-        d2 = _sq_distance_matrix(values, centers, norms)
+        # a contiguous (N, K) copy, not a transposed view: the membership
+        # row sums and J_m's total depend on the memory order they add in
+        d2 = np.ascontiguousarray(_sq_distances(values, centers, norms).T)
         U_new = _memberships(d2, m)
         um = U_new**m
         trace.append(float(np.sum(um * d2)))

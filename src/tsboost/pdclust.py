@@ -1,15 +1,18 @@
 """Probabilistic-distance clustering primitives.
 
 Membership probabilities are tied to distances by the PD principle
-P_{i,k} * d_{i,k} = constant per series, which yields
+P_{k,i} * d_{k,i} = constant per series i, which yields
 
-    P_{i,k} = prod_{h != k} d_{i,h} / sum_m prod_{h != m} d_{i,h}.
+    P_{k,i} = prod_{h != k} d_{h,i} / sum_m prod_{h != m} d_{h,i}.
 
-The row-wise products are evaluated in log space when all distances are
-positive; exact zero distances short-circuit (probability mass splits
-uniformly over the coinciding centers). The BC index is the K^K-scaled
-mean row product of probabilities, evaluated in log space; beta is its
-un-normalized sum and the boosting loss.
+The kernels are cluster-first: ``_probabilities`` and ``_loss`` take
+(..., K, N) arrays, any leading axes being a stack such as the boosted
+loop's R restarts, and reduce over the cluster axis -2. The products are
+evaluated in log space when all distances are positive; exact zero
+distances short-circuit (probability mass splits uniformly over the
+coinciding centers). beta, the boosting loss, is the K^K-scaled sum of
+each series' product of probabilities; the BC index is its mean, and
+``bc_index`` takes a series-first (N, K) membership, as results are held.
 """
 
 import math
@@ -19,18 +22,11 @@ import numpy as np
 from .errors import NegativeDistance
 
 
-def pd_probabilities(distances):
-    """Membership probability matrix from an (N, K) distance matrix.
-
-    A stack of distance matrices (..., N, K) gives a stack of probability
-    matrices; each row is computed on its own.
-    """
-    D = np.atleast_2d(np.asarray(distances, dtype=float))
-    return np.ascontiguousarray(_probabilities(D.swapaxes(-1, -2)).swapaxes(-1, -2))
-
-
 def _probabilities(D):
-    """``pd_probabilities`` on (..., K, N) distances, cluster axis first."""
+    """Membership probabilities (..., K, N) from distances (..., K, N), cluster axis first.
+
+    Each series (a column) is computed on its own.
+    """
     if np.any(D < 0) or not np.all(np.isfinite(D)):
         raise NegativeDistance("distances must be finite and nonnegative")
     if D.shape[-2] < 2:
@@ -48,27 +44,19 @@ def _probabilities(D):
 
 
 def bc_index(P):
-    """Uncertainty of a partition: 0 for one-hot rows, 1 for uniform rows."""
+    """Uncertainty of an (N, K) partition: 0 for one-hot rows, 1 for uniform rows."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    return float(loss_beta(P)) / P.shape[0]
-
-
-def loss_beta(P):
-    """Boosting loss: sum_i (prod_k P_{i,k}) K^K, in [0, N].
-
-    A stack of (N, K) matrices gives an array with one loss per matrix. Each
-    row term is exp(sum_k log P_{i,k} + K log K), so K^K never overflows;
-    a zero entry contributes log 0 = -inf and hence a zero term. A term is
-    capped at 1, its AM-GM bound for a probability row, which round-off on
-    near-uniform rows would otherwise exceed.
-    """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    total = _loss(P.swapaxes(-1, -2))
-    return float(total) if P.ndim == 2 else total
+    return float(_loss(P.T)) / P.shape[0]
 
 
 def _loss(P):
-    """``loss_beta`` of (..., K, N) probabilities, cluster axis first."""
+    """Boosting loss sum_i (prod_k P_{k,i}) K^K, in [0, N], of (..., K, N) probabilities.
+
+    Each series term is exp(sum_k log P_{k,i} + K log K), so K^K never
+    overflows; a zero entry contributes log 0 = -inf and hence a zero term.
+    A term is capped at 1, its AM-GM bound for a probability vector, which
+    round-off on near-uniform memberships would otherwise exceed.
+    """
     K = P.shape[-2]
     with np.errstate(divide="ignore"):
         logs = np.log(P).sum(axis=-2) + K * math.log(K)

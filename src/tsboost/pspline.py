@@ -71,18 +71,6 @@ def bspline_design(x, knots, degree):
 
 
 @dataclass(frozen=True)
-class SplineBasis:
-    degree: int
-    knots: np.ndarray
-    matrix: np.ndarray  # (n, m) evaluation of the basis on the domain
-    domain: np.ndarray
-
-    @property
-    def n_bases(self):
-        return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
 class LambdaCriterion:
     name: str
     grid: np.ndarray = field(default_factory=default_lambda_grid)
@@ -100,7 +88,7 @@ class LambdaCriterion:
 
 
 def build_basis(domain, degree=DEFAULT_DEGREE, interior_knots=None):
-    """Equidistant-knot B-spline basis over the given time domain.
+    """Equidistant-knot B-spline basis B (n, m) evaluated on the given time domain.
 
     The knot vector spans [domain[0], domain[-1]] with ``interior_knots``
     equidistant interior knots and ``degree`` padding knots on each side,
@@ -118,8 +106,7 @@ def build_basis(domain, degree=DEFAULT_DEGREE, interior_knots=None):
     lo, hi = domain[0], domain[-1]
     h = (hi - lo) / (interior_knots + 1)
     knots = lo + h * np.arange(-degree, interior_knots + degree + 2)
-    B = bspline_design(domain, knots, degree)
-    return SplineBasis(degree=degree, knots=knots, matrix=B, domain=domain)
+    return bspline_design(domain, knots, degree)
 
 
 def difference_penalty(n_bases, order=DEFAULT_PENALTY_ORDER):
@@ -129,7 +116,7 @@ def difference_penalty(n_bases, order=DEFAULT_PENALTY_ORDER):
     return np.diff(np.eye(n_bases), order, axis=0)
 
 
-def _spectrum(basis, penalty):
+def _spectrum(B, penalty):
     """Demmler-Reinsch diagonalisation of B'B and D'D on a normalised pencil.
 
     With C = B'B + D'D = LL' and eigh(L^-1 B'B L^-T) = U diag(mu) U', the
@@ -138,7 +125,6 @@ def _spectrum(basis, penalty):
     C stays positive definite when B'B is singular (m > n). Returns mu
     (ascending, clipped to [0, 1]), V, Q = BV and DV.
     """
-    B = basis.matrix
     BtB = B.T @ B
     try:
         L = np.linalg.cholesky(BtB + penalty.T @ penalty)

@@ -1,20 +1,23 @@
 """Reference implementations the package is tested against.
 
 The package computes every distance through one mapped matrix-product
-kernel and every spline fit through one spectral selection engine. These
-are the direct forms of the same quantities: pairwise distances from
-differences, the dense solve of the penalized normal equations and the
-effective dimension of the smoother. Tests import them as they import
-``conftest``.
+kernel, every membership through cluster-first (K, N) cores and every
+spline fit through one spectral selection engine. These are the direct
+forms of the same quantities: pairwise distances from differences, PD
+probabilities and the boosting loss on series-first (N, K) arrays, as
+the paper writes them, the dense solve of the penalized normal equations
+and the effective dimension of the smoother. Tests import them as they
+import ``conftest``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from tsboost.distance import _centered, periodogram
-from tsboost.errors import LengthMismatch, SingularSystem
-from tsboost.pspline import SplineBasis, _spectrum
+from tsboost.errors import SingularSystem
+from tsboost.pspline import _spectrum
 
 
 # -- distances -------------------------------------------------------------------
@@ -23,7 +26,7 @@ def _pair(y, c):
     y = np.asarray(y, dtype=float)
     c = np.asarray(c, dtype=float)
     if y.shape != c.shape or y.ndim != 1:
-        raise LengthMismatch(f"series lengths differ: {y.shape} vs {c.shape}")
+        raise ValueError(f"series lengths differ: {y.shape} vs {c.shape}")
     return y, c
 
 
@@ -43,18 +46,39 @@ def periodogram_distance(y, c):
     return float(np.sqrt(np.sum((periodogram(y) - periodogram(c)) ** 2)))
 
 
+# -- PD probabilities and the boosting loss --------------------------------------
+
+def nk_probabilities(D):
+    """PD probabilities of (..., N, K) distances, reducing over the last axis."""
+    zero = D == 0.0
+    coincident = zero.any(axis=-1, keepdims=True)
+    logw = -np.log(np.where(coincident, 1.0, D))
+    logw -= logw.max(axis=-1, keepdims=True)
+    w = np.exp(logw)
+    split = zero / np.maximum(zero.sum(axis=-1, keepdims=True), 1)
+    return np.where(coincident, split, w / w.sum(axis=-1, keepdims=True))
+
+
+def nk_loss(P):
+    """Boosting loss of (..., N, K) probabilities, one per leading index."""
+    K = P.shape[-1]
+    with np.errstate(divide="ignore"):
+        logs = np.log(P).sum(axis=-1) + K * math.log(K)
+    return np.sum(np.minimum(np.exp(logs), 1.0), axis=-1)
+
+
 # -- P-spline smoothing ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SplineFit:
-    basis: SplineBasis
+    B: np.ndarray        # (n, m) basis matrix
     penalty: np.ndarray  # (m - order, m) difference penalty
     lam: float
     coef: np.ndarray
     fitted: np.ndarray
 
 
-def fit_pspline(y, basis, penalty, lam, weights=None):
+def fit_pspline(y, B, penalty, lam, weights=None):
     """Penalized weighted least-squares spline fit at a fixed lambda (dense solve).
 
     The reference for the spectral path of ``select_rows``; ``weights``
@@ -70,7 +94,6 @@ def fit_pspline(y, basis, penalty, lam, weights=None):
             raise ValueError(f"weights must have length {y.shape[0]}")
         if np.any(weights < 0) or not np.any(weights > 0):
             raise ValueError("weights must be nonnegative and not all zero")
-    B = basis.matrix
     Bw = B if weights is None else B * weights[:, None]
     BtWy = Bw.T @ y
     A = Bw.T @ B + lam * (penalty.T @ penalty)
@@ -81,13 +104,13 @@ def fit_pspline(y, basis, penalty, lam, weights=None):
     rel = np.linalg.norm(A @ coef - BtWy) / max(np.linalg.norm(BtWy), 1e-300)
     if not np.all(np.isfinite(coef)) or rel > 1e-6:
         raise SingularSystem("normal equations are numerically singular")
-    return SplineFit(basis=basis, penalty=penalty, lam=float(lam), coef=coef, fitted=B @ coef)
+    return SplineFit(B=B, penalty=penalty, lam=float(lam), coef=coef, fitted=B @ coef)
 
 
-def effective_dimension(basis, penalty, lam):
+def effective_dimension(B, penalty, lam):
     """trace[(B'B + lambda D'D)^{-1} B'B] = sum mu / d, d = mu + lambda (1 - mu): the
     degrees of freedom of the smoother. lambda = 0 needs B'B nonsingular."""
-    mu, _, _, _ = _spectrum(basis, penalty)
+    mu, _, _, _ = _spectrum(B, penalty)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if lam == 0 and mu[0] <= mu.shape[0] * np.finfo(float).eps:

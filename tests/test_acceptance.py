@@ -25,14 +25,13 @@ from tsboost import (
     fuzzy_rand,
     generate,
     harden,
-    loss_beta,
-    pd_probabilities,
     reference_partition,
     run_boost,
     run_fcm,
 )
 from tsboost import pspline
 from tsboost.cli import read_labels, read_long
+from tsboost.pdclust import _loss, _probabilities
 
 from oracles import fit_pspline
 
@@ -73,7 +72,7 @@ def test_criterion_01_pd_probability_oracle(report):
         n = int(rng.integers(2, 21))
         k = int(rng.integers(2, 6))
         D = rng.uniform(0.01, 10.0, size=(n, k))
-        P = pd_probabilities(D)
+        P = _probabilities(D.T).T
         oracle = np.zeros_like(D)
         for i in range(n):
             prods = np.array([np.prod(np.delete(D[i], c)) for c in range(k)])
@@ -98,7 +97,7 @@ def test_criterion_02_bc_endpoints(report):
     identity_err = 0.0
     for _ in range(100):
         P = rng.dirichlet(np.ones(4), size=13)
-        identity_err = max(identity_err, abs(loss_beta(P) - 13 * bc_index(P)))
+        identity_err = max(identity_err, abs(_loss(P.T) - 13 * bc_index(P)))
     elapsed = time.perf_counter() - start
     ok = (bc_index(one_hot) == 0.0 and uniform_err < 1e-12
           and identity_err < 1e-12 and elapsed < 1.0)
@@ -136,28 +135,28 @@ def test_criterion_04_pspline_limits(report):
     start = time.perf_counter()
     # interpolation limit: saturated piecewise-constant basis
     x8 = np.linspace(0, 1, 8)
-    basis0 = pspline.build_basis(x8, degree=0, interior_knots=7)
-    pen0 = pspline.difference_penalty(basis0.n_bases, 2)
+    B0 = pspline.build_basis(x8, degree=0, interior_knots=7)
+    pen0 = pspline.difference_penalty(B0.shape[1], 2)
     y8 = np.sin(3 * x8)
     interp_err = float(np.max(np.abs(
-        fit_pspline(y8, basis0, pen0, 1e-8).fitted - y8)))
+        fit_pspline(y8, B0, pen0, 1e-8).fitted - y8)))
     # heavy smoothing limit: the OLS straight line
     x = np.linspace(0, 1, 40)
     y = 1.5 - 2.0 * x + rng.normal(0, 0.3, size=40)
-    basis = pspline.build_basis(x, degree=3, interior_knots=8)
-    pen = pspline.difference_penalty(basis.n_bases, 2)
+    B = pspline.build_basis(x, degree=3, interior_knots=8)
+    pen = pspline.difference_penalty(B.shape[1], 2)
     slope, intercept = np.polyfit(x, y, 1)
     line_err = float(np.max(np.abs(
-        fit_pspline(y, basis, pen, 1e8).fitted - (intercept + slope * x))))
+        fit_pspline(y, B, pen, 1e8).fitted - (intercept + slope * x))))
     # LOO-CV shortcut against explicit refits
     n = 15
     x15 = np.linspace(0, 1, n)
     y15 = np.sin(2 * np.pi * x15) + rng.normal(0, 0.2, size=n)
-    basis15 = pspline.build_basis(x15, degree=3, interior_knots=3)
-    pen15 = pspline.difference_penalty(basis15.n_bases, 2)
+    B15 = pspline.build_basis(x15, degree=3, interior_knots=3)
+    pen15 = pspline.difference_penalty(B15.shape[1], 2)
     # the scores of the selection engine, read at three points of a 12-point grid
     grid = np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
-    rows = pspline.select_rows(y15, pspline._spectrum(basis15, pen15),
+    rows = pspline.select_rows(y15, pspline._spectrum(B15, pen15),
                                pspline.LambdaCriterion("loocv", grid=grid))
     scores = dict(zip(grid.tolist(), rows.scores[0]))
     cv_rel = 0.0
@@ -167,7 +166,7 @@ def test_criterion_04_pspline_limits(report):
         for j in range(n):
             w = np.ones(n)
             w[j] = 0.0
-            fit = fit_pspline(y15, basis15, pen15, lam, weights=w)
+            fit = fit_pspline(y15, B15, pen15, lam, weights=w)
             explicit += (y15[j] - fit.fitted[j]) ** 2
         cv_rel = max(cv_rel, abs(shortcut - explicit) / abs(explicit))
     elapsed = time.perf_counter() - start
@@ -183,12 +182,12 @@ def test_criterion_05_vcurve_sanity(report):
     x = np.linspace(0, 1, 100)
     truth = np.sin(2 * np.pi * x)
     y = truth + rng.normal(0, 0.1, size=100)
-    basis = pspline.build_basis(x)
-    spectrum = pspline._spectrum(basis, pspline.difference_penalty(basis.n_bases, 2))
+    B = pspline.build_basis(x)
+    spectrum = pspline._spectrum(B, pspline.difference_penalty(B.shape[1], 2))
     rmse = {}
     for name in ("vcurve", "gcv"):
         coef = pspline.select_rows(y, spectrum, pspline.LambdaCriterion(name)).coef[0]
-        rmse[name] = float(np.sqrt(np.mean((basis.matrix @ coef - truth) ** 2)))
+        rmse[name] = float(np.sqrt(np.mean((B @ coef - truth) ** 2)))
     elapsed = time.perf_counter() - start
     ok = rmse["vcurve"] <= 1.25 * rmse["gcv"] and elapsed < 5.0
     report(5, "v-curve sanity", ok,

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from tsboost import BoostConfig, Dataset, DistanceKind, harden, run_boost
+from tsboost import BoostConfig, Dataset, DistanceKind, bc_index, harden, run_boost
 from tsboost.boost import _raw_weights, _weights, estimate_centers, resample_counts
-from tsboost.distance import distance_matrix
+from tsboost.distance import _sq_distances, distance_space
 from tsboost.errors import ConfigError, DegenerateBeta
-from tsboost.pdclust import loss_beta, pd_probabilities
+from tsboost.pdclust import _loss, _probabilities
 from tsboost import boost, pspline
 
 from conftest import two_level_dataset
@@ -13,9 +13,9 @@ from conftest import two_level_dataset
 
 def small_spline_setup(n=10):
     domain = np.linspace(0, 1, n)
-    basis = pspline.build_basis(domain)
-    penalty = pspline.difference_penalty(basis.n_bases, 2)
-    return basis, pspline._spectrum(basis, penalty), pspline.LambdaCriterion("vcurve")
+    B = pspline.build_basis(domain)
+    penalty = pspline.difference_penalty(B.shape[1], 2)
+    return B, pspline._spectrum(B, penalty), pspline.LambdaCriterion("vcurve")
 
 
 def per_restart_oracle(data, config):
@@ -23,13 +23,18 @@ def per_restart_oracle(data, config):
 
     Each (restart, iteration, cluster) draws with ``rng.choice`` on its own
     stream and fits its pooled mean alone with ``select_rows``; returns
-    (centers, membership, beta trace) per restart.
+    (centers, (N, K) membership, beta trace) per restart.
     """
     values = data.values
     n_series, k = values.shape[0], config.n_clusters
-    basis = pspline.build_basis(data.domain)
-    spectrum = pspline._spectrum(basis, pspline.difference_penalty(basis.n_bases))
+    B = pspline.build_basis(data.domain)
+    spectrum = pspline._spectrum(B, pspline.difference_penalty(B.shape[1]))
     criterion = pspline.LambdaCriterion(config.criterion)
+    points = distance_space(values, config.distance)
+
+    def distances(centers):
+        return np.sqrt(_sq_distances(points, distance_space(centers, config.distance)))
+
     outcomes = []
     for restart in range(config.restarts):
         init = np.random.default_rng(np.random.SeedSequence((config.seed, restart)))
@@ -37,25 +42,25 @@ def per_restart_oracle(data, config):
         sums = np.zeros_like(centers)
         betas = []
         for iteration in range(1, config.maxiter + 1):
-            D = distance_matrix(values, centers, config.distance)
-            P = pd_probabilities(D)
-            beta = loss_beta(P)
+            D = distances(centers)
+            P = _probabilities(D)
+            beta = float(_loss(P))
             betas.append(beta)
             if beta < boost.PERFECT_PARTITION_TOL:
                 break
-            W = _weights(D.T, P.T, beta).T
+            W = _weights(D, P, beta)
             for cluster in range(k):
                 rng = np.random.default_rng(
                     np.random.SeedSequence((config.seed, restart, iteration, cluster)))
-                w = W[:, cluster]
+                w = W[cluster]
                 sample = rng.choice(n_series, size=n_series, replace=True, p=w / w.sum())
                 counts = np.bincount(sample, minlength=n_series).astype(float)
                 pooled = (counts @ values) / counts.sum()
                 coef = pspline.select_rows(pooled, spectrum, criterion).coef[0]
-                sums[cluster] += basis.matrix @ coef
+                sums[cluster] += B @ coef
             centers = sums / iteration
-        P = pd_probabilities(distance_matrix(values, centers, config.distance))
-        outcomes.append((centers, P, np.array(betas)))
+        P = _probabilities(distances(centers))
+        outcomes.append((centers, P.T, np.array(betas)))
     return outcomes
 
 
@@ -104,23 +109,26 @@ class TestWeights:
 
 @pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
 def test_layers_take_a_restart_axis(rng, kind):
-    # (R, K, n) centers give (R, N, K) distances, probabilities and weights
-    # and R losses, each slice equal to its own unstacked call
+    # (R, K, n) centers, in one kernel call as the loop makes it, give
+    # (R, K, N) distances, probabilities and weights and R losses, each slice
+    # equal to its own unstacked call
     values = rng.normal(size=(9, 8))
     centers = rng.normal(size=(3, 4, 8))
     centers[1, 2] = values[5]  # a zero distance takes the coincident branch
-    D = distance_matrix(values, centers, kind)
-    P = pd_probabilities(D)
-    beta = loss_beta(P)
-    W = _weights(D.swapaxes(-1, -2), P.swapaxes(-1, -2), beta)
-    assert D.shape == P.shape == (3, 9, 4) and W.shape == (3, 4, 9) and beta.shape == (3,)
+    points = distance_space(values, kind)
+    mapped = distance_space(centers, kind)
+    D = np.sqrt(_sq_distances(points, mapped.reshape(12, -1))).reshape(3, 4, 9)
+    P = _probabilities(D)
+    beta = _loss(P)
+    W = _weights(D, P, beta)
+    assert D.shape == P.shape == W.shape == (3, 4, 9) and beta.shape == (3,)
     for r in range(3):
-        D_r = distance_matrix(values, centers[r], kind)
-        P_r = pd_probabilities(D_r)
+        D_r = np.sqrt(_sq_distances(points, mapped[r]))
+        P_r = _probabilities(D_r)
         assert np.array_equal(D[r], D_r)
         assert np.array_equal(P[r], P_r)
-        assert beta[r] == loss_beta(P_r)
-        assert np.array_equal(W[r], _weights(D_r.T, P_r.T, loss_beta(P_r)))
+        assert beta[r] == _loss(P_r)
+        assert np.array_equal(W[r], _weights(D_r, P_r, _loss(P_r)))
 
 
 class TestSampling:
@@ -159,24 +167,24 @@ class TestSampling:
 
 class TestCenterEstimation:
     def test_invariant_to_total_draw_count(self, rng):
-        basis, spectrum, crit = small_spline_setup()
+        B, spectrum, crit = small_spline_setup()
         values = rng.normal(size=(5, 10))
         once, twice = estimate_centers(values, [[0, 1, 2, 0, 0], [0, 2, 4, 0, 0]],
-                                       basis, spectrum, crit)
+                                       B, spectrum, crit)
         assert np.max(np.abs(once - twice)) < 1e-12
 
     def test_duplicate_sample_matches_singleton(self, rng):
-        basis, spectrum, crit = small_spline_setup()
+        B, spectrum, crit = small_spline_setup()
         values = rng.normal(size=(4, 10))
         single, repeated = estimate_centers(values, [[0, 0, 1, 0], [0, 0, 3, 0]],
-                                            basis, spectrum, crit)
+                                            B, spectrum, crit)
         assert np.max(np.abs(single - repeated)) < 1e-12
 
     def test_empty_sample_rejected(self, rng):
-        basis, spectrum, crit = small_spline_setup()
+        B, spectrum, crit = small_spline_setup()
         with pytest.raises(ValueError):
             estimate_centers(rng.normal(size=(4, 10)), [[1, 0, 0, 0], [0, 0, 0, 0]],
-                             basis, spectrum, crit)
+                             B, spectrum, crit)
 
 
 class TestRunningMeanCenters:
@@ -327,7 +335,7 @@ def test_lockstep_matches_per_restart_oracle(rng, monkeypatch, make_data, kind, 
     for trace, (_, _, betas) in zip(result.traces, oracle, strict=True):
         assert trace.beta.shape == betas.shape
         assert np.max(np.abs(trace.beta - betas)) <= 1e-12
-    finals = np.array([loss_beta(P) / values.shape[0] for _, P, _ in oracle])
+    finals = np.array([bc_index(P) for _, P, _ in oracle])
     assert np.max(np.abs(result.restart_final_bc - finals)) <= 1e-12
     assert result.restart_index == int(np.argmin(finals))
     centers, membership, _ = oracle[result.restart_index]

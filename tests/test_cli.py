@@ -12,7 +12,8 @@ import pytest
 
 import tsboost
 from tsboost.cli import (
-    _digest, _write_matrix, main, read_dataset, read_long, read_membership, read_wide,
+    _digest, _read_csv_matrix, _write_matrix, main, read_dataset, read_long, read_membership,
+    read_wide,
 )
 from tsboost.errors import ParseError
 
@@ -159,18 +160,34 @@ class TestBoundedMemory:
         peak = traced_peak(_write_matrix, tmp_path / "m.csv", "id", ids, "t", matrix)
         assert peak < matrix.nbytes
 
-    def test_csv_module_reader_holds_float_arrays(self, tmp_path, rng):
-        # CRLF line ends send the file to the csv-module reader; it keeps a
-        # float array per row, not N * n Python floats (over 5x the values)
-        values = rng.normal(size=(5_000, 50))
-        path = tmp_path / "crlf.csv"
+    @staticmethod
+    def crlf_table(path, values):
+        # CRLF line ends send the file to the csv-module reader
         with open(path, "w", newline="") as fh:
-            fh.write("id," + ",".join(f"t{j + 1}" for j in range(50)) + "\r\n")
+            fh.write("id," + ",".join(f"t{j + 1}" for j in range(values.shape[1])) + "\r\n")
             fh.writelines(f"s{i}," + ",".join(map(repr, row)) + "\r\n"
                           for i, row in enumerate(values.tolist()))
+        return path
+
+    def test_csv_module_reader_holds_float_arrays(self, tmp_path, rng):
+        # the csv-module reader keeps C doubles, not N * n Python floats
+        # (over 5x the values)
+        values = rng.normal(size=(5_000, 50))
+        path = self.crlf_table(tmp_path / "crlf.csv", values)
         peak = traced_peak(read_wide, path)
         assert np.array_equal(read_wide(path).values, values)
         assert peak < 4 * values.nbytes
+
+    def test_csv_module_reader_holds_one_flat_array(self, tmp_path, rng):
+        # the values go into one growing array of doubles, and the matrix is
+        # a view of it: no array per row, and no copy that stacks them
+        values = rng.normal(size=(5_000, 50))
+        path = self.crlf_table(tmp_path / "crlf.csv", values)
+        peak = traced_peak(_read_csv_matrix, path, "id,t1,...,tn")
+        ids, matrix = _read_csv_matrix(path, "id,t1,...,tn")
+        assert ids == [f"s{i}" for i in range(5_000)]
+        assert np.array_equal(matrix, values)
+        assert peak < 2 * values.nbytes
 
     def test_digest_reads_in_blocks(self, tmp_path):
         path = tmp_path / "big.csv"

@@ -162,12 +162,14 @@ def test_exports_resolve():
         "smooth_series", "LambdaSelection", "SplineFit", "fit_pspline", "effective_dimension",
         "euclidean", "penrose_shape", "periodogram_distance", "fuzzy_equivalence",
         "DimensionMismatch", "PenaltyMatrix",
+        "distance_matrix", "pd_probabilities", "loss_beta", "LengthMismatch", "SplineBasis",
+        "_sq_distance_matrix",
     )
     for name in deleted:
         assert name not in tsboost.__all__ and not hasattr(tsboost, name), name
     # nor are they left in the modules that defined them
-    from tsboost import distance, errors, evaluate, pspline
+    from tsboost import distance, errors, evaluate, fcm, pdclust, pspline
 
-    for module in (distance, errors, evaluate, pspline):
+    for module in (distance, errors, evaluate, fcm, pdclust, pspline):
         for name in deleted + ("_pair",):
             assert not hasattr(module, name), (module.__name__, name)

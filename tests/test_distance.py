@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsboost import DistanceKind, distance_matrix, periodogram
+from tsboost import Dataset, DistanceKind, periodogram, reference_partition
 from tsboost.distance import _sq_distances, _sq_norms, distance_space
-from tsboost.errors import LengthMismatch, SeriesTooShort
+from tsboost.errors import SeriesTooShort
 
 from oracles import euclidean, penrose_shape, periodogram_distance
+
+
+def mapped_distances(values, centers, kind):
+    """(K, N) distances as the program takes them: the kernel on mapped rows."""
+    return np.sqrt(_sq_distances(distance_space(values, kind), distance_space(centers, kind)))
 
 
 class TestEuclidean:
@@ -29,7 +34,7 @@ class TestEuclidean:
             assert abs(euclidean(y, c) - euclidean(c, y)) == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError):
             euclidean(np.zeros(3), np.zeros(4))
 
 
@@ -146,6 +151,8 @@ class TestPeriodogramDistance:
 
 
 class TestDistanceMatrix:
+    """The distance matrix as the program computes it: the kernel on mapped rows."""
+
     def test_matches_elementwise_calls(self, rng):
         Y = rng.normal(size=(5, 12))
         C = rng.normal(size=(3, 12))
@@ -155,56 +162,55 @@ class TestDistanceMatrix:
             DistanceKind.PERIODOGRAM: periodogram_distance,
         }
         for kind, func in pairwise.items():
-            D = distance_matrix(Y, C, kind)
-            assert D.shape == (5, 3)
+            D = mapped_distances(Y, C, kind)
+            assert D.shape == (3, 5)
             for i in range(5):
                 for k in range(3):
-                    assert abs(D[i, k] - func(Y[i], C[k])) < 1e-10
+                    assert abs(D[k, i] - func(Y[i], C[k])) < 1e-10
 
     def test_zero_entry_for_coincident_series(self, rng):
         c = rng.normal(size=10)
         other = rng.normal(size=10)
-        D = distance_matrix(c[None, :], np.vstack([c, other]), DistanceKind.EUCLIDEAN)
+        D = mapped_distances(c[None, :], np.vstack([c, other]), DistanceKind.EUCLIDEAN)
         assert D[0, 0] == 0.0
-        assert D[0, 1] > 0.0
+        assert D[1, 0] > 0.0
 
     def test_hand_checkable_orthonormal(self):
         Y = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         C = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-        D = distance_matrix(Y, C, DistanceKind.EUCLIDEAN)
-        assert np.max(np.abs(D - np.array([[np.sqrt(2), 1.0], [np.sqrt(2), 1.0]]))) < 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            distance_matrix(np.zeros((2, 5)), np.zeros((2, 4)), DistanceKind.EUCLIDEAN)
+        D = mapped_distances(Y, C, DistanceKind.EUCLIDEAN)
+        assert np.max(np.abs(D - np.array([[np.sqrt(2), np.sqrt(2)], [1.0, 1.0]]))) < 1e-12
 
     def test_penrose_level_shifted_copies_are_at_zero(self, rng):
         # centering rounds, so the diagonal is near 0 rather than exactly 0
         Y = rng.normal(size=(6, 10))
-        D = distance_matrix(Y, Y + 100, DistanceKind.PENROSE_SHAPE)
+        D = mapped_distances(Y, Y + 100, DistanceKind.PENROSE_SHAPE)
         assert np.max(np.diag(D)) <= 1e-12
         assert np.min(D + np.eye(6)) > 0.1
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            distance_matrix(np.zeros((2, 5)), np.zeros((2, 5)), "penrose")
+            distance_space(np.zeros((2, 5)), "penrose")
 
     def test_penrose_too_short(self):
         with pytest.raises(SeriesTooShort):
-            distance_matrix(np.zeros((2, 1)), np.zeros((2, 1)), DistanceKind.PENROSE_SHAPE)
+            distance_space(np.zeros((2, 1)), DistanceKind.PENROSE_SHAPE)
         with pytest.raises(SeriesTooShort):
             penrose_shape(np.zeros(1), np.zeros(1))
 
     @pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
     def test_result_is_c_contiguous_n_by_k(self, rng, kind):
-        D = distance_matrix(rng.normal(size=(7, 12)), rng.normal(size=(2, 3, 12)), kind)
-        assert D.shape == (2, 7, 3) and D.flags.c_contiguous
+        # the kernel's result is cluster-first; a result that leaves the
+        # package, such as the reference memberships, is series-first
+        data = Dataset(np.linspace(0, 1, 12), rng.normal(size=(7, 12)))
+        membership, _ = reference_partition(data, [1, 1, 2, 2, 3, 3, 3], kind)
+        assert membership.shape == (7, 3) and membership.flags.c_contiguous
 
 
 def exact_distances(points, centers):
-    """(..., N, K) distances from each entry's own differences: the kernel's reference."""
-    diff = points[:, None, :] - centers[..., None, :, :]
-    return np.sqrt(np.einsum("...ikj,...ikj->...ik", diff, diff))
+    """(K, N) distances from each entry's own differences: the kernel's reference."""
+    diff = points[None, :, :] - centers[:, None, :]
+    return np.sqrt(np.einsum("kij,kij->ki", diff, diff))
 
 
 def kernel_bound(m):
@@ -225,7 +231,7 @@ def test_batched_kernel_within_bound_of_exact_tensor(n_series, m, restarts, k):
     centers[0, 1] = points[3]
     d2 = _sq_distances(points, centers.reshape(restarts * k, m), _sq_norms(points))
     stacked = np.sqrt(d2).reshape(restarts, k, n_series)
-    exact = exact_distances(points, centers).swapaxes(-1, -2)
+    exact = exact_distances(points, centers.reshape(restarts * k, m)).reshape(stacked.shape)
     assert np.all(np.abs(stacked - exact) <= kernel_bound(m) * exact)
     assert stacked[0, 1, 3] == 0.0 and np.count_nonzero(stacked == 0.0) == 1
 
@@ -233,18 +239,19 @@ def test_batched_kernel_within_bound_of_exact_tensor(n_series, m, restarts, k):
 @pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
 @pytest.mark.parametrize("center_shape", [(6,), (3, 4)])
 def test_row_blocks_equal_one_unblocked_tensor(kind, center_shape):
-    # distance_matrix on blocks of rows, and on all rows at once, stays within
-    # the kernel's bound of one (..., N, K) difference tensor over all rows;
-    # at this level the Euclidean entries fail the guard, so they go through
-    # the chunked recomputation from differences
+    # the kernel on blocks of rows, and on all rows at once, stays within the
+    # kernel's bound of one (K, N) difference tensor over all rows; a stack
+    # of centers goes in as its rows. At this level the Euclidean entries
+    # fail the guard, so they go through the chunked recomputation from
+    # differences
     rng = np.random.default_rng(7)
     block = 17
     values = rng.normal(size=(2 * block + 3, 12)) + 50.0
-    centers = rng.normal(size=center_shape + (12,)) + 50.0
-    whole = distance_matrix(values, centers, kind)
+    centers = (rng.normal(size=center_shape + (12,)) + 50.0).reshape(-1, 12)
+    whole = mapped_distances(values, centers, kind)
     blocked = np.concatenate(
-        [distance_matrix(values[s : s + block], centers, kind) for s in range(0, len(values), block)],
-        axis=-2,
+        [mapped_distances(values[s : s + block], centers, kind) for s in range(0, len(values), block)],
+        axis=-1,
     )
     points = distance_space(values, kind)
     mapped = distance_space(centers, kind)
@@ -262,19 +269,21 @@ def test_row_blocks_equal_one_unblocked_tensor(kind, center_shape):
        seed=st.integers(0, 2**32 - 1))
 def test_distance_matrix_within_kernel_bound(kind, n, n_series, k, restarts, level, spread, seed):
     # every distance is within the kernel's bound of the difference form in
-    # the mapped space, and a center equal to a series is at exactly 0
+    # the mapped space, and a center equal to a series is at exactly 0; a
+    # stack of centers goes in as its rows, as the boosted loop's does
     rng = np.random.default_rng(seed)
     values = level + spread * rng.normal(size=(n_series, n))
     shape = (k, n) if restarts is None else (restarts, k, n)
     centers = level + spread * rng.normal(size=shape)
     centers[..., 0, :] = values[0]
-    D = distance_matrix(values, centers, kind)
+    centers = centers.reshape(-1, n)
+    D = mapped_distances(values, centers, kind)
     points = distance_space(values, kind)
     mapped = distance_space(centers, kind)
     exact = exact_distances(points, mapped)
     assert D.shape == exact.shape and D.flags.c_contiguous
     assert np.all(np.abs(D - exact) <= kernel_bound(points.shape[1]) * exact)
-    assert np.all(D[..., 0, 0] == 0.0)
+    assert np.all(D[::k, 0] == 0.0)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -284,7 +293,7 @@ def test_level_shifted_penrose_pairs_are_at_exactly_zero(rng, n):
     # matrix product alone would leave round-off where the guard gives 0
     values = rng.integers(-40, 40, size=(12, n)) / 4.0
     shifts = rng.integers(-1000, 1000, size=(5, 1)).astype(float)
-    D = distance_matrix(values, values[:5] + shifts, DistanceKind.PENROSE_SHAPE)
+    D = mapped_distances(values, values[:5] + shifts, DistanceKind.PENROSE_SHAPE)
     assert np.all(np.diag(D) == 0.0)
     assert np.count_nonzero(D == 0.0) == 5
 

@@ -11,14 +11,15 @@ from tsboost import (
     DistanceKind,
     classic_rand,
     confusion_matrix,
-    distance_matrix,
     fuzzy_rand,
-    pd_probabilities,
     reference_partition,
 )
 from tsboost import pspline
+from tsboost.distance import _sq_distances
 from tsboost.errors import SizeMismatch, TooFewLabels, TooFewObjects
 from tsboost.evaluate import TILE, _pairwise_equivalence, _tiles
+
+from oracles import nk_probabilities
 
 
 def crisp(labels, k):
@@ -254,7 +255,7 @@ class TestReferencePartition:
         data = Dataset(x, values)
         labels = np.repeat([1, 2, 3], 3)
         membership, centers = reference_partition(data, labels, DistanceKind.EUCLIDEAN)
-        oracle = pd_probabilities(distance_matrix(values, centers, DistanceKind.EUCLIDEAN))
+        oracle = nk_probabilities(np.sqrt(_sq_distances(values, centers)).T)
         assert np.max(np.abs(membership - oracle)) < 1e-12
 
     def test_single_label(self, rng):

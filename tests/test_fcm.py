@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from tsboost import Dataset, FcmConfig, fcm, harden, run_fcm
 from tsboost.errors import ConfigError, EmptyCluster
-from tsboost.fcm import _memberships, _sq_distance_matrix, _weighted_means
+from tsboost.distance import _sq_distances
+from tsboost.fcm import _memberships, _weighted_means
 
 from conftest import two_level_dataset
 
@@ -60,22 +61,27 @@ class TestCenters:
             _weighted_means(values, U**2.0)
 
 
+def sq_distances(values, centers):
+    """(N, K) squared distances, as ``run_fcm`` takes them from the shared kernel."""
+    return np.ascontiguousarray(_sq_distances(values, centers).T)
+
+
 class TestMemberships:
     def test_equidistant_point(self):
         values = np.array([[0.0, 0.0]])
         centers = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        U = _memberships(_sq_distance_matrix(values, centers), m=2.0)
+        U = _memberships(sq_distances(values, centers), m=2.0)
         assert np.max(np.abs(U - 0.5)) < 1e-12
 
     def test_coincident_point_one_hot(self, rng):
         centers = rng.normal(size=(3, 4))
-        U = _memberships(_sq_distance_matrix(centers[1][None, :], centers), m=2.0)
+        U = _memberships(sq_distances(centers[1][None, :], centers), m=2.0)
         assert np.array_equal(U, [[0.0, 1.0, 0.0]])
 
     def test_direct_summation_oracle(self, rng):
         values = rng.normal(size=(6, 4))
         centers = rng.normal(size=(3, 4))
-        U = _memberships(_sq_distance_matrix(values, centers), m=2.0)
+        U = _memberships(sq_distances(values, centers), m=2.0)
         for i in range(6):
             d2 = np.array([np.sum((values[i] - c) ** 2) for c in centers])
             for k in range(3):
@@ -84,7 +90,7 @@ class TestMemberships:
 
     def test_rows_stochastic(self, rng):
         values, centers = rng.normal(size=(20, 5)), rng.normal(size=(4, 5))
-        U = _memberships(_sq_distance_matrix(values, centers), m=3.0)
+        U = _memberships(sq_distances(values, centers), m=3.0)
         assert np.max(np.abs(U.sum(axis=1) - 1.0)) < 1e-12
 
 
@@ -106,7 +112,7 @@ def test_sq_distances_within_documented_bound(n, n_series, k, level, spread, see
     centers = level + spread * rng.normal(size=(k, n))
     centers[0] = values[0]
     exact = exact_sq_distances(values, centers)
-    d2 = _sq_distance_matrix(values, centers)
+    d2 = sq_distances(values, centers)
     assert np.all(np.abs(d2 - exact) <= (n + 2) * 2.0**-46 * exact)
 
 
@@ -114,7 +120,7 @@ class TestSqDistances:
     def test_center_equal_to_a_series_is_exactly_zero(self, rng):
         values = 100.0 + rng.normal(size=(9, 50))
         centers = np.vstack([values[2], rng.normal(size=50) + 100.0, values[5]])
-        d2 = _sq_distance_matrix(values, centers)
+        d2 = sq_distances(values, centers)
         assert d2[2, 0] == 0.0 and d2[5, 2] == 0.0
         assert np.count_nonzero(d2 == 0.0) == 2
 
@@ -126,7 +132,7 @@ class TestSqDistances:
         centers = np.vstack([values[1], values[4], level * np.ones(50)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d2 = _sq_distance_matrix(values, centers)
+            d2 = sq_distances(values, centers)
         assert np.array_equal(d2, exact_sq_distances(values, centers))
         assert d2[1, 0] == 0.0 and d2[4, 1] == 0.0
 

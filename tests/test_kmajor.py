@@ -1,10 +1,10 @@
 """The boosted loop's cluster-first cores against the (N, K) arithmetic.
 
 The loop holds distances, probabilities and weights as C-contiguous
-(R, K, N) stacks and reduces over the cluster axis -2. The ``nk_*``
-functions below are the same arithmetic on (..., N, K) arrays, reducing
-over the last axis, as the public ``pd_probabilities`` and ``loss_beta``
-compute it and as the paper writes the weights. numpy sums a contiguous axis of fewer than
+(R, K, N) stacks and reduces over the cluster axis -2, and so does the
+reference partition on its (K, N) distances. The ``nk_*`` oracles are the
+same arithmetic on (..., N, K) arrays, reducing over the last axis, as the
+paper writes it. numpy sums a contiguous axis of fewer than
 8 terms in order, so up to K = 7 both layouts give every bit; from K = 8 it
 sums the contiguous (N, K) rows pairwise, and the results differ by
 round-off. A transposed view reduces in its memory order, so each core is
@@ -14,32 +14,17 @@ that it tests the K-major arithmetic; a second oracle with distances from
 differences bounds what the kernel's round-off moves.
 """
 
-import math
-
 import numpy as np
 import pytest
 
-from tsboost import BoostConfig, DistanceKind, boost, pspline, run_boost, simgen
+from tsboost import (
+    BoostConfig, DistanceKind, bc_index, boost, pspline, reference_partition, run_boost, simgen,
+)
 from tsboost.boost import _weights, estimate_centers, resample_counts
 from tsboost.distance import _sq_distances, distance_space
-from tsboost.pdclust import _loss, _probabilities, loss_beta, pd_probabilities
+from tsboost.pdclust import _loss, _probabilities
 
-
-def nk_probabilities(D):
-    zero = D == 0.0
-    coincident = zero.any(axis=-1, keepdims=True)
-    logw = -np.log(np.where(coincident, 1.0, D))
-    logw -= logw.max(axis=-1, keepdims=True)
-    w = np.exp(logw)
-    split = zero / np.maximum(zero.sum(axis=-1, keepdims=True), 1)
-    return np.where(coincident, split, w / w.sum(axis=-1, keepdims=True))
-
-
-def nk_loss(P):
-    K = P.shape[-1]
-    with np.errstate(divide="ignore"):
-        logs = np.log(P).sum(axis=-1) + K * math.log(K)
-    return np.sum(np.minimum(np.exp(logs), 1.0), axis=-1)
+from oracles import nk_loss, nk_probabilities
 
 
 def nk_weights(D, P, beta):
@@ -101,11 +86,31 @@ def test_cores_equal_nk_arithmetic(k):
 
 @pytest.mark.parametrize("k", range(2, 13))
 def test_public_functions_keep_the_nk_contract(k):
+    # bc_index takes a series-first (N, K) membership; it reduces the
+    # transposed view, whose cluster axis is contiguous as in the (N, K)
+    # arithmetic, so it gives that arithmetic's bits at every K
     rng = np.random.default_rng(100 + k)
     D, P, beta = stacks(k, rng)
-    probabilities = pd_probabilities(D)
-    assert probabilities.shape == D.shape and probabilities.flags.c_contiguous
-    assert np.array_equal(probabilities, P) and np.array_equal(loss_beta(P), beta)
+    for r in range(P.shape[0]):
+        assert bc_index(P[r]) == float(beta[r]) / P.shape[1]
+
+
+@pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("k", range(2, 13))
+def test_reference_partition_equals_nk_oracle(kind, k):
+    # the reference memberships come from the cluster-first cores, so they
+    # move from the (N, K) arithmetic's bits only where the cores do;
+    # measured worst case at K = 8..12 is 4 ulp
+    data, _ = simgen.generate(simgen.SimConfig(seed=k, n_points=10))
+    labels = np.random.default_rng(k).permutation(np.arange(data.n_series) % k)
+    membership, centers = reference_partition(data, labels, kind)
+    points = distance_space(data.values, kind)
+    oracle = nk_probabilities(kernel_distances(points, distance_space(centers, kind)[None])[0])
+    assert membership.shape == oracle.shape and membership.flags.c_contiguous
+    if k <= 7:
+        assert np.array_equal(membership, oracle)
+    else:
+        assert ulps(membership, oracle) <= 16
 
 
 def nk_run_boost(data, config, distances=kernel_distances):
@@ -116,8 +121,8 @@ def nk_run_boost(data, config, distances=kernel_distances):
     """
     values = data.values
     n_series, k, restarts = values.shape[0], config.n_clusters, config.restarts
-    basis = pspline.build_basis(data.domain)
-    spectrum = pspline._spectrum(basis, pspline.difference_penalty(basis.n_bases))
+    B = pspline.build_basis(data.domain)
+    spectrum = pspline._spectrum(B, pspline.difference_penalty(B.shape[1]))
     criterion = pspline.LambdaCriterion(config.criterion)
     words = boost._seed_words(config.seed)
     points = distance_space(values, config.distance)
@@ -145,7 +150,7 @@ def nk_run_boost(data, config, distances=kernel_distances):
             (*words, r, iteration, cluster)
             for r in np.flatnonzero(active) for cluster in range(k)
         ])
-        fitted = estimate_centers(values, counts, basis, spectrum, criterion)
+        fitted = estimate_centers(values, counts, B, spectrum, criterion)
         live = active[:, None, None]
         np.add(sums, fitted.reshape(centers.shape), out=sums, where=live)
         np.divide(sums, iteration, out=centers, where=live)

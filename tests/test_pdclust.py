@@ -3,8 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from tsboost import bc_index, loss_beta, pd_probabilities
+from tsboost import bc_index
 from tsboost.errors import NegativeDistance
+from tsboost.pdclust import _loss, _probabilities
+
+
+def core_probabilities(D):
+    """The cluster-first core on (..., N, K) distances, through a transposed view."""
+    D = np.asarray(D, dtype=float)
+    return _probabilities(D.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def product_formula_oracle(D):
@@ -36,23 +43,23 @@ def per_row_oracle(D):
 
 class TestPdProbabilities:
     def test_symmetric_row(self):
-        assert np.array_equal(pd_probabilities([[1.0, 1.0]]), [[0.5, 0.5]])
+        assert np.array_equal(core_probabilities([[1.0, 1.0]]), [[0.5, 0.5]])
 
     def test_single_zero_distance(self):
-        assert np.array_equal(pd_probabilities([[0.0, 5.0]]), [[1.0, 0.0]])
+        assert np.array_equal(core_probabilities([[0.0, 5.0]]), [[1.0, 0.0]])
 
     def test_hand_case(self):
-        P = pd_probabilities([[1.0, 2.0, 4.0]])
+        P = core_probabilities([[1.0, 2.0, 4.0]])
         assert np.max(np.abs(P - np.array([[8 / 14, 4 / 14, 2 / 14]]))) < 1e-15
 
     def test_multiple_zero_distances_split_uniformly(self):
-        P = pd_probabilities([[0.0, 1.0, 0.0, 0.0]])
+        P = core_probabilities([[0.0, 1.0, 0.0, 0.0]])
         assert np.array_equal(P, [[1 / 3, 0.0, 1 / 3, 1 / 3]])
 
     def test_matches_product_oracle(self, rng):
         for _ in range(200):
             D = rng.uniform(0.01, 10.0, size=(20, 4))
-            assert np.max(np.abs(pd_probabilities(D) - product_formula_oracle(D))) < 1e-12
+            assert np.max(np.abs(core_probabilities(D) - product_formula_oracle(D))) < 1e-12
 
     @pytest.mark.parametrize("k", [2, 3, 6, 9, 17])
     def test_stack_equals_per_row_formula(self, rng, k):
@@ -61,35 +68,35 @@ class TestPdProbabilities:
         D[0, 2, 1] = 0.0
         D[1, 4, :2] = 0.0
         D[2, 7] = 0.0
-        assert np.array_equal(pd_probabilities(D), per_row_oracle(D))
+        assert np.array_equal(core_probabilities(D), per_row_oracle(D))
 
     def test_probability_distance_product_constant(self, rng):
         D = rng.uniform(0.1, 5.0, size=(50, 4))
-        prod = pd_probabilities(D) * D
+        prod = core_probabilities(D) * D
         spread = prod.max(axis=1) - prod.min(axis=1)
         assert np.max(spread / prod.mean(axis=1)) < 1e-9
 
     def test_row_scale_invariance(self, rng):
         D = rng.uniform(0.1, 5.0, size=(10, 3))
-        P = pd_probabilities(D)
+        P = core_probabilities(D)
         for c in (1e-6, 3.0, 1e8):
-            assert np.max(np.abs(pd_probabilities(D * c) - P)) < 1e-12
+            assert np.max(np.abs(core_probabilities(D * c) - P)) < 1e-12
 
     def test_ordering_inverse_to_distances(self, rng):
         D = rng.uniform(0.1, 5.0, size=(30, 5))
-        P = pd_probabilities(D)
+        P = core_probabilities(D)
         assert np.array_equal(np.argsort(-P, axis=1), np.argsort(D, axis=1))
 
     def test_negative_distance_rejected(self):
         with pytest.raises(NegativeDistance):
-            pd_probabilities([[1.0, -0.1]])
+            core_probabilities([[1.0, -0.1]])
         with pytest.raises(NegativeDistance):
-            pd_probabilities([[1.0, np.nan]])
+            core_probabilities([[1.0, np.nan]])
 
     def test_extreme_magnitudes_stay_normalized(self):
         # distances spanning many orders of magnitude must not overflow
         D = np.array([[1e-150, 1e150, 1.0, 1e-100]])
-        P = pd_probabilities(D)
+        P = core_probabilities(D)
         assert abs(P.sum() - 1.0) < 1e-12
         assert np.argmax(P) == 0
 
@@ -109,7 +116,7 @@ class TestBcIndex:
         # the log-space row product of 1/K entries rounds above 1 at these K
         P = np.full((7, k), 1.0 / k)
         assert 1.0 - 1e-12 <= bc_index(P) <= 1.0
-        assert loss_beta(P) <= 7.0
+        assert _loss(P.T) <= 7.0
 
     def test_hand_case(self):
         P = np.array([[0.5, 0.5], [1.0, 0.0]])
@@ -118,11 +125,11 @@ class TestBcIndex:
     def test_beta_is_n_times_bc(self, rng):
         for _ in range(100):
             P = rng.dirichlet(np.ones(4), size=11)
-            assert abs(loss_beta(P) - 11 * bc_index(P)) < 1e-12
+            assert abs(_loss(P.T) - 11 * bc_index(P)) < 1e-12
 
     def test_uniform_beta_equals_n(self):
         P = np.full((5, 3), 1.0 / 3.0)
-        assert abs(loss_beta(P) - 5.0) < 1e-12
+        assert abs(_loss(P.T) - 5.0) < 1e-12
 
     def test_bounds(self, rng):
         for _ in range(50):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tsboost import bc_index, fuzzy_rand, pd_probabilities
+from tsboost import bc_index, fuzzy_rand
 from tsboost.boost import _keyed_streams, _pcg64_state, _seed_states, _seed_words, resample_counts
 from tsboost.cli import (
     _fmt,
@@ -24,6 +24,7 @@ from tsboost.cli import (
     read_wide,
 )
 from tsboost.errors import ParseError
+from tsboost.pdclust import _probabilities
 from tsboost.pspline import (
     CRITERIA,
     LambdaCriterion,
@@ -62,7 +63,7 @@ def memberships(shape=shapes):
 @SETTINGS
 @given(distance_matrices())
 def test_pd_rows_are_stochastic_and_balance_distances(D):
-    P = pd_probabilities(D)
+    P = _probabilities(D.T).T
     assert np.all(P >= 0)
     assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-12
     # PD principle: P_ik d_ik is the same for every cluster of row i
@@ -102,15 +103,15 @@ def test_fuzzy_rand_symmetric_and_one_on_identity(data):
 @given(n=st.integers(5, 40), degree=st.integers(0, 3), interior=st.integers(1, 12),
        order=st.integers(1, 3))
 def test_effective_dimension_monotone_and_bounded(n, degree, interior, order):
-    basis = build_basis(np.linspace(0, 1, n), degree=degree, interior_knots=interior)
-    m = basis.n_bases
+    B = build_basis(np.linspace(0, 1, n), degree=degree, interior_knots=interior)
+    m = B.shape[1]
     if order >= m:
         order = m - 1
     pen = difference_penalty(m, order)
-    eds = np.array([effective_dimension(basis, pen, lam) for lam in np.logspace(-6, 6, 25)])
+    eds = np.array([effective_dimension(B, pen, lam) for lam in np.logspace(-6, 6, 25)])
     assert np.all(np.diff(eds) <= 1e-9)
     assert np.all(eds >= order - 1e-8)
-    assert np.all(eds <= np.linalg.matrix_rank(basis.matrix) + 1e-8)
+    assert np.all(eds <= np.linalg.matrix_rank(B) + 1e-8)
 
 
 @SETTINGS
@@ -119,16 +120,17 @@ def test_effective_dimension_monotone_and_bounded(n, degree, interior, order):
 def test_spectral_fit_matches_dense_solve(n, degree, interior, order, seed):
     # the fit select_rows takes from the selection's spectrum equals the
     # dense normal-equation solve at the selected lambda, also for m > n
-    basis = build_basis(np.linspace(0, 1, n), degree=degree, interior_knots=interior)
-    m = basis.n_bases
+    x = np.linspace(0, 1, n)
+    B = build_basis(x, degree=degree, interior_knots=interior)
+    m = B.shape[1]
     pen = difference_penalty(m, min(order, m - 1))
     rng = np.random.default_rng(seed)
-    y = np.sin(5 * basis.domain) + rng.normal(0, 0.3, size=n)
-    spectrum = _spectrum(basis, pen)
+    y = np.sin(5 * x) + rng.normal(0, 0.3, size=n)
+    spectrum = _spectrum(B, pen)
     for name in CRITERIA:
         rows = select_rows(y, spectrum, LambdaCriterion(name))
-        dense = fit_pspline(y, basis, pen, rows.lam[0])
-        fitted = basis.matrix @ rows.coef[0]
+        dense = fit_pspline(y, B, pen, rows.lam[0])
+        fitted = B @ rows.coef[0]
         for got, want in ((fitted, dense.fitted), (rows.coef[0], dense.coef)):
             assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want)), name
 
@@ -241,13 +243,14 @@ def test_batched_rows_match_one_row_selection(n, rows, seed):
     # its coefficients agree; row 0 is zero, whose profile is flat for every
     # criterion, and row 1 a nonzero constant, which lies in the penalty null
     # space: every lambda fits it exactly, so it is flagged flat as well
-    basis = build_basis(np.linspace(0, 1, n))
-    pen = difference_penalty(basis.n_bases)
+    x = np.linspace(0, 1, n)
+    B = build_basis(x)
+    pen = difference_penalty(B.shape[1])
     rng = np.random.default_rng(seed)
-    Y = np.sin(5 * basis.domain) * rng.normal(size=(rows, 1)) + rng.normal(0, 0.3, size=(rows, n))
+    Y = np.sin(5 * x) * rng.normal(size=(rows, 1)) + rng.normal(0, 0.3, size=(rows, n))
     Y[0] = 0.0
     Y[1] = rng.normal()
-    spectrum = _spectrum(basis, pen)
+    spectrum = _spectrum(B, pen)
     for name in CRITERIA:
         criterion = LambdaCriterion(name)
         batch = select_rows(Y, spectrum, criterion)
@@ -288,11 +291,12 @@ def test_spectral_scores_match_residual_tensor(n, rows, seed):
     # at n = 5, where m = 6 leaves B'B singular. Row 0 is zero and row 1 a
     # constant: both are flat, and their scores are round-off, so only the
     # other rows' profiles and scores count
-    basis = build_basis(np.linspace(0, 1, n))
-    spectrum = _spectrum(basis, difference_penalty(basis.n_bases))
+    x = np.linspace(0, 1, n)
+    B = build_basis(x)
+    spectrum = _spectrum(B, difference_penalty(B.shape[1]))
     mu, _, Q, DV = spectrum
     rng = np.random.default_rng(seed)
-    Y = np.sin(5 * basis.domain) * rng.normal(size=(rows, 1)) + rng.normal(0, 0.3, size=(rows, n))
+    Y = np.sin(5 * x) * rng.normal(size=(rows, 1)) + rng.normal(0, 0.3, size=(rows, n))
     Y[0] = 0.0
     Y[1] = rng.normal()
     grid = LambdaCriterion("aic").grid
