@@ -18,19 +18,17 @@ therefore has R*K rows in every iteration: the round-off of a batched
 matrix product depends on its row count, and this way no restart's result
 depends on when another one stopped.
 
-Randomness is split into dedicated streams keyed by (seed, restart) for the
-initial centers and (seed, restart, iteration, cluster) for the resampling
-draws. The R initial-center keys, and the R*K resampling keys of an
-iteration, are hashed in one batch, bit for bit as ``SeedSequence`` hashes
-each (``_seed_states``).
+Randomness comes from dedicated streams (``streams.keyed_streams``) keyed
+by (seed, restart) for the initial centers and (seed, restart, iteration,
+cluster) for the resampling draws; the R initial-center keys, and the
+drawing restarts' resampling keys of an iteration, are hashed in one batch.
 
 Each iteration's distances are one call of the guarded matrix-product
 kernel ``distance._sq_distances`` on all R*K mapped centers, whose
 (R*K, N) result is the (R, K, N) stack. Work that does not change within a
-run is done once per run: the spline spectrum, the series' side of the
+run is done once per run: the spline spectrum, and the series' side of the
 distance (their centered copies or periodograms, for the Penrose and
-periodogram distances) and its squared norms, and the seed's part of every
-stream key.
+periodogram distances) and its squared norms.
 """
 
 from dataclasses import dataclass
@@ -41,6 +39,7 @@ from .core import Dataset
 from .distance import DistanceKind, _sq_distances, _sq_norms, distance_space
 from .errors import ConfigError, DegenerateBeta
 from .pdclust import _loss, _probabilities
+from .streams import keyed_streams
 from . import pspline
 
 PERFECT_PARTITION_TOL = 1e-12
@@ -114,17 +113,17 @@ def _weights(D, P, beta):
     return w / w.cumsum(axis=-1)[..., -1:]
 
 
-def resample_counts(weights, keys):
+def resample_counts(weights, streams):
     """(rows, N) counts of N draws with replacement, one row per weight row.
 
     Row j draws index i with probability weights[j, i] / sum(weights[j]) on
-    the stream keyed by keys[j], a row of uint32 words, by the inverse CDF
-    of N uniforms: the same arithmetic as ``Generator.choice(N, N, p=weights[j]
-    / weights[j].sum())`` on ``default_rng(SeedSequence(keys[j]))``, so the
-    counts equal that call's; all keys are hashed in one batch
-    (``_keyed_streams``). The counts do not depend on the order of the
-    uniforms, which are sorted before the search: a search for ascending
-    values takes predictable branches.
+    the j-th Generator of streams, an iterable of exactly one per row, by
+    the inverse CDF of N uniforms: the same arithmetic as
+    ``Generator.choice(N, N, p=weights[j] / weights[j].sum())`` on that
+    stream, so the counts equal that call's. Each stream is drawn from
+    before the next is taken. The counts do not depend on the order of the uniforms, which are
+    sorted before the search: a search for ascending values takes
+    predictable branches.
     """
     w = np.asarray(weights, dtype=float)
     rows, n = w.shape
@@ -134,8 +133,9 @@ def resample_counts(weights, keys):
     cdf = (w / total).cumsum(axis=1)
     cdf /= cdf[:, -1:]
     uniforms = np.empty((rows, n))
-    for row, rng in enumerate(_keyed_streams(keys)):
-        rng.random(out=uniforms[row])
+    # strict: a row without a stream would search uninitialized uniforms
+    for row, rng in zip(uniforms, streams, strict=True):
+        rng.random(out=row)
     uniforms.sort(axis=1)
     draws = np.empty((rows, n), dtype=np.intp)
     for row in range(rows):
@@ -161,133 +161,6 @@ def estimate_centers(values, counts, B, spectrum, criterion):
     return pspline.select_rows(pooled, spectrum, criterion).coef @ B.T
 
 
-def _seed_words(seed):
-    """The seed's little-endian 32-bit words ([0] for 0), as ``SeedSequence`` splits an int."""
-    words = [seed & 0xFFFFFFFF]
-    while seed := seed >> 32:
-        words.append(seed & 0xFFFFFFFF)
-    return words
-
-
-# the constants of SeedSequence's hash (numpy/random/bit_generator.pyx)
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _seed_states(keys):
-    """(rows, 4) uint64: ``SeedSequence(key).generate_state(4, np.uint64)`` of every key row.
-
-    keys is (rows, L), each row one key's uint32 entropy words. The hash is
-    a fixed schedule of uint32 xor, multiply and shift steps whose constants
-    do not depend on the key (``_mix_constants``), so each step runs on all
-    rows at once, and on every pool word that it updates.
-    """
-    keys = np.asarray(keys, dtype=np.uint32)
-    rows, length = keys.shape
-    size = _POOL_SIZE
-    xor, mul = _mix_constants(length)
-    pool = np.zeros((size, rows), dtype=np.uint32)
-    pool[: min(length, size)] = keys[:, :size].T
-    pool = _hashmix(pool, xor[0], mul[0])
-    for src in range(size):
-        # the other words mix in this word's hash; its own update is discarded
-        kept = pool[src].copy()
-        pool = _mix(pool, _hashmix(pool[src], xor[1 + src], mul[1 + src]))
-        pool[src] = kept
-    for src in range(size, length):
-        pool = _mix(pool, _hashmix(keys[:, src], xor[1 + src], mul[1 + src]))
-    # generate_state hashes the pool twice over into 8 words, which pair up
-    # into little-endian uint64s
-    const = _running_constants(_INIT_B, _MULT_B, 2 * size + 1)[:, None]
-    words = _hashmix(np.concatenate([pool, pool]), const[:-1], const[1:]).astype(np.uint64)
-    return (words[0::2] | words[1::2] << np.uint64(32)).T
-
-
-def _hashmix(value, xor, mul):
-    value = (value ^ xor) * mul
-    return value ^ (value >> 16)
-
-
-def _mix(x, y):
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ (result >> 16)
-
-
-def _running_constants(init, mult, count):
-    """SeedSequence's running hash constant init * mult**j mod 2**32, j < count.
-
-    The products are Python ints: numpy warns when a uint32 scalar
-    overflows, while uint32 array arithmetic, as in the hash, wraps silently.
-    """
-    values = [init]
-    for _ in range(count - 1):
-        values.append(values[-1] * mult & _MASK32)
-    return np.array(values, dtype=np.uint32)
-
-
-def _mix_constants(length):
-    """(steps, 4, 1) xor and multiply constants of ``SeedSequence.mix_entropy``
-    for keys of ``length`` words, one step per pool-wide hash.
-
-    Hash call j xors with the j-th running constant and multiplies by the
-    next. Step 0 hashes the pool, step 1 + src hashes word src into every
-    other pool word (and into src itself, a result that is discarded), and
-    each key word beyond the pool is one more step.
-    """
-    size = _POOL_SIZE
-    calls = [list(range(size))]
-    j = size
-    for src in range(size):
-        others = iter(range(j, j + size - 1))
-        calls.append([j if dst == src else next(others) for dst in range(size)])
-        j += size - 1
-    for _ in range(size, length):
-        calls.append(list(range(j, j + size)))
-        j += size
-    index = np.array(calls)[..., None]
-    const = _running_constants(_INIT_A, _MULT_A, j + 1)
-    return const[index], const[index + 1]
-
-
-def _pcg64_state(words):
-    """PCG64's (state, inc) seeded with four 64-bit words, as ``pcg64_set_seed`` does."""
-    seed = words[0] << 64 | words[1]
-    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
-    return ((inc + seed) * _PCG64_MULT + inc) & _MASK128, inc
-
-
-def _keyed_streams(keys):
-    """Yield, for each row of keys, the Generator of ``default_rng(SeedSequence(key))``.
-
-    keys is (rows, L) uint32 entropy words, hashed in one batch
-    (``_seed_states``). Each row yields the same Generator, its PCG64 set to
-    that row's state, so draw from it before asking for the next row.
-    """
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for words in _seed_states(keys).tolist():
-        state, inc = _pcg64_state(words)
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        yield rng
-
-
-def _stream_keys(seed_words, restarts, k):
-    """(restarts * k, L) uint32 keys (*seed_words, restart, iteration, cluster)
-    of the resampling streams, restart-major; the caller sets the iteration."""
-    keys = np.empty((restarts, k, len(seed_words) + 3), dtype=np.uint32)
-    keys[..., :-3] = seed_words
-    keys[..., -3] = np.arange(restarts)[:, None]
-    keys[..., -1] = np.arange(k)
-    return keys.reshape(restarts * k, -1)
-
-
 def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
     """Run the full multi-restart algorithm and keep the best-BC restart."""
     values = data.values
@@ -298,7 +171,9 @@ def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
     B = pspline.build_basis(data.domain)
     spectrum = pspline._spectrum(B, pspline.difference_penalty(B.shape[1]))
     criterion = pspline.LambdaCriterion(config.criterion)
-    keys = _stream_keys(_seed_words(config.seed), restarts, k)
+    # resampling keys (restart, iteration, cluster), restart-major; each iteration sets its own
+    keys = np.zeros((restarts * k, 3), dtype=np.uint32)
+    keys[:, 0], keys[:, 2] = np.divmod(np.arange(restarts * k), k)
     points = distance_space(values, config.distance)
     norms = _sq_norms(points)
 
@@ -309,8 +184,7 @@ def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
         d2 = _sq_distances(points, mapped.reshape(restarts * k, -1), norms)
         return np.sqrt(d2, out=d2).reshape(restarts, k, n_series)
 
-    # the initial-center keys (*seed_words, restart) lead each restart's resampling keys
-    starts = _keyed_streams(keys[::k, :-2])
+    starts = keyed_streams(config.seed, np.arange(restarts)[:, None])
     centers = np.stack([values[rng.choice(n_series, size=k, replace=False)] for rng in starts])
     sums = np.zeros_like(centers)
     active = np.ones(restarts, dtype=bool)
@@ -328,8 +202,8 @@ def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
         columns = _weights(D, P, np.where(active, beta, 1.0)).reshape(restarts * k, n_series)
         drawn = np.repeat(active, k)
         counts = np.ones_like(columns)
-        keys[:, -2] = iteration
-        counts[drawn] = resample_counts(columns[drawn], keys[drawn])
+        keys[:, 1] = iteration
+        counts[drawn] = resample_counts(columns[drawn], keyed_streams(config.seed, keys[drawn]))
         fitted = estimate_centers(values, counts, B, spectrum, criterion)
         live = active[:, None, None]
         np.add(sums, fitted.reshape(centers.shape), out=sums, where=live)

@@ -420,12 +420,12 @@ def cmd_evaluate(args):
     report = {"bc": bc_index(membership)}
     predicted = harden(membership)
     # rows are matched by position, so both sides must list the same ids in the same order
-    if args.reference_membership:
+    if args.reference_membership is not None:
         reference_ids, reference = read_membership(args.reference_membership)
         if ids != reference_ids:
             raise ConfigError("membership ids do not match the reference membership ids")
         truth = harden(reference)
-    elif args.reference_labels:
+    else:
         if not args.input:
             raise ConfigError("--reference-labels requires --input")
         data = read_dataset(args.input, args.format)
@@ -437,8 +437,6 @@ def cmd_evaluate(args):
         reference, _ = reference_partition(data, truth, DistanceKind(args.distance),
                                            criterion=args.lambda_criterion)
         report["reference_bc"] = bc_index(reference)
-    else:
-        raise ConfigError("provide --reference-membership or --reference-labels")
     report["fuzzy_rand"] = fuzzy_rand(membership, reference)
     report["classic_rand"] = classic_rand(predicted, truth)
     table, t_labels, p_labels = confusion_matrix(truth, predicted)
@@ -538,8 +536,9 @@ def build_parser():
 
     ev = sub.add_parser("evaluate", help="score a membership matrix")
     ev.add_argument("--membership", required=True)
-    ev.add_argument("--reference-membership", dest="reference_membership")
-    ev.add_argument("--reference-labels", dest="reference_labels")
+    reference = ev.add_mutually_exclusive_group(required=True)
+    reference.add_argument("--reference-membership", dest="reference_membership")
+    reference.add_argument("--reference-labels", dest="reference_labels")
     ev.add_argument("--input", help="dataset; required with --reference-labels")
     ev.add_argument("--format", choices=("wide", "long"), default="wide")
     ev.add_argument("--distance", choices=[kind.value for kind in DistanceKind],

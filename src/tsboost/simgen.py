@@ -2,19 +2,18 @@
 
 Each series draws its own random coefficients, a per-series random level
 and an AR(1) disturbance path, on n equally spaced time points in [0, 1].
-Every series owns a dedicated random stream keyed by (seed, series index),
-so generation is bit-reproducible regardless of evaluation order. The N
-keys are hashed in one batch, bit for bit as ``SeedSequence((seed, i))``
-hashes each.
+Every series owns a dedicated random stream keyed by (seed, series index)
+(``streams.keyed_streams``), so generation is bit-reproducible regardless
+of evaluation order; the N keys are hashed in one batch.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import _keyed_streams, _seed_words
 from .core import Dataset
 from .errors import ConfigError
+from .streams import keyed_streams
 
 DEFAULT_SIZES = (90, 50, 100, 25, 60, 35)
 
@@ -84,11 +83,8 @@ def generate(config: SimConfig):
     labels = np.repeat(np.arange(1, 7), config.sizes)
     rows = np.empty((labels.shape[0], n))
     noise = np.empty_like(rows)
-    seed_words = _seed_words(config.seed)
-    keys = np.empty((labels.shape[0], len(seed_words) + 1), dtype=np.uint32)
-    keys[:, :-1] = seed_words
-    keys[:, -1] = np.arange(labels.shape[0])
-    for i, (cluster, rng) in enumerate(zip(labels.tolist(), _keyed_streams(keys))):
+    streams = keyed_streams(config.seed, np.arange(labels.shape[0])[:, None])
+    for i, (cluster, rng) in enumerate(zip(labels.tolist(), streams)):
         mean = _mean_curve(cluster, x, rng, config)
         level = rng.normal(0.0, np.sqrt(config.sigma2_u))
         rows[i] = mean + level

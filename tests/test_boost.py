@@ -6,6 +6,7 @@ from tsboost.boost import _raw_weights, _weights, estimate_centers, resample_cou
 from tsboost.distance import _sq_distances, distance_space
 from tsboost.errors import ConfigError, DegenerateBeta
 from tsboost.pdclust import _loss, _probabilities
+from tsboost.streams import keyed_streams
 from tsboost import boost, pspline
 
 from conftest import two_level_dataset
@@ -131,18 +132,22 @@ def test_layers_take_a_restart_axis(rng, kind):
         assert np.array_equal(W[r], _weights(D_r, P_r, _loss(P_r)))
 
 
+def generators(*seeds):
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
 class TestSampling:
     def test_one_hot_column(self):
         w = np.zeros((2, 6))
         w[0, 3] = 1.0
         w[1, 5] = 7.0
-        counts = resample_counts(w, [[0, 0], [0, 1]])
+        counts = resample_counts(w, generators(0, 1))
         assert np.array_equal(counts, [[0, 0, 0, 6, 0, 0], [0, 0, 0, 0, 0, 6]])
 
     def test_deterministic_given_stream(self):
         w = np.full((3, 10), 0.1)
-        a = resample_counts(w, [[7], [8], [9]])
-        b = resample_counts(w, [[7], [8], [9]])
+        a = resample_counts(w, generators(7, 8, 9))
+        b = resample_counts(w, generators(7, 8, 9))
         assert np.array_equal(a, b)
         assert np.all(a.sum(axis=1) == 10)
         assert not np.array_equal(a[0], a[1])
@@ -151,7 +156,7 @@ class TestSampling:
         # 12,500 rows of 8 draws, each row on its own stream: 100,000 draws
         n, rows = 8, 12_500
         keys = np.arange(rows)[:, None]
-        counts = resample_counts(np.full((rows, n), 1.0 / n), keys).sum(axis=0)
+        counts = resample_counts(np.full((rows, n), 1.0 / n), keyed_streams(0, keys)).sum(axis=0)
         draws = n * rows
         sigma = np.sqrt(draws * (1 / n) * (1 - 1 / n))
         assert np.max(np.abs(counts - draws / n)) < 5 * sigma
@@ -162,7 +167,14 @@ class TestSampling:
     def test_invalid_weights_rejected(self, row):
         w = np.array([[1.0, 1.0, 1.0], row])
         with np.errstate(over="ignore"), pytest.raises(ValueError):
-            resample_counts(w, [[0], [1]])
+            resample_counts(w, generators(0, 1))
+
+    @pytest.mark.parametrize("streams", [1, 3], ids=["too-few", "too-many"])
+    def test_stream_count_must_equal_rows(self, streams):
+        # a row without a stream would draw from uninitialized uniforms
+        w = np.full((2, 4), 0.25)
+        with pytest.raises(ValueError):
+            resample_counts(w, generators(*range(streams)))
 
 
 class TestCenterEstimation:

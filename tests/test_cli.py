@@ -540,6 +540,24 @@ class TestEvaluate:
     def test_missing_reference(self, tmp_path, toy_csv):
         assert main(["evaluate", "--membership", str(toy_csv)]) in (1, 2)
 
+    def test_both_references_exit_code(self, tmp_path, toy_csv, capsys):
+        # each reference alone scores; given both, neither is silently dropped
+        out = tmp_path / "run"
+        assert main(["cluster", "--input", str(toy_csv), "--out", str(out),
+                     "--k", "3", "--iters", "2", "--restarts", "1"]) == 0
+        labels_path = tmp_path / "labels.csv"
+        lines = ["id,label"] + [f"s{i + 1:04d},{1 + i // 4}" for i in range(12)]
+        labels_path.write_text("\n".join(lines) + "\n")
+        membership = str(out / "membership.csv")
+        capsys.readouterr()
+        code = main(["evaluate", "--membership", membership,
+                     "--reference-membership", membership,
+                     "--reference-labels", str(labels_path), "--input", str(toy_csv)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "fuzzy_rand" not in captured.out
+
     @pytest.mark.parametrize("rows", [
         pytest.param([[0.7, 0.3], [-0.5, 1.5], [2.0, 3.0]], id="outside-unit-interval"),
         pytest.param([[0.7, 0.3], [0.5, 0.6], [0.2, 0.8]], id="row-sum"),

@@ -173,3 +173,14 @@ def test_exports_resolve():
     for module in (distance, errors, evaluate, fcm, pdclust, pspline):
         for name in deleted + ("_pair",):
             assert not hasattr(module, name), (module.__name__, name)
+    # the keyed streams live in streams alone: boost and simgen hold none of
+    # the hash's former names, and simgen uses nothing from boost
+    from tsboost import boost, simgen
+
+    stream_names = ("_seed_words", "_seed_states", "_hashmix", "_mix", "_running_constants",
+                    "_mix_constants", "_pcg64_state", "_keyed_streams", "_stream_keys")
+    for module in (boost, simgen):
+        for name in stream_names:
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not any(getattr(value, "__module__", None) == boost.__name__
+                   for value in vars(simgen).values())

@@ -124,7 +124,6 @@ def nk_run_boost(data, config, distances=kernel_distances):
     B = pspline.build_basis(data.domain)
     spectrum = pspline._spectrum(B, pspline.difference_penalty(B.shape[1]))
     criterion = pspline.LambdaCriterion(config.criterion)
-    words = boost._seed_words(config.seed)
     points = distance_space(values, config.distance)
     centers = np.stack([
         values[np.random.default_rng(np.random.SeedSequence((config.seed, r)))
@@ -147,7 +146,7 @@ def nk_run_boost(data, config, distances=kernel_distances):
         drawn = np.repeat(active, k)
         counts = np.ones_like(columns)
         counts[drawn] = resample_counts(columns[drawn], [
-            (*words, r, iteration, cluster)
+            np.random.default_rng(np.random.SeedSequence((config.seed, r, iteration, cluster)))
             for r in np.flatnonzero(active) for cluster in range(k)
         ])
         fitted = estimate_centers(values, counts, B, spectrum, criterion)

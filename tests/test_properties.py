@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsboost import bc_index, fuzzy_rand
-from tsboost.boost import _keyed_streams, _pcg64_state, _seed_states, _seed_words, resample_counts
+from tsboost.boost import resample_counts
 from tsboost.cli import (
     _fmt,
     _read_csv_matrix,
@@ -25,6 +25,7 @@ from tsboost.cli import (
 )
 from tsboost.errors import ParseError
 from tsboost.pdclust import _probabilities
+from tsboost.streams import _seed_states, keyed_streams
 from tsboost.pspline import (
     CRITERIA,
     LambdaCriterion,
@@ -146,6 +147,14 @@ def weight_columns():
     return st.one_of(one_hot, uniform, small)
 
 
+def seed_words(seed):
+    """The seed's little-endian 32-bit words ([0] for 0), as ``SeedSequence`` splits an int."""
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    return words
+
+
 def stream_key(length):
     """A (seed, *entries) key of ``length`` uint32 words; a seed >= 2**32 takes 2 or 3."""
     def key(seed_words):
@@ -162,7 +171,7 @@ def test_resampling_equals_rng_choice(w, key):
     # the inverse-CDF draw on the keyed stream is rng.choice's own
     # arithmetic on default_rng(SeedSequence(key)): the same counts
     n = w.shape[0]
-    counts = resample_counts(w[None, :], [(*_seed_words(key[0]), *key[1:])])[0]
+    counts = resample_counts(w[None, :], keyed_streams(key[0], [key[1:]]))[0]
     theirs = np.random.default_rng(np.random.SeedSequence(key))
     sample = theirs.choice(n, size=n, replace=True, p=w / w.sum())
     assert np.array_equal(counts, np.bincount(sample, minlength=n))
@@ -174,16 +183,17 @@ def test_resampling_equals_rng_choice(w, key):
 @example([(2**32 - 1, 0, 0, 0), (2**32, 0, 0), (0, 1, 2, 3)])
 @example([(2**96 - 1, 9, 100, 5), (2**64, 2**32 - 1, 0, 7)])
 def test_batched_hash_equals_seed_sequence(keys):
-    # one batch of equal-length keys hashes to every key's own SeedSequence
-    # state, and to the state PCG64 seeds itself with from that sequence
-    words = np.array([(*_seed_words(key[0]), *key[1:]) for key in keys], dtype=np.uint32)
+    # one batch of equal-length entropy rows hashes to every key's own
+    # SeedSequence state, and each key's stream is the PCG64 seeded from
+    # that sequence
+    words = np.array([(*seed_words(key[0]), *key[1:]) for key in keys], dtype=np.uint32)
     states = _seed_states(words)
     assert states.shape == (len(keys), 4) and states.dtype == np.uint64
     for key, state in zip(keys, states):
         sequence = np.random.SeedSequence(key)
         assert np.array_equal(state, sequence.generate_state(4, np.uint64))
-        pcg = np.random.PCG64(sequence).state["state"]
-        assert _pcg64_state(state.tolist()) == (pcg["state"], pcg["inc"])
+        ours = next(keyed_streams(key[0], [key[1:]]))
+        assert ours.bit_generator.state == np.random.PCG64(sequence).state
 
 
 @SETTINGS
@@ -198,11 +208,11 @@ def test_uint32_stream_key_equals_tuple_key(seed, restart, iteration, cluster):
     # SeedSequence the same entropy as the tuple of Python ints, for the
     # initial-center keys (seed, restart) and the resampling keys
     for key in ((restart,), (restart, iteration, cluster)):
-        words = np.array((*_seed_words(seed), *key), dtype=np.uint32)
+        words = np.array((*seed_words(seed), *key), dtype=np.uint32)
         expected = np.random.SeedSequence((seed, *key))
         assert np.array_equal(np.random.SeedSequence(words).generate_state(4, np.uint64),
                               expected.generate_state(4, np.uint64))
-        ours = next(_keyed_streams(words[None, :]))
+        ours = next(keyed_streams(seed, [key]))
         assert ours.random() == np.random.default_rng(expected).random()
 
 
