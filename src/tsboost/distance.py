@@ -61,7 +61,8 @@ def _sq_distances(points, centers, norms=None):
         scale *= _GUARD
         redo = ~(d2 > scale)
     if redo.any():
-        rows, cols = np.nonzero(redo)
+        # flat indices in row-major order, as np.nonzero gives them
+        rows, cols = np.divmod(np.flatnonzero(redo), redo.shape[1])
         step = points.shape[0]
         for start in range(0, rows.size, step):
             r, c = rows[start : start + step], cols[start : start + step]

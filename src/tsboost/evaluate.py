@@ -3,12 +3,15 @@
 The fuzzy Rand index compares two fuzzy partitions through their pairwise
 equivalence degrees E(i, j) = 1 - 0.5 * L1(p_i, p_j): the index is one
 minus the mean absolute disagreement of E over the N(N-1)/2 unordered
-pairs, accumulated over square tiles of TILE x TILE pairs in reused
-buffers, so its working memory stays O(TILE^2) whatever N and K are. On
-crisp partitions it reduces to the classic Rand index. The reference
-partition rebuilds the "true" fuzzy solution the same way the clustering
-does: per-label pooled P-spline centers, smoothed one row at a time from
-one spline factorisation per call, then PD probabilities against them.
+pairs. As |a - b| = a + b - 2 min(a, b), E(i, j) = c_i + c_j + sum_k
+min(p_ki, p_kj) with c = (1 - row sum) / 2. The index builds it one
+cluster at a time over slabs of ROWS objects against at most COLS later
+ones, in three ROWS x COLS buffers (384 KiB) that every slab reuses, so
+its working memory stays fixed whatever N and K are. On crisp partitions
+it reduces to the classic Rand index. The reference partition rebuilds
+the "true" fuzzy solution the same way the clustering does: per-label
+pooled P-spline centers, smoothed one row at a time from one spline
+factorisation per call, then PD probabilities against them.
 """
 
 import numpy as np
@@ -19,44 +22,10 @@ from .errors import SizeMismatch, TooFewLabels, TooFewObjects
 from .pdclust import _probabilities
 from . import pspline
 
-# side of the square tiles of pairs in the fuzzy Rand index; bounds its
-# working memory to a few TILE x TILE arrays for any N and K
-TILE = 128
-
-
-def _pairwise_equivalence(rows, cols, out, diff):
-    """E[i, j] = 1 - 0.5 * L1 distance of rows[:, i] and cols[:, j], into ``out``.
-
-    The inputs are cluster-major (K, rows) and (K, cols) memberships, and
-    ``out`` and ``diff`` are (rows, cols) buffers. The L1 sum runs one
-    cluster at a time from the first cluster's term, which is the order of
-    sum(axis=2) for K <= 7 (numpy sums 8 or more terms pairwise), and it
-    never allocates the (rows, cols, K) difference tensor.
-    """
-    if not len(rows):
-        out.fill(1.0)
-        return out
-    np.subtract(rows[0, :, None], cols[0], out=out)
-    np.abs(out, out=out)
-    for row, col in zip(rows[1:], cols[1:]):
-        np.subtract(row[:, None], col, out=diff)
-        out += np.abs(diff, out=diff)
-    out *= -0.5
-    out += 1.0
-    return out
-
-
-def _tiles(n):
-    """The tiles that cover the pairs j > i of n objects, in a fixed order.
-
-    Yields (rows, cols) slices of at most TILE objects each, row tile by row
-    tile, with cols.start >= rows.start; a tile with cols.start ==
-    rows.start lies on the diagonal, and only its pairs j > i count.
-    """
-    for start in range(0, n, TILE):
-        rows = slice(start, min(start + TILE, n))
-        for col in range(start, n, TILE):
-            yield rows, slice(col, min(col + TILE, n))
+# a slab pairs ROWS objects with at most COLS later ones; its three
+# ROWS x COLS buffers bound the working memory for any N and K
+ROWS = 4
+COLS = 4096
 
 
 def fuzzy_rand(P, Q):
@@ -68,23 +37,29 @@ def fuzzy_rand(P, Q):
     n = P.shape[0]
     if n < 2:
         raise TooFewObjects(f"the fuzzy Rand index needs at least 2 objects, got {n}")
-    P = np.ascontiguousarray(P.T)
-    Q = np.ascontiguousarray(Q.T)
-    # each tile takes a contiguous (rows, cols) view of the front of a flat
-    # buffer, so its sum runs in the order of a fresh (rows, cols) array's
-    buffers = np.empty((3, TILE * TILE))
-    upper = np.triu(np.ones((TILE, TILE), dtype=bool), 1)
+    # cluster-major copies, and c = (1 - row sum) / 2 per object
+    parts = [np.ascontiguousarray(X.T) for X in (P, Q)]
+    halves = [(1.0 - X.sum(axis=0)) / 2 for X in parts]
+    buffers = np.empty((3, ROWS * COLS))
     disagreement = 0.0
-    for rows, cols in _tiles(n):
-        shape = (rows.stop - rows.start, cols.stop - cols.start)
-        ep, eq, diff = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
-        _pairwise_equivalence(P[:, rows], P[:, cols], ep, diff)
-        _pairwise_equivalence(Q[:, rows], Q[:, cols], eq, diff)
-        ep -= eq
-        np.abs(ep, out=ep)
-        if rows.start == cols.start:
-            ep = ep[upper[: shape[0], : shape[1]]]
-        disagreement += ep.sum()
+    for start in range(0, n - 1, ROWS):
+        rows = slice(start, min(start + ROWS, n - 1))
+        for col in range(start + 1, n, COLS):
+            cols = slice(col, min(col + COLS, n))
+            # contiguous views of the buffers' fronts, so that each slab
+            # sums in the order of a fresh (rows, cols) array
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
+            ep, eq, low = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
+            for X, half, e in zip(parts, halves, (ep, eq)):
+                np.add(half[rows, None], half[cols], out=e)
+                for p in X:
+                    e += np.minimum(p[rows, None], p[cols], out=low)
+            ep -= eq
+            np.abs(ep, out=ep)
+            if col == start + 1:
+                # the slab reaches the diagonal: keep j > i only
+                ep[:, : shape[0]] = np.triu(ep[:, : shape[0]])
+            disagreement += ep.sum()
     return float(1.0 - disagreement / (n * (n - 1) / 2))
 
 

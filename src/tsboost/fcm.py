@@ -62,8 +62,19 @@ def _memberships(d2, m):
     zero = d2 == 0.0
     coincident = zero.any(axis=1)
     if not coincident.any():
-        inv = d2 ** (-1.0 / (m - 1.0))
-        return inv / inv.sum(axis=1, keepdims=True)
+        power = -1.0 / (m - 1.0)
+        with np.errstate(over="ignore"):
+            inv = d2**power
+            total = inv.sum(axis=1, keepdims=True)
+        # near m = 1 the powers can overflow, or underflow to 0 for every
+        # cluster; such a series is recomputed from distances over its
+        # smallest, so that its nearest center's term is exactly 1
+        bad = ~((total > 0.0) & (total < np.inf))[:, 0]
+        if bad.any():
+            with np.errstate(over="ignore"):
+                inv[bad] = (d2[bad] / d2[bad].min(axis=1, keepdims=True)) ** power
+            total[bad] = inv[bad].sum(axis=1, keepdims=True)
+        return inv / total
     U = np.zeros_like(d2)
     U[coincident, np.argmax(zero[coincident], axis=1)] = 1.0
     regular = ~coincident

@@ -39,8 +39,11 @@ def _probabilities(D):
     logw = -np.log(np.where(coincident, 1.0, D))
     logw -= logw.max(axis=-2, keepdims=True)
     w = np.exp(logw)
+    w /= w.sum(axis=-2, keepdims=True)
+    if not coincident.any():
+        return w
     split = zero / np.maximum(zero.sum(axis=-2, keepdims=True), 1)
-    return np.where(coincident, split, w / w.sum(axis=-2, keepdims=True))
+    return np.where(coincident, split, w)
 
 
 def bc_index(P):

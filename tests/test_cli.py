@@ -259,6 +259,19 @@ class TestCluster:
         assert membership.shape == (12, 3)
         assert np.max(np.abs(membership.sum(axis=1) - 1.0)) < 1e-9
 
+    def test_fcm_fuzzifier_near_one(self, tmp_path):
+        # at m = 1.01 the membership powers d2 ** -100 of the simulated
+        # series overflow or underflow; every membership must stay finite
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--out", str(sim), "--seed", "0"]) == 0
+        out = tmp_path / "fcm"
+        assert main(["cluster", "--input", str(sim / "series.csv"), "--out", str(out),
+                     "--k", "6", "--algorithm", "fcm", "--fuzzifier", "1.01",
+                     "--seed", "0"]) == 0
+        _, membership = read_membership(out / "membership.csv")
+        assert np.all(np.isfinite(membership))
+        assert np.max(np.abs(membership.sum(axis=1) - 1.0)) < 1e-9
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_input_digest_is_null(self, tmp_path, toy_csv):
         # a pipe, as in --input <(...), is read once: its digest is null,

@@ -17,7 +17,7 @@ from tsboost import (
 from tsboost import pspline
 from tsboost.distance import _sq_distances
 from tsboost.errors import SizeMismatch, TooFewLabels, TooFewObjects
-from tsboost.evaluate import TILE, _pairwise_equivalence, _tiles
+from tsboost.evaluate import COLS, ROWS
 
 from oracles import nk_probabilities
 
@@ -50,9 +50,8 @@ def rand_indices_by_full_matrices(P, Q, a, b):
 
 
 class TestBlockedPairs:
-    # inside one tile (65 and TILE - 1), on either side of a tile edge, and
-    # over several row tiles that end in a partial one
-    @pytest.mark.parametrize("n", [2, 65, 150, TILE - 1, TILE + 1, 2 * TILE + 22])
+    # from one pair to 278 objects, over row slabs that end in a partial one
+    @pytest.mark.parametrize("n", [2, 65, 150, 127, 129, 278])
     def test_matches_full_matrix_oracle(self, rng, n):
         P = rng.dirichlet(np.ones(3), size=n)
         Q = rng.dirichlet(np.ones(5), size=n)
@@ -63,22 +62,35 @@ class TestBlockedPairs:
         assert abs(classic_rand(a, b) - classic) < 1e-12
 
 
-def summed_tensor_equivalence(rows, cols):
-    # the (rows, cols, K) difference tensor, summed over K by sum(axis=2)
-    return 1.0 - 0.5 * np.abs(rows[:, None, :] - cols[None, :, :]).sum(axis=2)
+def summed_tensor_equivalence(X, rows):
+    """E of the objects ``rows`` against all N objects: c_i + c_j with c =
+    (1 - row sum) / 2, then the (rows, N, K) tensor of pairwise minimums
+    added one cluster at a time."""
+    total = np.zeros(len(X))
+    for column in X.T:
+        total += column
+    half = (1.0 - total) / 2
+    e = half[rows, None] + half[None, :]
+    minimums = np.minimum(X[rows, None, :], X[None, :, :])
+    for k in range(X.shape[1]):
+        e += minimums[:, :, k]
+    return e
 
 
 def summed_tensor_fuzzy_rand(P, Q):
-    """fuzzy_rand with every tile's equivalences from the summed difference tensor."""
+    """fuzzy_rand from whole rows of E_P and E_Q, summed slab by slab: ROWS
+    objects against at most COLS later ones, the pairs j > i only."""
     n = P.shape[0]
     disagreement = 0.0
-    for rows, cols in _tiles(n):
-        ep = summed_tensor_equivalence(P[rows], P[cols])
-        eq = summed_tensor_equivalence(Q[rows], Q[cols])
-        tile = np.abs(ep - eq)
-        if rows.start == cols.start:
-            tile = tile[np.triu(np.ones(tile.shape, dtype=bool), 1)]
-        disagreement += tile.sum()
+    for start in range(0, n - 1, ROWS):
+        rows = slice(start, min(start + ROWS, n - 1))
+        ep = summed_tensor_equivalence(P, rows)
+        eq = summed_tensor_equivalence(Q, rows)
+        for col in range(start + 1, n, COLS):
+            slab = np.abs(ep[:, col : col + COLS] - eq[:, col : col + COLS])
+            if col == start + 1:
+                slab = np.triu(slab)  # column c is object start + 1 + c
+            disagreement += slab.sum()
     return float(1.0 - disagreement / (n * (n - 1) / 2))
 
 
@@ -87,39 +99,47 @@ def memberships_with_k(rng, n, k):
 
 
 class TestClusterByClusterSum:
-    # numpy sums fewer than 8 terms in order, so up to K = 7 the running
-    # per-cluster sum must give the summed tensor's bits
+    # each pair's E adds c_i + c_j and then one minimum per cluster, in
+    # cluster order, and each slab sums in the order of a fresh array, so
+    # the index must give the oracle's bits
 
     @pytest.mark.parametrize("k", range(8))
-    @pytest.mark.parametrize("rows", [1, 7, 64, TILE])
+    @pytest.mark.parametrize("rows", [1, 7, 64, 128])
     def test_equivalence_matches_summed_tensor(self, rng, k, rows):
         P = memberships_with_k(rng, rows + 40, k)
-        out, diff = np.empty((2, rows, rows + 40))
-        got = _pairwise_equivalence(P[:rows].T, P.T, out, diff)  # cluster-major inputs
-        assert got is out
-        assert np.array_equal(got, summed_tensor_equivalence(P[:rows], P))
+        Q = memberships_with_k(rng, rows + 40, k)
+        assert fuzzy_rand(P, Q) == summed_tensor_fuzzy_rand(P, Q)
 
     @pytest.mark.parametrize("k", range(8))
     def test_fuzzy_rand_matches_summed_tensor(self, rng, k):
-        n = 2 * TILE + 22
+        n = 278
         P = memberships_with_k(rng, n, k)
         for q_clusters in (k, 3):
             Q = memberships_with_k(rng, n, q_clusters)
             assert fuzzy_rand(P, Q) == summed_tensor_fuzzy_rand(P, Q)
         assert fuzzy_rand(P, P) == 1.0
 
+    # one pair, either side of a slab's row count and of its column count,
+    # and slabs whose later objects span two column chunks
+    @pytest.mark.parametrize("n", [2, ROWS - 1, ROWS + 1, COLS - 1, COLS + 1, COLS + ROWS + 3])
+    def test_fuzzy_rand_matches_summed_tensor_at_slab_edges(self, rng, n):
+        P = memberships_with_k(rng, n, 6)
+        Q = memberships_with_k(rng, n, 4)
+        got = fuzzy_rand(P, Q)
+        assert got == summed_tensor_fuzzy_rand(P, Q)
+        assert got == fuzzy_rand(Q, P)
+
     def test_many_clusters_within_round_off(self, rng):
-        # from K = 8 numpy sums pairwise, so a pair's E may move by an ulp
         for k in range(8, 41):
-            P = memberships_with_k(rng, TILE + 9, k)
-            Q = memberships_with_k(rng, TILE + 9, k)
+            P = memberships_with_k(rng, 137, k)
+            Q = memberships_with_k(rng, 137, k)
             assert abs(fuzzy_rand(P, Q) - summed_tensor_fuzzy_rand(P, Q)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_fuzzy_rand_matches_summed_tensor_on_any_shape(data):
-    n = data.draw(st.integers(2, 3 * TILE))
+    n = data.draw(st.integers(2, 384))
     P, Q = (data.draw(arrays(float, (n, data.draw(st.integers(0, 7))),
                              elements=st.floats(0.0, 1.0)))
             for _ in range(2))
@@ -139,9 +159,10 @@ def fuzzy_rand_peak(rng, n):
 
 
 def test_fuzzy_rand_memory_does_not_grow_with_n(rng):
-    # the tiles' buffers are TILE x TILE whatever N is; only the
-    # cluster-major copies of the inputs grow with N
-    assert fuzzy_rand_peak(rng, 16 * TILE) < fuzzy_rand_peak(rng, 4 * TILE) + 2**20
+    # the slabs' buffers are ROWS x COLS whatever N is, also when a slab's
+    # later objects span two column chunks; only the cluster-major copies
+    # of the inputs grow with N
+    assert fuzzy_rand_peak(rng, 2 * COLS) < fuzzy_rand_peak(rng, COLS // 4) + 2**20
 
 
 class TestFuzzyRand:

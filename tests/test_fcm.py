@@ -93,6 +93,17 @@ class TestMemberships:
         U = _memberships(sq_distances(values, centers), m=3.0)
         assert np.max(np.abs(U.sum(axis=1) - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("m", [1.01, 1.001])
+    def test_fuzzifier_near_one(self, m):
+        # d2 ** (-1 / (m - 1)) overflows on the first row and underflows to 0
+        # for every cluster on the second
+        d2 = np.array([[1e-4, 2e-4, 5e-4], [1e4, 2e4, 3e4]])
+        U = _memberships(d2, m)
+        with np.errstate(over="ignore"):
+            oracle = 1.0 / np.sum((d2[:, :, None] / d2[:, None, :]) ** (1.0 / (m - 1.0)), axis=2)
+        assert np.all(np.abs(U - oracle) < 1e-12)
+        assert np.max(np.abs(U.sum(axis=1) - 1.0)) < 1e-12
+
 
 def exact_sq_distances(values, centers):
     # each entry from its own differences: the reference for the kernel
