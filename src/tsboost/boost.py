@@ -117,13 +117,13 @@ def resample_counts(weights, streams):
     """(rows, N) counts of N draws with replacement, one row per weight row.
 
     Row j draws index i with probability weights[j, i] / sum(weights[j]) on
-    the j-th Generator of streams, an iterable of exactly one per row, by
-    the inverse CDF of N uniforms: the same arithmetic as
-    ``Generator.choice(N, N, p=weights[j] / weights[j].sum())`` on that
-    stream, so the counts equal that call's. Each stream is drawn from
-    before the next is taken. The counts do not depend on the order of the uniforms, which are
-    sorted before the search: a search for ascending values takes
-    predictable branches.
+    the j-th Generator of streams, an iterable of exactly one per row, with
+    the counts of ``Generator.choice(N, N, p=weights[j] / weights[j].sum())``
+    on that stream. That call sends u to ``cdf.searchsorted(u, side="right")``
+    (a u equal to a CDF value goes to the next series), so count_i = #{u :
+    cdf_{i-1} <= u < cdf_i}: the uniforms below cdf_i less those below
+    cdf_{i-1}, read off the sorted uniforms; the last CDF value is exactly
+    1, above every uniform. Each stream is drawn from before the next.
     """
     w = np.asarray(weights, dtype=float)
     rows, n = w.shape
@@ -132,16 +132,14 @@ def resample_counts(weights, streams):
         raise ValueError("weights must be nonnegative with a positive finite sum per row")
     cdf = (w / total).cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    uniforms = np.empty((rows, n))
-    # strict: a row without a stream would search uninitialized uniforms
-    for row, rng in zip(uniforms, streams, strict=True):
-        rng.random(out=row)
-    uniforms.sort(axis=1)
-    draws = np.empty((rows, n), dtype=np.intp)
-    for row in range(rows):
-        draws[row] = cdf[row].searchsorted(uniforms[row], side="right")
-    draws += n * np.arange(rows)[:, None]
-    return np.bincount(draws.ravel(), minlength=rows * n).reshape(rows, n)
+    below = np.empty((rows, n), dtype=np.intp)
+    u = np.empty(n)
+    # strict: a row without a stream would keep uninitialized counts
+    for out, cdf_row, rng in zip(below, cdf, streams, strict=True):
+        rng.random(out=u)
+        u.sort()
+        out[:] = u.searchsorted(cdf_row)
+    return np.diff(below, axis=1, prepend=0)
 
 
 def estimate_centers(values, counts, B, spectrum, criterion):

@@ -18,7 +18,7 @@ import enum
 
 import numpy as np
 
-from .errors import SeriesTooShort
+from .errors import NegativeDistance, SeriesTooShort
 
 
 # a matrix-product entry is kept only above this share of its scale
@@ -35,6 +35,12 @@ class DistanceKind(enum.Enum):
 
 def _sq_norms(values):
     return np.einsum("ij,ij->i", values, values)
+
+
+def _check_distances(d):
+    """Raise NegativeDistance unless every (squared) distance in d is finite and nonnegative."""
+    if np.any(d < 0) or not np.all(np.isfinite(d)):
+        raise NegativeDistance("distances must be finite and nonnegative")
 
 
 def _sq_distances(points, centers, norms=None):

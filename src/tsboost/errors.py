@@ -57,7 +57,7 @@ class SeriesTooShort(DataError):
 # -- clustering ----------------------------------------------------------------
 
 class NegativeDistance(DataError):
-    pass
+    """A distance is negative or not finite, as when squared distances overflow."""
 
 
 class DegenerateBeta(TsboostError):

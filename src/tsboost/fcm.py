@@ -4,8 +4,10 @@ Classic alternating minimization of J_m with squared Euclidean distances:
 centers are mu^m-weighted means, memberships follow the inverse-distance
 update, and the sweep loop stops when no membership moves by more than
 epsilon. The squared distances come from the guarded matrix-product kernel
-that the boosted loop shares (``distance._sq_distances``). Kept as a
-comparison point; its behavior depends on the fuzzifier m, which the
+that the boosted loop shares (``distance._sq_distances``), and a sweep
+whose squared distances overflow raises the boosted loop's error
+(``distance._check_distances``) rather than writing NaN memberships. Kept
+as a comparison point; its behavior depends on the fuzzifier m, which the
 boosted algorithm avoids.
 """
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .distance import _sq_distances, _sq_norms
+from .distance import _check_distances, _sq_distances, _sq_norms
 from .errors import ConfigError, EmptyCluster
 
 
@@ -106,6 +108,7 @@ def run_fcm(data: Dataset, config: FcmConfig) -> FcmResult:
         # a contiguous (N, K) copy, not a transposed view: the membership
         # row sums and J_m's total depend on the memory order they add in
         d2 = np.ascontiguousarray(_sq_distances(values, centers, norms).T)
+        _check_distances(d2)
         U_new = _memberships(d2, m)
         um = U_new**m
         trace.append(float(np.sum(um * d2)))

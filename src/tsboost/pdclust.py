@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import NegativeDistance
+from .distance import _check_distances
 
 
 def _probabilities(D):
@@ -27,8 +27,7 @@ def _probabilities(D):
 
     Each series (a column) is computed on its own.
     """
-    if np.any(D < 0) or not np.all(np.isfinite(D)):
-        raise NegativeDistance("distances must be finite and nonnegative")
+    _check_distances(D)
     if D.shape[-2] < 2:
         raise ValueError("need at least 2 clusters")
     # prod_{h != k} d_h = exp(sum_h log d_h - log d_k); the per-series

@@ -169,6 +169,18 @@ class TestSampling:
         with np.errstate(over="ignore"), pytest.raises(ValueError):
             resample_counts(w, generators(0, 1))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_cdf_ties_follow_choice(self, seed):
+        # the CDF values are three of the row's own uniforms: multiples of
+        # 2**-53, so the CDF is exact and three draws land on a CDF value,
+        # which Generator.choice sends to the next series
+        u = np.sort(np.random.default_rng(seed).random(8)[:3])
+        w = np.zeros(8)
+        w[:4] = np.diff([0.0, *u, 1.0])
+        counts = resample_counts(w[None, :], generators(seed))[0]
+        expected = np.bincount(np.random.default_rng(seed).choice(8, 8, p=w), minlength=8)
+        assert np.array_equal(counts, expected)
+
     @pytest.mark.parametrize("streams", [1, 3], ids=["too-few", "too-many"])
     def test_stream_count_must_equal_rows(self, streams):
         # a row without a stream would draw from uninitialized uniforms
@@ -335,13 +347,18 @@ def test_lockstep_matches_per_restart_oracle(rng, monkeypatch, make_data, kind, 
     values = make_data(rng)
     data = Dataset(np.linspace(0, 1, values.shape[1]), values)
     config = BoostConfig(n_clusters=k, maxiter=12, restarts=restarts, distance=kind, seed=4)
-    batch_rows = []
+    batch_rows, sampled_rows = [], []
 
     def recording(values, counts, *args):
         batch_rows.append(len(counts))
         return estimate_centers(values, counts, *args)
 
+    def sampling(weights, streams):
+        sampled_rows.append(len(weights))
+        return resample_counts(weights, streams)
+
     monkeypatch.setattr(boost, "estimate_centers", recording)
+    monkeypatch.setattr(boost, "resample_counts", sampling)
     result = run_boost(data, config)
     oracle = per_restart_oracle(data, config)
     for trace, (_, _, betas) in zip(result.traces, oracle, strict=True):
@@ -353,8 +370,12 @@ def test_lockstep_matches_per_restart_oracle(rng, monkeypatch, make_data, kind, 
     centers, membership, _ = oracle[result.restart_index]
     assert np.max(np.abs(result.centers - centers)) <= 1e-12
     assert np.max(np.abs(result.membership - membership)) <= 1e-12
-    # stopped restarts are carried, not compacted: every batch has R*K rows
+    # stopped restarts are carried, not compacted: every batch has R*K rows;
+    # the sampler draws only the K rows of each restart still running
     assert batch_rows == [restarts * k] * len(batch_rows)
+    running = [sum(len(t.beta) >= it and t.beta[it - 1] >= boost.PERFECT_PARTITION_TOL
+                   for t in result.traces) for it in range(1, len(batch_rows) + 1)]
+    assert sampled_rows == [k * r for r in running]
     if kind == DistanceKind.EUCLIDEAN and k == 2:
         lengths = {trace.beta.shape[0] for trace in result.traces}
         assert min(lengths) < config.maxiter and len(lengths) > 1

@@ -380,6 +380,22 @@ class TestCluster:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("algorithm", ["fcm", "boost"])
+    def test_overflowing_distances_exit_code(self, tmp_path, capsys, algorithm):
+        # squared distances of a series at +-1e154 overflow to inf; both
+        # algorithms exit 2 with one line, and FCM writes no NaN memberships
+        values = np.random.default_rng(5).normal(size=(4, 4))
+        values[0] = [1e154, -1e154, 1e154, -1e154]
+        path = tmp_path / "big.csv"
+        write_wide(path, values)
+        out = tmp_path / "out"
+        code = main(["cluster", "--input", str(path), "--out", str(out),
+                     "--k", "2", "--algorithm", algorithm])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: distances must be finite and nonnegative\n"
+        assert not (out / "membership.csv").exists()
+
     @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
     def test_unreadable_input_exit_code(self, tmp_path, capsys, name):
         # a missing file and a directory both fail to open

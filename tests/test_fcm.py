@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsboost import Dataset, FcmConfig, fcm, harden, run_fcm
-from tsboost.errors import ConfigError, EmptyCluster
+from tsboost.errors import ConfigError, EmptyCluster, NegativeDistance
 from tsboost.distance import _sq_distances
 from tsboost.fcm import _memberships, _weighted_means
 
@@ -189,6 +189,19 @@ class TestRunFcm:
         data = two_level_dataset(n_per_group=1)
         with pytest.raises(ConfigError):
             run_fcm(data, FcmConfig(n_clusters=2))
+
+    @pytest.mark.parametrize("level", [1e154, 1e200])
+    def test_overflowing_distances_rejected(self, rng, level):
+        # the first series' squared distances overflow to inf; the sweep
+        # must raise the boosted loop's error, not write NaN memberships
+        pattern = np.array([1.0, -1.0, 1.0, -1.0])
+        values = rng.normal(size=(4, 4))
+        values[0] = level * pattern
+        with pytest.raises(NegativeDistance, match="finite and nonnegative"):
+            run_fcm(Dataset(np.linspace(0, 1, 4), values), FcmConfig(n_clusters=2))
+        values[0] = 1e153 * pattern  # every squared distance is finite
+        result = run_fcm(Dataset(np.linspace(0, 1, 4), values), FcmConfig(n_clusters=2))
+        assert np.all(np.isfinite(result.membership)) and result.converged
 
 
 def full_tensor_fcm(values, config):
