@@ -7,13 +7,14 @@ report) and ``smooth`` (single-series P-spline fit). Every run writes a
 phase timings. All numbers are serialized in shortest round-trip decimal
 form, so rereading an emitted CSV reproduces the in-memory values exactly.
 
-Matrix tables (an id column, then float columns) are read and written by a
-fast path: ``str.join`` of each row's reprs, and ``np.loadtxt``. A table
-whose text the csv module might read or write differently goes through the
-csv module instead, with the same values and messages. Either way a table
-is written from chunks of rows and read into one flat array of doubles,
-and an input's manifest digest is hashed from fixed-size reads, so none of
-these holds a whole table as Python objects or a whole file as bytes.
+Matrix tables (an id column, then float columns, the long ``id,t,value``
+table among them) are read and written by a fast path: ``str.join`` of
+each row's reprs, and ``np.loadtxt``. A table whose text the csv module
+might read or write differently goes through the csv module instead, with
+the same values and messages. Either way a table is written from chunks of
+rows and read into one flat array of doubles, and an input's manifest
+digest is hashed from fixed-size reads, so none of these holds a whole
+table as Python floats or a whole file as bytes.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 any other package
 error (bad data, an input that cannot be read, an output that cannot be
@@ -247,18 +248,21 @@ def read_wide(path):
 
 
 def read_long(path):
-    """Long CSV (header id,t,value) -> Dataset; the domain comes from the file."""
-    per_series = {}
-    for line_no, (sid, t, v) in _read_table(path, "id,t,value"):
-        point = (_parse_float(t, path, line_no), _parse_float(v, path, line_no))
-        per_series.setdefault(sid, []).append(point)
-    series = {sid: sorted(points) for sid, points in per_series.items()}
-    domain = [t for t, _ in next(iter(series.values()))]
-    for sid, points in series.items():
-        if [t for t, _ in points] != domain:
+    """Long CSV (header id,t,value) -> Dataset; the domain comes from the file.
+
+    The table is read as a matrix (``_read_matrix``). Its rows are sorted by
+    series, in order of first appearance, then by time and value, and the
+    first series' times are the domain that every other series must share.
+    """
+    ids, table = _read_matrix(path, "id,t,value")
+    series = {}
+    codes = np.fromiter((series.setdefault(sid, len(series)) for sid in ids), np.intp, len(ids))
+    times, values = table[np.lexsort((table[:, 1], table[:, 0], codes))].T
+    times = np.split(times, np.cumsum(np.bincount(codes))[:-1])
+    for sid, series_times in zip(list(series)[1:], times[1:]):
+        if not np.array_equal(series_times, times[0]):
             raise ParseError(f"{path}: series {sid!r} does not share the common domain")
-    values = [[v for _, v in points] for points in series.values()]
-    return Dataset(domain, values, list(series))
+    return Dataset(times[0], values.reshape(len(series), -1), list(series))
 
 
 def read_dataset(path, fmt="wide"):
@@ -347,16 +351,7 @@ def cmd_simulate(args):
     return 0
 
 
-def _write_cluster_outputs(out, data, membership, centers, trace_rows):
-    _write_matrix(out / "membership.csv", "id", data.ids, "p", membership)
-    _write_matrix(out / "centers.csv", "cluster", range(1, len(centers) + 1), "t", centers)
-    _write_csv(out / "assignments.csv", ["id", "label"],
-               zip(data.ids, harden(membership).tolist()))
-    _write_csv(out / "trace.csv", ["restart", "iteration", "beta", "bc"], trace_rows)
-
-
 def cmd_cluster(args):
-    # every configuration error is raised before the --out directory is made
     # without --iters each algorithm keeps its config's default: 100 boosting
     # iterations, or FCM sweeps until convergence, capped at 500
     if args.algorithm == "fcm":
@@ -374,9 +369,6 @@ def cmd_cluster(args):
     t0 = time.perf_counter()
     data = read_dataset(args.input, args.format)
     t1 = time.perf_counter()
-    if not args.k < data.n_series:
-        raise ConfigError(f"need K < N, got K={args.k}, N={data.n_series}")
-    out = _output_dir(args.out)
     settings = {
         "algorithm": args.algorithm, "input": str(args.input), "format": args.format,
         "k": args.k, "seed": args.seed,
@@ -388,7 +380,6 @@ def cmd_cluster(args):
             [1, sweep + 1, _fmt(obj), _fmt(float("nan"))]
             for sweep, obj in enumerate(result.objective_trace)
         ]
-        _write_cluster_outputs(out, data, result.membership, result.centers, trace_rows)
         bc_final = bc_index(result.membership)
         settings.update({"fuzzifier": args.fuzzifier, "max_sweeps": config.max_sweeps,
                          "sweeps": result.sweeps, "converged": result.converged,
@@ -401,13 +392,20 @@ def cmd_cluster(args):
             for restart, trace in enumerate(result.traces)
             for it, (beta, bc) in enumerate(zip(trace.beta, trace.bc))
         ]
-        _write_cluster_outputs(out, data, result.membership, result.centers, trace_rows)
         bc_final = result.bc_final
         settings.update({
             "distance": args.distance, "iters": config.maxiter,
             "restarts": args.restarts, "lambda_criterion": args.lambda_criterion,
             "best_restart": result.restart_index + 1, "bc_final": bc_final,
         })
+    # made only once the run has succeeded, so a failed run leaves no directory
+    out = _output_dir(args.out)
+    membership, centers = result.membership, result.centers
+    _write_matrix(out / "membership.csv", "id", data.ids, "p", membership)
+    _write_matrix(out / "centers.csv", "cluster", range(1, len(centers) + 1), "t", centers)
+    _write_csv(out / "assignments.csv", ["id", "label"],
+               zip(data.ids, harden(membership).tolist()))
+    _write_csv(out / "trace.csv", ["restart", "iteration", "beta", "bc"], trace_rows)
     t3 = time.perf_counter()
     _write_manifest(out, "cluster", settings, [args.input],
                     {"read": t1 - t0, "run": t2 - t1, "write": t3 - t2})

@@ -5,9 +5,11 @@ equivalence degrees E(i, j) = 1 - 0.5 * L1(p_i, p_j): the index is one
 minus the mean absolute disagreement of E over the N(N-1)/2 unordered
 pairs. As |a - b| = a + b - 2 min(a, b), E(i, j) = c_i + c_j + sum_k
 min(p_ki, p_kj) with c = (1 - row sum) / 2. The index builds it one
-cluster at a time over slabs of ROWS objects against at most COLS later
-ones, in three ROWS x COLS buffers (384 KiB) that every slab reuses, so
-its working memory stays fixed whatever N and K are. On crisp partitions
+cluster at a time over slabs of objects against at most COLS later ones,
+in three ROWS x COLS buffers (384 KiB) that every slab reuses, so its
+working memory stays fixed whatever N and K are. A slab holds ROWS
+objects, or as many as fill the buffers when fewer than COLS objects
+follow them, so that a small N takes few slabs. On crisp partitions
 it reduces to the classic Rand index. The reference partition rebuilds
 the "true" fuzzy solution the same way the clustering does: per-label
 pooled P-spline centers, smoothed one row at a time from one spline
@@ -22,8 +24,8 @@ from .errors import SizeMismatch, TooFewLabels, TooFewObjects
 from .pdclust import _probabilities
 from . import pspline
 
-# a slab pairs ROWS objects with at most COLS later ones; its three
-# ROWS x COLS buffers bound the working memory for any N and K
+# a slab pairs at least ROWS objects with at most COLS later ones; its
+# three ROWS x COLS buffers bound the working memory for any N and K
 ROWS = 4
 COLS = 4096
 
@@ -42,8 +44,9 @@ def fuzzy_rand(P, Q):
     halves = [(1.0 - X.sum(axis=0)) / 2 for X in parts]
     buffers = np.empty((3, ROWS * COLS))
     disagreement = 0.0
-    for start in range(0, n - 1, ROWS):
-        rows = slice(start, min(start + ROWS, n - 1))
+    height = max(ROWS, ROWS * COLS // (n - 1))
+    for start in range(0, n - 1, height):
+        rows = slice(start, min(start + height, n - 1))
         for col in range(start + 1, n, COLS):
             cols = slice(col, min(col + COLS, n))
             # contiguous views of the buffers' fronts, so that each slab

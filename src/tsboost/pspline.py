@@ -136,6 +136,11 @@ def _spectrum(B, penalty):
     return np.clip(mu, 0.0, 1.0), V, B @ V, penalty @ V
 
 
+# select_rows scores a row whose largest magnitude reaches this on a copy
+# scaled by a power of two: its squares and their sums would overflow
+_HUGE = 2.0**400
+
+
 class RowSelection(NamedTuple):
     """Lambda selection for a batch of series; see ``select_rows``."""
 
@@ -143,7 +148,7 @@ class RowSelection(NamedTuple):
     coef: np.ndarray     # (rows, m) spline coefficients at lam
     flat: np.ndarray     # (rows,) True where the criterion profile is flat
     lambdas: np.ndarray  # points at which scores are attributed
-    scores: np.ndarray   # (rows, len(lambdas))
+    scores: np.ndarray   # (rows, len(lambdas)); a huge row's are its scaled copy's
 
 
 def select_rows(Y, spectrum, criterion):
@@ -165,9 +170,17 @@ def select_rows(Y, spectrum, criterion):
     The residual and penalty sums of squares are sums over the spectrum,
     two (rows, m) x (m, G) products (``_spectral_rss`` and ``_spectral_pen``);
     only LOO-CV forms (rows, G, n) residuals, for a few rows at a time
-    (``_loocv_scores``).
+    (``_loocv_scores``). A row whose largest magnitude reaches ``_HUGE`` is
+    scored as its copy scaled by 2**-e, with e the binary exponent of that
+    magnitude, and its coefficients are multiplied by 2**e, so such a row
+    and its multiples by powers of two select alike.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    shift = None
+    if Y.max() >= _HUGE or Y.min() <= -_HUGE:
+        magnitude = np.abs(Y).max(axis=1)
+        shift = np.where(magnitude >= _HUGE, np.frexp(magnitude)[1], 0)
+        Y = np.ldexp(Y, -shift[:, None])
     grid = criterion.grid
     n = Y.shape[1]
     mu, V, Q, DV = spectrum
@@ -223,6 +236,8 @@ def select_rows(Y, spectrum, criterion):
     flat |= rss.max(axis=-1) <= n * np.finfo(float).eps * np.sum(Y**2, axis=-1)
     lam = np.where(flat, grid[-1], lambdas[pick])
     coef = (Qty / (mu + lam[:, None] * (1.0 - mu))) @ V.T
+    if shift is not None:
+        coef = np.ldexp(coef, shift[:, None])
     return RowSelection(lam, coef, flat, lambdas, scores)
 
 

@@ -379,3 +379,30 @@ def test_lockstep_matches_per_restart_oracle(rng, monkeypatch, make_data, kind, 
     if kind == DistanceKind.EUCLIDEAN and k == 2:
         lengths = {trace.beta.shape[0] for trace in result.traces}
         assert min(lengths) < config.maxiter and len(lengths) > 1
+
+
+def test_loop_ends_when_every_restart_has_stopped(monkeypatch):
+    # three all-0 and three all-5 series: at seed 2 every restart starts with
+    # one center on each level, reaches a zero loss at iteration 1 and stops,
+    # so the loop ends there without drawing or fitting a sample
+    data = two_level_dataset(n_per_group=3, levels=(0.0, 5.0))
+    config = BoostConfig(n_clusters=2, restarts=3, seed=2)
+
+    def unreachable(*args):
+        raise AssertionError("a stopped run sampled")
+
+    monkeypatch.setattr(boost, "resample_counts", unreachable)
+    monkeypatch.setattr(boost, "estimate_centers", unreachable)
+    result = run_boost(data, config)
+    assert [trace.beta.shape for trace in result.traces] == [(1,)] * config.restarts
+    assert result.bc_final == 0.0
+    assert np.array_equal(np.sort(result.membership, axis=1), [[0.0, 1.0]] * data.n_series)
+    oracle = per_restart_oracle(data, config)
+    for trace, (_, _, betas) in zip(result.traces, oracle, strict=True):
+        assert np.max(np.abs(trace.beta - betas)) <= 1e-12
+    finals = np.array([bc_index(P) for _, P, _ in oracle])
+    assert np.max(np.abs(result.restart_final_bc - finals)) <= 1e-12
+    assert result.restart_index == int(np.argmin(finals))
+    centers, membership, _ = oracle[result.restart_index]
+    assert np.max(np.abs(result.centers - centers)) <= 1e-12
+    assert np.max(np.abs(result.membership - membership)) <= 1e-12

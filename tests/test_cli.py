@@ -114,6 +114,24 @@ class TestReaders:
         assert np.array_equal(data.domain, [0.0, 0.5, 1.0])
         assert np.array_equal(data.values[1], [11.0, 12.0, 13.0])
 
+    def test_long_shuffled_rows_match_wide(self, tmp_path, rng):
+        # the rows of a long table in any order give the Dataset of the wide
+        # table that lists its series in order of first appearance
+        values = rng.normal(size=(7, 9))
+        times = np.linspace(0.0, 1.0, 9).tolist()
+        rows = [(f"s{i}", t, v)
+                for i, row in enumerate(values.tolist()) for t, v in zip(times, row)]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        path = tmp_path / "long.csv"
+        path.write_text("id,t,value\n" + "".join(f"{sid},{t!r},{v!r}\n" for sid, t, v in rows))
+        ids = list(dict.fromkeys(sid for sid, _, _ in rows))
+        wide = tmp_path / "wide.csv"
+        write_wide(wide, values[[int(sid[1:]) for sid in ids]], ids)
+        data, expected = read_long(path), read_wide(wide)
+        assert data.ids == expected.ids == ids
+        assert np.array_equal(data.domain, expected.domain)
+        assert np.array_equal(data.values, expected.values)
+
     def test_long_ragged_domain(self, tmp_path):
         path = tmp_path / "long.csv"
         path.write_text("id,t,value\na,0.0,1.0\na,1.0,2.0\nb,0.0,1.0\nb,0.7,2.0\n")
@@ -333,8 +351,9 @@ class TestCluster:
         assert manifest_without_timings(out / "manifest.json")["iters"] == 100
 
     @pytest.mark.parametrize("case", [
-        "k-above-n", "bad-sizes", "fuzzifier-nan", "sigma2-u-nan", "sigma2-u-inf",
-        "penalty-order-0", "penalty-order-9", "negative-degree", "n-below-4",
+        "k-above-n", "k-equals-n", "fcm-k-equals-n", "bad-sizes", "fuzzifier-nan",
+        "sigma2-u-nan", "sigma2-u-inf", "penalty-order-0", "penalty-order-9",
+        "negative-degree", "n-below-4",
         "degree-above-domain", "simulate-negative-seed", "boost-negative-seed",
         "fcm-negative-seed", "k-below-2", "boost-iters-0", "fcm-iters-0",
     ])
@@ -344,6 +363,8 @@ class TestCluster:
         smooth = ["smooth", "--input", str(toy_csv), "--out", out]
         argv = {
             "k-above-n": cluster + ["--k", "99"],
+            "k-equals-n": cluster + ["--k", "12"],  # toy has 12 series
+            "fcm-k-equals-n": cluster + ["--k", "12", "--algorithm", "fcm"],
             "bad-sizes": ["simulate", "--out", out, "--sizes", "1,2,x"],
             "fuzzifier-nan": cluster + ["--k", "3", "--algorithm", "fcm", "--fuzzifier", "nan"],
             "sigma2-u-nan": ["simulate", "--out", out, "--sigma2-u", "nan"],
@@ -394,7 +415,17 @@ class TestCluster:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "error: distances must be finite and nonnegative\n"
-        assert not (out / "membership.csv").exists()
+        assert not out.exists()  # no --out directory is made for a failed run
+
+    @pytest.mark.parametrize("fmt", ["wide", "long"])
+    def test_empty_input_exit_code(self, tmp_path, capsys, fmt):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        code = main(["cluster", "--input", str(path), "--format", fmt,
+                     "--out", str(tmp_path / "y"), "--k", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}:1: empty file\n"
+        assert not (tmp_path / "y").exists()
 
     @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
     def test_unreadable_input_exit_code(self, tmp_path, capsys, name):
@@ -556,6 +587,28 @@ class TestEvaluate:
         assert captured.err.startswith("error: membership ids ") and captured.err.count("\n") == 1
         assert "fuzzy_rand" not in captured.out
 
+    @pytest.mark.parametrize("case", ["no-input", "reversed-label-ids"])
+    def test_reference_labels_config_error_exit_code(self, tmp_path, toy_csv, capsys, case):
+        out = tmp_path / "run"
+        assert main(["cluster", "--input", str(toy_csv), "--out", str(out),
+                     "--k", "3", "--iters", "2", "--restarts", "1"]) == 0
+        order = {"no-input": range(1, 13), "reversed-label-ids": range(12, 0, -1)}[case]
+        labels_path = tmp_path / "labels.csv"
+        labels_path.write_text(
+            "id,label\n" + "".join(f"s{i:04d},{1 + (i - 1) // 4}\n" for i in order))
+        argv = ["evaluate", "--membership", str(out / "membership.csv"),
+                "--reference-labels", str(labels_path)]
+        if case == "reversed-label-ids":
+            argv += ["--input", str(toy_csv)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == {
+            "no-input": "error: --reference-labels requires --input\n",
+            "reversed-label-ids": "error: labels file ids do not match the input series ids\n",
+        }[case]
+        assert "fuzzy_rand" not in captured.out
+
     def test_one_object_exit_code(self, tmp_path, capsys):
         # a Rand index needs a pair of objects: one data-error line, no numpy warning
         one = tmp_path / "one.csv"
@@ -663,6 +716,21 @@ class TestSmooth:
                          "--criterion", crit]) == 0
             assert (out / "profile.csv").read_bytes() == b"lambda,score\n", crit
             assert '"lambda": 1000000.0,' in (out / "manifest.json").read_text(), crit
+
+    @pytest.mark.parametrize("criterion", ["aic", "loocv", "gcv", "lcurve", "vcurve"])
+    @pytest.mark.parametrize("magnitude", [1e153, 1e160, 1e300])
+    def test_huge_series_fit_without_overflow(self, tmp_path, criterion, magnitude):
+        # the squares of a series at +-1e153 and beyond overflow, which numpy
+        # only warns about; the test settings in pyproject.toml make that an error
+        values = np.random.default_rng(3).normal(size=(2, 12))
+        values[0] = magnitude * np.resize([1.0, -1.0], 12)
+        path = tmp_path / "big.csv"
+        write_wide(path, values)
+        out = tmp_path / "out"
+        assert main(["smooth", "--input", str(path), "--out", str(out),
+                     "--criterion", criterion]) == 0
+        rows = (out / "fit.csv").read_text().strip().splitlines()[1:]
+        assert np.all(np.isfinite([float(row.split(",")[2]) for row in rows]))
 
     def test_unknown_series_id(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -64,6 +64,11 @@ class TestValidateDataset:
         with pytest.raises(NonIncreasingDomain):
             make(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("point", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_domain(self, point):
+        with pytest.raises(NonFiniteValue, match="domain contains non-finite values"):
+            make(np.array([0.0, 0.5, point]), np.zeros((2, 3)))
+
     def test_too_few_series(self):
         with pytest.raises(TooFewSeries):
             make(np.linspace(0, 1, 5), np.zeros((1, 5)))

@@ -78,12 +78,14 @@ def summed_tensor_equivalence(X, rows):
 
 
 def summed_tensor_fuzzy_rand(P, Q):
-    """fuzzy_rand from whole rows of E_P and E_Q, summed slab by slab: ROWS
-    objects against at most COLS later ones, the pairs j > i only."""
+    """fuzzy_rand from whole rows of E_P and E_Q, summed slab by slab: the
+    larger of ROWS and ROWS * COLS // (N - 1) objects against at most COLS
+    later ones, the pairs j > i only."""
     n = P.shape[0]
     disagreement = 0.0
-    for start in range(0, n - 1, ROWS):
-        rows = slice(start, min(start + ROWS, n - 1))
+    height = max(ROWS, ROWS * COLS // (n - 1))
+    for start in range(0, n - 1, height):
+        rows = slice(start, min(start + height, n - 1))
         ep = summed_tensor_equivalence(P, rows)
         eq = summed_tensor_equivalence(Q, rows)
         for col in range(start + 1, n, COLS):
@@ -120,8 +122,11 @@ class TestClusterByClusterSum:
         assert fuzzy_rand(P, P) == 1.0
 
     # one pair, either side of a slab's row count and of its column count,
-    # and slabs whose later objects span two column chunks
-    @pytest.mark.parametrize("n", [2, ROWS - 1, ROWS + 1, COLS - 1, COLS + 1, COLS + ROWS + 3])
+    # slabs whose later objects span two column chunks, and either side of
+    # where one slab becomes two (129, 130) and the slab height falls from
+    # 5 to ROWS (3277, 3278)
+    @pytest.mark.parametrize("n", [2, ROWS - 1, ROWS + 1, COLS - 1, COLS + 1, COLS + ROWS + 3,
+                                   129, 130, 3277, 3278])
     def test_fuzzy_rand_matches_summed_tensor_at_slab_edges(self, rng, n):
         P = memberships_with_k(rng, n, 6)
         Q = memberships_with_k(rng, n, 4)

@@ -334,6 +334,23 @@ class TestSelectLambda:
                 picks.add(rows.lam[0])
             assert len(picks) == 1, name
 
+    @pytest.mark.parametrize("name", pspline.CRITERIA)
+    def test_huge_rows_select_alike_at_every_power_of_two(self, rng, name):
+        # a row near 2**1000 would overflow its squares, so it is scored on a
+        # copy scaled by a power of two: the row and its multiples by 2**j
+        # pick one lambda, with coefficients in the exact ratio 2**j
+        x = np.linspace(0, 1, 12)
+        y = np.ldexp(np.sin(2 * np.pi * x) + rng.normal(0, 0.1, size=12), 1000)
+        B = build_basis(x)
+        spectrum = pspline._spectrum(B, difference_penalty(B.shape[1], 2))
+        criterion = LambdaCriterion(name)
+        base = select_rows(y, spectrum, criterion)
+        assert np.all(np.isfinite(base.coef))
+        for j in (-590, -1, 1, 20):
+            scaled = select_rows(np.ldexp(y, j), spectrum, criterion)
+            assert np.array_equal(scaled.lam, base.lam), j
+            assert np.array_equal(scaled.coef, np.ldexp(base.coef, j)), j
+
     def test_vcurve_scores_match_hand_differences(self, rng):
         x = np.linspace(0, 1, 40)
         y = np.sin(2 * np.pi * x) + rng.normal(0, 0.15, size=40)
