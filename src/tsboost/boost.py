@@ -13,10 +13,12 @@ itself a spline in that basis and needs no further smoothing. The restart
 with the smallest final BC index wins.
 
 A restart whose loss falls below PERFECT_PARTITION_TOL stops; its rows are
-still carried through the batched steps and discarded. Every batched call
-therefore has R*K rows in every iteration: the round-off of a batched
-matrix product depends on its row count, and this way no restart's result
-depends on when another one stopped.
+still carried through the distances, the weights and the center fit, and
+discarded. Those batched calls therefore have R*K rows in every iteration:
+the round-off of a batched matrix product depends on its row count, and
+this way no restart's result depends on when another one stopped. The
+sampler sees only the running restarts' rows, and each row's counts depend
+on that row and its stream alone; a stopped restart takes all-ones counts.
 
 Randomness comes from dedicated streams (``streams.keyed_streams``) keyed
 by (seed, restart) for the initial centers and (seed, restart, iteration,

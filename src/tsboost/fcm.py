@@ -1,11 +1,16 @@
 """Fuzzy c-means baseline.
 
 Classic alternating minimization of J_m with squared Euclidean distances:
-centers are mu^m-weighted means, memberships follow the inverse-distance
-update, and the sweep loop stops when no membership moves by more than
-epsilon. The squared distances come from the guarded matrix-product kernel
-that the boosted loop shares (``distance._sq_distances``), and a sweep
-whose squared distances overflow raises the boosted loop's error
+centers are mu^m-weighted means, and the sweep loop stops when no
+membership moves by more than epsilon. The squared distances come from the
+guarded matrix-product kernel that the boosted loop shares
+(``distance._sq_distances``). The membership update, u_k proportional to
+d2_k ** (-1 / (m - 1)), is the PD kernel's rule with that power
+(``pdclust._probabilities``), so memberships are held cluster-first (K, N)
+until the result, and at m = 3 they are the PD memberships of the centers.
+The kernel works in log space, so no fuzzifier overflows the update; it
+splits a series at distance 0 from several centers equally among them, and
+it rejects overflowing squared distances with the boosted loop's error
 (``distance._check_distances``) rather than writing NaN memberships. Kept
 as a comparison point; its behavior depends on the fuzzifier m, which the
 boosted algorithm avoids.
@@ -16,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .distance import _check_distances, _sq_distances, _sq_norms
+from .distance import _sq_distances, _sq_norms
 from .errors import ConfigError, EmptyCluster
+from .pdclust import _probabilities
 
 
 @dataclass(frozen=True)
@@ -51,42 +57,11 @@ class FcmResult:
 
 
 def _weighted_means(values, um):
-    """Cluster means (K, n) weighted by um = mu^m (N, K)."""
-    colsum = um.sum(axis=0)
-    if np.any(colsum < 1e-300):
+    """Cluster means (K, n) weighted by um = mu^m (K, N)."""
+    total = um.sum(axis=1)
+    if np.any(total < 1e-300):
         raise EmptyCluster("a cluster has vanishing total membership weight")
-    return (um.T @ values) / colsum[:, None]
-
-
-def _memberships(d2, m):
-    """Inverse-distance membership update from (N, K) squared distances;
-    a point that coincides with a center gets a one-hot row."""
-    zero = d2 == 0.0
-    coincident = zero.any(axis=1)
-    if not coincident.any():
-        power = -1.0 / (m - 1.0)
-        with np.errstate(over="ignore"):
-            inv = d2**power
-            total = inv.sum(axis=1, keepdims=True)
-        # near m = 1 the powers can overflow, or underflow to 0 for every
-        # cluster; such a series is recomputed from distances over its
-        # smallest, so that its nearest center's term is exactly 1
-        bad = ~((total > 0.0) & (total < np.inf))[:, 0]
-        if bad.any():
-            with np.errstate(over="ignore"):
-                inv[bad] = (d2[bad] / d2[bad].min(axis=1, keepdims=True)) ** power
-            total[bad] = inv[bad].sum(axis=1, keepdims=True)
-        return inv / total
-    U = np.zeros_like(d2)
-    U[coincident, np.argmax(zero[coincident], axis=1)] = 1.0
-    regular = ~coincident
-    U[regular] = _memberships(d2[regular], m)
-    return U
-
-
-def _initial_membership(n_series, n_clusters, rng):
-    # uniform on the simplex, row by row
-    return rng.dirichlet(np.ones(n_clusters), size=n_series)
+    return (um @ values) / total[:, None]
 
 
 def run_fcm(data: Dataset, config: FcmConfig) -> FcmResult:
@@ -94,7 +69,9 @@ def run_fcm(data: Dataset, config: FcmConfig) -> FcmResult:
     if not config.n_clusters < data.n_series:
         raise ConfigError(f"need K < N, got K={config.n_clusters}, N={data.n_series}")
     rng = np.random.default_rng(np.random.SeedSequence((config.seed,)))
-    U = _initial_membership(data.n_series, config.n_clusters, rng)
+    # memberships are cluster-first (K, N), as the kernels are; the initial
+    # ones are uniform on the simplex, series by series
+    U = rng.dirichlet(np.ones(config.n_clusters), size=data.n_series).T
     m = config.fuzzifier
     trace = []
     centers = None
@@ -103,13 +80,10 @@ def run_fcm(data: Dataset, config: FcmConfig) -> FcmResult:
     # one distance matrix per sweep gives the membership update and the
     # objective J_m = sum(U^m * d2); U^m then weights the next sweep's centers
     um = U**m
-    for sweep in range(1, config.max_sweeps + 1):
+    for _ in range(config.max_sweeps):
         centers = _weighted_means(values, um)
-        # a contiguous (N, K) copy, not a transposed view: the membership
-        # row sums and J_m's total depend on the memory order they add in
-        d2 = np.ascontiguousarray(_sq_distances(values, centers, norms).T)
-        _check_distances(d2)
-        U_new = _memberships(d2, m)
+        d2 = _sq_distances(values, centers, norms)
+        U_new = _probabilities(d2, 1.0 / (m - 1.0))
         um = U_new**m
         trace.append(float(np.sum(um * d2)))
         delta = float(np.max(np.abs(U_new - U)))
@@ -118,7 +92,7 @@ def run_fcm(data: Dataset, config: FcmConfig) -> FcmResult:
         if converged:
             break
     return FcmResult(
-        membership=U,
+        membership=np.ascontiguousarray(U.T),
         centers=centers,
         objective_trace=np.asarray(trace),
         sweeps=len(trace),

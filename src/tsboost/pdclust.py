@@ -10,8 +10,10 @@ The kernels are cluster-first: ``_probabilities`` and ``_loss`` take
 loop's R restarts, and reduce over the cluster axis -2. The products are
 evaluated in log space when all distances are positive; exact zero
 distances short-circuit (probability mass splits uniformly over the
-coinciding centers). beta, the boosting loss, is the K^K-scaled sum of
-each series' product of probabilities; the BC index is its mean, and
+coinciding centers). Fuzzy c-means' membership update is the same rule on
+squared distances with the power 1 / (m - 1), so at m = 3 it gives the PD
+memberships of its centers. beta, the boosting loss, is the K^K-scaled sum
+of each series' product of probabilities; the BC index is its mean, and
 ``bc_index`` takes a series-first (N, K) membership, as results are held.
 """
 
@@ -22,20 +24,26 @@ import numpy as np
 from .distance import _check_distances
 
 
-def _probabilities(D):
+def _probabilities(D, power=1):
     """Membership probabilities (..., K, N) from distances (..., K, N), cluster axis first.
 
-    Each series (a column) is computed on its own.
+    Each series (a column) is computed on its own, as p_k proportional to
+    D_k ** -power: power 1 is the PD rule, and fuzzy c-means passes its
+    squared distances with power 1 / (m - 1).
     """
     _check_distances(D)
     if D.shape[-2] < 2:
         raise ValueError("need at least 2 clusters")
     # prod_{h != k} d_h = exp(sum_h log d_h - log d_k); the per-series
     # constant cancels in the normalization. A series with a zero distance
-    # takes log 1 here and is replaced by its uniform split below.
+    # takes log 1 here and is replaced by its uniform split below. Every
+    # fuzzifier that FcmConfig accepts gives a power of at most 2**52, so
+    # the scaled logs stay finite, and after the max subtraction every
+    # weight is in [0, 1], one of them 1.
     zero = D == 0.0
     coincident = zero.any(axis=-2, keepdims=True)
-    logw = -np.log(np.where(coincident, 1.0, D))
+    logw = np.log(np.where(coincident, 1.0, D))
+    logw *= -power
     logw -= logw.max(axis=-2, keepdims=True)
     w = np.exp(logw)
     w /= w.sum(axis=-2, keepdims=True)

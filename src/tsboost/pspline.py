@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainTooShort, SingularSystem
+from .errors import DomainTooShort, NonFiniteValue, SingularSystem
 
 DEFAULT_DEGREE = 3
 DEFAULT_PENALTY_ORDER = 2
@@ -173,7 +173,8 @@ def select_rows(Y, spectrum, criterion):
     (``_loocv_scores``). A row whose largest magnitude reaches ``_HUGE`` is
     scored as its copy scaled by 2**-e, with e the binary exponent of that
     magnitude, and its coefficients are multiplied by 2**e, so such a row
-    and its multiples by powers of two select alike.
+    and its multiples by powers of two select alike; a row whose
+    coefficients would overflow there raises ``NonFiniteValue``.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     shift = None
@@ -237,6 +238,9 @@ def select_rows(Y, spectrum, criterion):
     lam = np.where(flat, grid[-1], lambdas[pick])
     coef = (Qty / (mu + lam[:, None] * (1.0 - mu))) @ V.T
     if shift is not None:
+        # a fit near the float limit can need coefficients beyond it
+        if np.any(np.frexp(np.abs(coef).max(axis=1))[1] + shift > np.finfo(float).maxexp):
+            raise NonFiniteValue("the series' spline coefficients overflow the float range")
         coef = np.ldexp(coef, shift[:, None])
     return RowSelection(lam, coef, flat, lambdas, scores)
 

@@ -732,6 +732,21 @@ class TestSmooth:
         rows = (out / "fit.csv").read_text().strip().splitlines()[1:]
         assert np.all(np.isfinite([float(row.split(",")[2]) for row in rows]))
 
+    @pytest.mark.parametrize("criterion", ["lcurve", "vcurve"])
+    def test_series_whose_coefficients_overflow_exits_2(self, tmp_path, capsys, criterion):
+        # at +-1e308 these criteria pick a fit whose spline coefficients
+        # exceed the float range: one error line, and no fit.csv of NaN
+        values = np.random.default_rng(3).normal(size=(2, 12))
+        values[0] = 1e308 * np.resize([1.0, -1.0], 12)
+        path = tmp_path / "big.csv"
+        write_wide(path, values)
+        out = tmp_path / "out"
+        assert main(["smooth", "--input", str(path), "--out", str(out),
+                     "--criterion", criterion]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the series' spline coefficients overflow the float range\n"
+        assert not out.exists()
+
     def test_unknown_series_id(self, tmp_path):
         path = tmp_path / "d.csv"
         write_wide(path, np.zeros((2, 10)) + np.arange(10))

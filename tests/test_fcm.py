@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from tsboost import Dataset, FcmConfig, fcm, harden, run_fcm
 from tsboost.errors import ConfigError, EmptyCluster, NegativeDistance
 from tsboost.distance import _sq_distances
-from tsboost.fcm import _memberships, _weighted_means
+from tsboost.fcm import _weighted_means
+from tsboost.pdclust import _probabilities
 
 from conftest import two_level_dataset
 
@@ -35,19 +36,19 @@ class TestCenters:
         U = np.zeros((6, 2))
         U[:3, 0] = 1.0
         U[3:, 1] = 1.0
-        centers = _weighted_means(values, U**2.0)
+        centers = _weighted_means(values, (U**2.0).T)
         assert np.max(np.abs(centers[0] - values[:3].mean(axis=0))) < 1e-12
         assert np.max(np.abs(centers[1] - values[3:].mean(axis=0))) < 1e-12
 
     def test_all_ones_single_cluster_gives_global_mean(self, rng):
         values = rng.normal(size=(5, 3))
-        centers = _weighted_means(values, np.ones((5, 1)))
+        centers = _weighted_means(values, np.ones((1, 5)))
         assert np.max(np.abs(centers[0] - values.mean(axis=0))) < 1e-12
 
     def test_direct_summation_oracle(self, rng):
         values = rng.normal(size=(7, 5))
         U = rng.dirichlet(np.ones(3), size=7)
-        centers = _weighted_means(values, U**2.0)
+        centers = _weighted_means(values, (U**2.0).T)
         for k in range(3):
             weights = U[:, k] ** 2
             oracle = sum(w * y for w, y in zip(weights, values)) / weights.sum()
@@ -58,12 +59,17 @@ class TestCenters:
         U = np.zeros((4, 2))
         U[:, 0] = 1.0
         with pytest.raises(EmptyCluster):
-            _weighted_means(values, U**2.0)
+            _weighted_means(values, (U**2.0).T)
 
 
 def sq_distances(values, centers):
     """(N, K) squared distances, as ``run_fcm`` takes them from the shared kernel."""
     return np.ascontiguousarray(_sq_distances(values, centers).T)
+
+
+def _memberships(d2, m):
+    """FCM memberships (N, K) from (N, K) squared distances, through the PD kernel."""
+    return _probabilities(d2.T, 1.0 / (m - 1.0)).T
 
 
 class TestMemberships:
@@ -77,6 +83,12 @@ class TestMemberships:
         centers = rng.normal(size=(3, 4))
         U = _memberships(sq_distances(centers[1][None, :], centers), m=2.0)
         assert np.array_equal(U, [[0.0, 1.0, 0.0]])
+
+    def test_two_coincident_centers_split_equally(self, rng):
+        centers = rng.normal(size=(3, 4))
+        centers[2] = centers[0]
+        U = _memberships(sq_distances(centers[0][None, :], centers), m=2.0)
+        assert np.array_equal(U, [[0.5, 0.0, 0.5]])
 
     def test_direct_summation_oracle(self, rng):
         values = rng.normal(size=(6, 4))
@@ -203,33 +215,45 @@ class TestRunFcm:
         result = run_fcm(Dataset(np.linspace(0, 1, 4), values), FcmConfig(n_clusters=2))
         assert np.all(np.isfinite(result.membership)) and result.converged
 
+    def test_identical_series_split_equally(self):
+        # both centers land on the common series, whose membership splits
+        # equally between them, so no cluster loses its weight
+        values = np.tile([0.5, 1.0, -2.0, 3.0], (3, 1))
+        result = run_fcm(Dataset(np.linspace(0, 1, 4), values), FcmConfig(n_clusters=2))
+        assert np.array_equal(result.membership, np.full((3, 2), 0.5))
+        assert result.converged
+
 
 def full_tensor_fcm(values, config):
     """The sweep loop with an (N, K, n) difference tensor for each distance
     matrix, rebuilt for the objective, and U^m recomputed for the centers.
+    The memberships are cluster-first (K, N) and follow the run's rule, in
+    log space with the max subtracted. Near a coincident center FCM
+    converges super-linearly, so any other arithmetic for the memberships
+    or the center sums would drift from the run's by far more than the
+    distances' round-off.
 
-    Returns (membership, centers, objective trace, sweeps).
+    Returns (membership (N, K), centers, objective trace, sweeps).
     """
     rng = np.random.default_rng(np.random.SeedSequence((config.seed,)))
-    U = rng.dirichlet(np.ones(config.n_clusters), size=values.shape[0])
+    U = rng.dirichlet(np.ones(config.n_clusters), size=values.shape[0]).T
     m = config.fuzzifier
     trace = []
     for _ in range(config.max_sweeps):
         um = U**m
-        centers = (um.T @ values) / um.sum(axis=0)[:, None]
-        d2 = exact_sq_distances(values, centers)
-        U_new = np.zeros_like(d2)
+        centers = (um @ values) / um.sum(axis=1)[:, None]
+        d2 = np.ascontiguousarray(exact_sq_distances(values, centers).T)
         zero = d2 == 0.0
-        coincident = zero.any(axis=1)
-        U_new[coincident, np.argmax(zero[coincident], axis=1)] = 1.0
-        inv = d2[~coincident] ** (-1.0 / (m - 1.0))
-        U_new[~coincident] = inv / inv.sum(axis=1, keepdims=True)
-        trace.append(float(np.sum(U_new**m * exact_sq_distances(values, centers))))
+        coincident = zero.any(axis=0)
+        logw = np.log(np.where(coincident, 1.0, d2)) * (-1.0 / (m - 1.0))
+        w = np.exp(logw - logw.max(axis=0))
+        U_new = np.where(coincident, zero / np.maximum(zero.sum(axis=0), 1), w / w.sum(axis=0))
+        trace.append(float(np.sum(U_new**m * exact_sq_distances(values, centers).T)))
         delta = float(np.max(np.abs(U_new - U)))
         U = U_new
         if delta < config.epsilon:
             break
-    return U, centers, np.asarray(trace), len(trace)
+    return U.T, centers, np.asarray(trace), len(trace)
 
 
 def _assert_within_round_off(got, oracle):
@@ -264,16 +288,16 @@ def test_run_matches_full_tensor_loop(k, m, seed):
 def test_run_matches_full_tensor_loop_at_a_coincident_center(monkeypatch, m):
     # two groups of identical constant series: once a far group's weights
     # underflow, each center lands exactly on its group, the guard recomputes
-    # those distances as exact zeros and the one-hot branch of the membership
-    # update runs
+    # those distances as exact zeros and the coincident branch of the
+    # membership update runs
     coincident = []
-    memberships = fcm._memberships
+    probabilities = fcm._probabilities
 
-    def spy(d2, m):
+    def spy(d2, power):
         coincident.append(bool((d2 == 0.0).any()))
-        return memberships(d2, m)
+        return probabilities(d2, power)
 
-    monkeypatch.setattr(fcm, "_memberships", spy)
+    monkeypatch.setattr(fcm, "_probabilities", spy)
     config = FcmConfig(n_clusters=2, fuzzifier=m, epsilon=1e-300, max_sweeps=60, seed=0)
     _assert_run_matches_full_tensor_loop(two_level_dataset(), config)
     assert any(coincident)

@@ -87,6 +87,17 @@ class TestPdProbabilities:
         P = core_probabilities(D)
         assert np.array_equal(np.argsort(-P, axis=1), np.argsort(D, axis=1))
 
+    @pytest.mark.parametrize("spread", [1.0, 5.0, 25.0])
+    def test_power_half_on_squares_is_the_pd_rule(self, rng, spread):
+        # FCM at m = 3 (power 1/2 on squared distances) against the PD rule
+        # on the distances: within 4 epsilons, relative, where |log d2| <= 1.
+        # Each weight is exp of a log, so its error grows with |log d2|
+        d2 = np.exp(rng.uniform(-spread, spread, size=(4, 50)))
+        d2[:, 0] = [0.0, 2.0, 0.0, 3.0]
+        P = _probabilities(np.sqrt(d2))
+        bound = 4 * np.finfo(float).eps * spread * P
+        assert np.all(np.abs(_probabilities(d2, 0.5) - P) <= bound)
+
     def test_negative_distance_rejected(self):
         with pytest.raises(NegativeDistance):
             core_probabilities([[1.0, -0.1]])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tsboost import pspline
-from tsboost.errors import DomainTooShort, SingularSystem
+from tsboost.errors import DomainTooShort, NonFiniteValue, SingularSystem
 from tsboost.pspline import (
     LambdaCriterion,
     bspline_design,
@@ -350,6 +350,18 @@ class TestSelectLambda:
             scaled = select_rows(np.ldexp(y, j), spectrum, criterion)
             assert np.array_equal(scaled.lam, base.lam), j
             assert np.array_equal(scaled.coef, np.ldexp(base.coef, j)), j
+
+    @pytest.mark.parametrize("name", ["lcurve", "vcurve"])
+    def test_coefficients_beyond_the_float_range_raise(self, name):
+        # the fit of a series alternating +-1e308 peaks below the float
+        # limit under these criteria, but its coefficients reach 12 * 2**1023
+        x = np.linspace(0, 1, 12)
+        B = build_basis(x)
+        spectrum = pspline._spectrum(B, difference_penalty(B.shape[1], 2))
+        with pytest.raises(NonFiniteValue, match="coefficients overflow"):
+            select_rows(1e308 * np.resize([1.0, -1.0], 12), spectrum, LambdaCriterion(name))
+        rows = select_rows(1e300 * np.resize([1.0, -1.0], 12), spectrum, LambdaCriterion(name))
+        assert np.all(np.isfinite(B @ rows.coef[0]))
 
     def test_vcurve_scores_match_hand_differences(self, rng):
         x = np.linspace(0, 1, 40)
