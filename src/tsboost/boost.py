@@ -1,36 +1,30 @@
 """Boosted-oriented probabilistic clustering.
 
 The R restarts run in lockstep for a fixed number of iterations. Each
-iteration takes every restart at once through: distance matrix against the
-current centers -> PD membership probabilities -> loss beta -> boosting
-weight matrix, as (R, K, N) arrays with the cluster axis first; then
-weighted resampling with replacement of each of the R*K (restart, cluster)
-rows (``resample_counts``) -> one batched P-spline center fit of the R*K pooled
-means (``estimate_centers``) -> center update. The spline spectrum is
-factored once per run. Each center is the running mean of its
-per-iteration P-spline fits; those fits share one basis, so the mean is
-itself a spline in that basis and needs no further smoothing. The restart
-with the smallest final BC index wins.
-
-A restart whose loss falls below PERFECT_PARTITION_TOL stops; its rows are
-still carried through the distances, the weights and the center fit, and
-discarded. Those batched calls therefore have R*K rows in every iteration:
-the round-off of a batched matrix product depends on its row count, and
-this way no restart's result depends on when another one stopped. The
-sampler sees only the running restarts' rows, and each row's counts depend
-on that row and its stream alone; a stopped restart takes all-ones counts.
+iteration takes the R' running restarts at once through: distance matrix
+against the current centers -> PD membership probabilities -> loss beta ->
+boosting weight matrix, as (R', K, N) stacks with the cluster axis first;
+then weighted resampling with replacement of each of their (restart,
+cluster) rows (``resample_counts``) -> one batched P-spline center fit of
+the pooled means (``estimate_centers``) -> center update. A restart whose
+loss falls below PERFECT_PARTITION_TOL stops: it goes through no further
+iteration. Every matrix product of the loop takes the stack one (K, .)
+restart slice at a time, and every other step works per restart, so a
+restart's numbers depend only on its own key, not on R or on which
+restarts stopped. Each center is the running mean of its per-iteration
+P-spline fits; those fits share one basis, so the mean is itself a spline
+in that basis and needs no further smoothing. The restart with the
+smallest final BC index wins.
 
 Randomness comes from dedicated streams (``streams.keyed_streams``) keyed
 by (seed, restart) for the initial centers and (seed, restart, iteration,
 cluster) for the resampling draws; the R initial-center keys, and the
-drawing restarts' resampling keys of an iteration, are hashed in one batch.
+running restarts' resampling keys of an iteration, are hashed in one batch.
 
-Each iteration's distances are one call of the guarded matrix-product
-kernel ``distance._sq_distances`` on all R*K mapped centers, whose
-(R*K, N) result is the (R, K, N) stack. Work that does not change within a
-run is done once per run: the spline spectrum, and the series' side of the
-distance (their centered copies or periodograms, for the Penrose and
-periodogram distances) and its squared norms.
+Work that does not change within a run is done once per run: the spline
+spectrum, and the series' side of the distance (their centered copies or
+periodograms, for the Penrose and periodogram distances) and its squared
+norms.
 """
 
 from dataclasses import dataclass
@@ -145,16 +139,17 @@ def resample_counts(weights, streams):
 
 
 def estimate_centers(values, counts, B, spectrum, criterion):
-    """Center fits (rows, n) from resampled multisets of series, one per row of counts.
+    """Center fits (..., n) from resampled multisets of series, one per row of counts (..., N).
 
     All points of the sampled series are pooled, a series drawn r times
     counting r-fold; on a shared domain this collapses to smoothing the
     multiplicity-weighted mean series (multiplicities normalized so the fit
     does not depend on the total draw count). All rows select their lambda
-    in one batch from ``spectrum``, the factorisation of basis and penalty.
+    in one batch from ``spectrum``, the factorisation of basis and penalty;
+    a stack of counts takes one product per (K, N) slice.
     """
     counts = np.asarray(counts, dtype=float)
-    total = counts.sum(axis=1, keepdims=True)
+    total = counts.sum(axis=-1, keepdims=True)
     if not np.all(total > 0):
         raise ValueError("every sample must be nonempty")
     pooled = (counts @ values) / total
@@ -171,43 +166,38 @@ def run_boost(data: Dataset, config: BoostConfig) -> ClusterResult:
     B = pspline.build_basis(data.domain)
     spectrum = pspline._spectrum(B, pspline.difference_penalty(B.shape[1]))
     criterion = pspline.LambdaCriterion(config.criterion)
-    # resampling keys (restart, iteration, cluster), restart-major; each iteration sets its own
-    keys = np.zeros((restarts * k, 3), dtype=np.uint32)
-    keys[:, 0], keys[:, 2] = np.divmod(np.arange(restarts * k), k)
+    # resampling keys (restart, iteration, cluster) of each row; each iteration sets its own
+    keys = np.zeros((restarts, k, 3), dtype=np.uint32)
+    keys[..., 0], keys[..., 2] = np.arange(restarts)[:, None], np.arange(k)
     points = distance_space(values, config.distance)
     norms = _sq_norms(points)
+    # column-major: points.T is then C-contiguous, and the distance product about twice as fast
+    points = np.asfortranarray(points)
 
     def distances(centers):
-        # one kernel call on all R*K centers; its (R*K, N) result is the
-        # cluster-first (R, K, N) stack without a copy
-        mapped = distance_space(centers, config.distance)
-        d2 = _sq_distances(points, mapped.reshape(restarts * k, -1), norms)
-        return np.sqrt(d2, out=d2).reshape(restarts, k, n_series)
+        d2 = _sq_distances(points, distance_space(centers, config.distance), norms)
+        return np.sqrt(d2, out=d2)
 
     starts = keyed_streams(config.seed, np.arange(restarts)[:, None])
     centers = np.stack([values[rng.choice(n_series, size=k, replace=False)] for rng in starts])
     sums = np.zeros_like(centers)
-    active = np.ones(restarts, dtype=bool)
+    run = np.arange(restarts)  # the running restarts
     betas = [[] for _ in range(restarts)]
     for iteration in range(1, config.maxiter + 1):
-        D = distances(centers)
+        D = distances(centers[run])
         P = _probabilities(D)
         beta = _loss(P)
-        for r in np.flatnonzero(active):
-            betas[r].append(beta[r])
-        active &= ~(beta < PERFECT_PARTITION_TOL)
-        if not active.any():
+        for r, b in zip(run, beta):
+            betas[r].append(b)
+        going = ~(beta < PERFECT_PARTITION_TOL)
+        run, D, P, beta = run[going], D[going], P[going], beta[going]
+        if not run.size:
             break
-        # stopped restarts take beta 1 and all-ones counts; their fits are discarded
-        columns = _weights(D, P, np.where(active, beta, 1.0)).reshape(restarts * k, n_series)
-        drawn = np.repeat(active, k)
-        counts = np.ones_like(columns)
-        keys[:, 1] = iteration
-        counts[drawn] = resample_counts(columns[drawn], keyed_streams(config.seed, keys[drawn]))
-        fitted = estimate_centers(values, counts, B, spectrum, criterion)
-        live = active[:, None, None]
-        np.add(sums, fitted.reshape(centers.shape), out=sums, where=live)
-        np.divide(sums, iteration, out=centers, where=live)
+        weights = _weights(D, P, beta).reshape(-1, n_series)
+        keys[..., 1] = iteration
+        counts = resample_counts(weights, keyed_streams(config.seed, keys[run].reshape(-1, 3)))
+        sums[run] += estimate_centers(values, counts.reshape(D.shape), B, spectrum, criterion)
+        centers[run] = sums[run] / iteration
 
     P = _probabilities(distances(centers))
     finals = _loss(P) / n_series

@@ -2,10 +2,10 @@
 
 Every measure is the Euclidean distance between mapped series
 (``distance_space``), so one kernel serves all three, and FCM too:
-``_sq_distances``, one guarded matrix product for a whole stack of
-centers, whose (K, N) result is cluster-first like every kernel of the
-package; a caller that returns distances or memberships per series
-transposes it. Euclidean maps nothing. The Penrose shape distance
+``_sq_distances``, one guarded matrix product per (K, m) slice of a
+stack of centers, whose (..., K, N) result is cluster-first like every
+kernel of the package; a caller that returns distances or memberships per
+series transposes it. Euclidean maps nothing. The Penrose shape distance
 sqrt(n/(n-1) * (dbar^2 - q^2)) (Penrose 1952, "Distance, size and shape")
 ignores levels: it maps a series to (y - mean(y)) / sqrt(n - 1), which,
 unlike the radicand, never cancels two nearly equal numbers at high
@@ -34,7 +34,7 @@ class DistanceKind(enum.Enum):
 
 
 def _sq_norms(values):
-    return np.einsum("ij,ij->i", values, values)
+    return np.einsum("...j,...j->...", values, values)
 
 
 def _check_distances(d):
@@ -44,37 +44,41 @@ def _check_distances(d):
 
 
 def _sq_distances(points, centers, norms=None):
-    """(K, N) squared Euclidean distances from centers (K, m) to points (N, m).
+    """(..., K, N) squared Euclidean distances from centers (..., K, m) to points (N, m).
 
     Centers come first, as the boosted loop reduces over them; FCM takes the
-    transpose. One matrix product gives d2 = s - 2 c.y with s = ||c||^2 +
-    ||y||^2; ``norms`` holds the ||y||^2 of the points when the caller has
-    them. Each of the three terms carries an error of at most m*2^-53*s, so
-    an entry that passes the guard d2 > 2^-6 * s has a relative error of at
-    most about (m + 2) * 2^-46 (7e-13 at m = 50). Every other entry,
-    including those whose norms overflow to inf or NaN, is recomputed
-    exactly from its differences, so a center equal to a point gives
-    exactly 0. The recomputed entries go in chunks of at most N, so their
-    differences never take more memory than the points.
+    transpose. A stack of centers, such as the boosted loop's (R, K, m)
+    restarts, takes one matrix product per (K, m) slice, so no slice's
+    distances depend on the rest of the stack. Each product gives
+    d2 = s - 2 c.y with s = ||c||^2 + ||y||^2; ``norms`` holds the ||y||^2
+    of the points when the caller has them. Each of the three terms carries
+    an error of at most m*2^-53*s, so an entry that passes the guard
+    d2 > 2^-6 * s has a relative error of at most about (m + 2) * 2^-46
+    (7e-13 at m = 50). Every other entry, including those whose norms
+    overflow to inf or NaN, is recomputed exactly from its differences, so
+    a center equal to a point gives exactly 0. The recomputed entries go in
+    chunks of at most N, so their differences never take more memory than
+    the points.
     """
     if norms is None:
         norms = _sq_norms(points)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = _sq_norms(centers)[:, None] + norms
+        scale = _sq_norms(centers)[..., None] + norms
         d2 = centers @ points.T
         d2 *= -2.0
         d2 += scale
         scale *= _GUARD
         redo = ~(d2 > scale)
     if redo.any():
-        # flat indices in row-major order, as np.nonzero gives them
-        rows, cols = np.divmod(np.flatnonzero(redo), redo.shape[1])
+        # flat indices of the (rows, N) view, in row-major order as np.nonzero gives them
         step = points.shape[0]
+        rows, cols = np.divmod(np.flatnonzero(redo), step)
+        flat, centers = d2.reshape(-1, step), centers.reshape(-1, centers.shape[-1])
         for start in range(0, rows.size, step):
             r, c = rows[start : start + step], cols[start : start + step]
             diff = points[c]
             diff -= centers[r]
-            d2[r, c] = np.einsum("ij,ij->i", diff, diff)
+            flat[r, c] = np.einsum("ij,ij->i", diff, diff)
     return d2
 
 

@@ -144,15 +144,15 @@ _HUGE = 2.0**400
 class RowSelection(NamedTuple):
     """Lambda selection for a batch of series; see ``select_rows``."""
 
-    lam: np.ndarray      # (rows,) selected lambda; the largest grid lambda on flat rows
-    coef: np.ndarray     # (rows, m) spline coefficients at lam
-    flat: np.ndarray     # (rows,) True where the criterion profile is flat
+    lam: np.ndarray      # (...) selected lambda; the largest grid lambda on flat rows
+    coef: np.ndarray     # (..., m) spline coefficients at lam
+    flat: np.ndarray     # (...) True where the criterion profile is flat
     lambdas: np.ndarray  # points at which scores are attributed
-    scores: np.ndarray   # (rows, len(lambdas)); a huge row's are its scaled copy's
+    scores: np.ndarray   # (..., len(lambdas)); a huge row's are its scaled copy's
 
 
 def select_rows(Y, spectrum, criterion):
-    """Pick the smoothing parameter of every row of Y (rows, n) from the criterion's grid.
+    """Pick the smoothing parameter of every row of Y (..., n) from the criterion's grid.
 
     AIC, LOO-CV and GCV return the grid point minimizing the score. The
     V-curve differences the L-curve coordinates psi = log ||y - B a||^2 and
@@ -168,22 +168,25 @@ def select_rows(Y, spectrum, criterion):
     is flagged and takes its coefficients at the largest grid lambda.
 
     The residual and penalty sums of squares are sums over the spectrum,
-    two (rows, m) x (m, G) products (``_spectral_rss`` and ``_spectral_pen``);
+    two (..., m) x (m, G) products (``_spectral_rss`` and ``_spectral_pen``);
     only LOO-CV forms (rows, G, n) residuals, for a few rows at a time
-    (``_loocv_scores``). A row whose largest magnitude reaches ``_HUGE`` is
-    scored as its copy scaled by 2**-e, with e the binary exponent of that
-    magnitude, and its coefficients are multiplied by 2**e, so such a row
-    and its multiples by powers of two select alike; a row whose
-    coefficients would overflow there raises ``NonFiniteValue``.
+    (``_loocv_scores``). A stack such as the boosted loop's (R, K, n) goes
+    through every product one (K, n) slice at a time, so no slice's
+    selection depends on the rest of the stack. A row whose largest
+    magnitude reaches ``_HUGE`` is scored as its copy scaled by 2**-e, with
+    e the binary exponent of that magnitude, and its coefficients are
+    multiplied by 2**e, so such a row and its multiples by powers of two
+    select alike; a row whose coefficients would overflow there raises
+    ``NonFiniteValue``.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     shift = None
     if Y.max() >= _HUGE or Y.min() <= -_HUGE:
-        magnitude = np.abs(Y).max(axis=1)
+        magnitude = np.abs(Y).max(axis=-1)
         shift = np.where(magnitude >= _HUGE, np.frexp(magnitude)[1], 0)
-        Y = np.ldexp(Y, -shift[:, None])
+        Y = np.ldexp(Y, -shift[..., None])
     grid = criterion.grid
-    n = Y.shape[1]
+    n = Y.shape[-1]
     mu, V, Q, DV = spectrum
     Qty = Y @ Q
     d = mu + grid[:, None] * (1.0 - mu)
@@ -236,12 +239,12 @@ def select_rows(Y, spectrum, criterion):
     # profile is round-off however it scores: an rss at round-off level flags it
     flat |= rss.max(axis=-1) <= n * np.finfo(float).eps * np.sum(Y**2, axis=-1)
     lam = np.where(flat, grid[-1], lambdas[pick])
-    coef = (Qty / (mu + lam[:, None] * (1.0 - mu))) @ V.T
+    coef = (Qty / (mu + lam[..., None] * (1.0 - mu))) @ V.T
     if shift is not None:
         # a fit near the float limit can need coefficients beyond it
-        if np.any(np.frexp(np.abs(coef).max(axis=1))[1] + shift > np.finfo(float).maxexp):
+        if np.any(np.frexp(np.abs(coef).max(axis=-1))[1] + shift > np.finfo(float).maxexp):
             raise NonFiniteValue("the series' spline coefficients overflow the float range")
-        coef = np.ldexp(coef, shift[:, None])
+        coef = np.ldexp(coef, shift[..., None])
     return RowSelection(lam, coef, flat, lambdas, scores)
 
 
@@ -251,46 +254,48 @@ _LOOCV_BYTES = 1 << 21
 
 
 def _loocv_scores(Y, Qty, Q, d):
-    """Leave-one-out CV scores (rows, G): each point's residual over 1 - its leverage.
+    """Leave-one-out CV scores (..., G): each point's residual over 1 - its leverage.
 
     The leverage diagonal (G, n) is computed once, and a grid point where a
     leverage reaches 1 - 1e-12 scores inf. The (rows, G, n) residuals are
-    formed for chunks of rows of at most ``_LOOCV_BYTES``; every row's
-    residuals are the same (G, m) x (m, n) product whatever the chunk, so
-    the scores do not depend on it.
+    formed for chunks of the flattened rows of at most ``_LOOCV_BYTES``;
+    every row's residuals are the same (G, m) x (m, n) product whatever the
+    chunk, so the scores do not depend on it.
     """
     hdiag = (1.0 / d) @ (Q**2).T
     bad = np.any(hdiag >= 1.0 - 1e-12, axis=1)
     denom = 1.0 - np.minimum(hdiag, 1.0 - 1e-12)
     step = max(1, _LOOCV_BYTES // hdiag.nbytes)
-    cv = np.empty((Y.shape[0], d.shape[0]))
+    cv = np.empty(Y.shape[:-1] + bad.shape)
+    rows = cv.reshape(-1, bad.size)
+    Y, Qty = Y.reshape(rows.shape[0], -1), Qty.reshape(rows.shape[0], -1)
     for start in range(0, Y.shape[0], step):
         chunk = slice(start, start + step)
         resid = (Qty[chunk, None, :] / d) @ Q.T
         np.subtract(Y[chunk, None, :], resid, out=resid)
         resid /= denom
         np.square(resid, out=resid)
-        np.sum(resid, axis=-1, out=cv[chunk])
+        np.sum(resid, axis=-1, out=rows[chunk])
     return np.where(bad, np.inf, cv)
 
 
 def _spectral_rss(Y, Qty, mu, Q, grid, d):
-    """Residual sums of squares (rows, G) of the fits at every grid lambda, from the spectrum.
+    """Residual sums of squares (..., G) of the fits at every grid lambda, from the spectrum.
 
     Q'Q = diag(mu), so over the columns J with mu > m eps (a smaller mu is
     round-off of a zero) the fit splits into the lambda-0 residual e = y - Q_J (Q'y / mu)_J
     and a shrinkage orthogonal to it:
     rss = ||e||^2 + sum_J (Q'y)^2 / mu * (lambda (1 - mu) / d)^2, a sum of
-    nonnegative terms that never forms the (rows, G, n) residuals.
+    nonnegative terms that never forms the (..., G, n) residuals.
     """
     inv_mu = np.divide(1.0, mu, out=np.zeros_like(mu), where=mu > mu.shape[0] * np.finfo(float).eps)
     e = Y - (Qty * inv_mu) @ Q.T
     shrink = grid[:, None] * (1.0 - mu) / d
-    return np.sum(e**2, axis=-1)[:, None] + (Qty**2 * inv_mu) @ (shrink**2).T
+    return np.sum(e**2, axis=-1)[..., None] + (Qty**2 * inv_mu) @ (shrink**2).T
 
 
 def _spectral_pen(Qty, DV, d):
-    """Penalty sums of squares ||D a||^2 (rows, G) at every grid lambda, from the spectrum.
+    """Penalty sums of squares ||D a||^2 (..., G) at every grid lambda, from the spectrum.
 
     The columns of DV are orthogonal, so ||D V c||^2 = sum ||DV_j||^2 c_j^2
     with c = Q'y / d. The weights are the column norms, not 1 - mu: on the
@@ -303,7 +308,7 @@ def _spectral_pen(Qty, DV, d):
 
 
 def _corner_argmin(v):
-    """Row-wise index of the L-curve corner in speed profiles v (rows, G).
+    """Row-wise index of the L-curve corner in speed profiles v (..., G).
 
     On wide grids the speed collapses toward zero on the flat plateaus at
     both ends, so a plain argmin lands on a plateau edge whenever the grid
@@ -312,10 +317,10 @@ def _corner_argmin(v):
     before and after it) marks the corner, and the lowest such dip takes
     precedence; without one, the global minimum is used.
     """
-    before = np.maximum.accumulate(v, axis=-1)[:, :-2]
-    after = np.maximum.accumulate(v[:, ::-1], axis=-1)[:, ::-1][:, 2:]
-    mid = v[:, 1:-1]
-    dip = (mid <= v[:, :-2]) & (mid <= v[:, 2:]) & (mid <= 0.5 * np.minimum(before, after))
+    before = np.maximum.accumulate(v, axis=-1)[..., :-2]
+    after = np.maximum.accumulate(v[..., ::-1], axis=-1)[..., ::-1][..., 2:]
+    mid = v[..., 1:-1]
+    dip = (mid <= v[..., :-2]) & (mid <= v[..., 2:]) & (mid <= 0.5 * np.minimum(before, after))
     lowest_dip = np.argmin(np.where(dip, mid, np.inf), axis=-1) + 1
     return np.where(dip.any(axis=-1), lowest_dip, np.argmin(v, axis=-1))
 

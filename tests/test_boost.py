@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tsboost import BoostConfig, Dataset, DistanceKind, bc_index, harden, run_boost
+from tsboost import BoostConfig, Dataset, DistanceKind, bc_index, harden, run_boost, simgen
 from tsboost.boost import _raw_weights, _weights, estimate_centers, resample_counts
 from tsboost.distance import _sq_distances, distance_space
 from tsboost.errors import ConfigError, DegenerateBeta
@@ -118,7 +118,7 @@ def test_layers_take_a_restart_axis(rng, kind):
     centers[1, 2] = values[5]  # a zero distance takes the coincident branch
     points = distance_space(values, kind)
     mapped = distance_space(centers, kind)
-    D = np.sqrt(_sq_distances(points, mapped.reshape(12, -1))).reshape(3, 4, 9)
+    D = np.sqrt(_sq_distances(points, mapped))
     P = _probabilities(D)
     beta = _loss(P)
     W = _weights(D, P, beta)
@@ -229,7 +229,8 @@ class TestRunningMeanCenters:
 
         def recording(*args):
             fitted = estimate_centers(*args)
-            fits.append(fitted)
+            # the loop fits a (restarts, K, n) stack; this run has one restart
+            fits.append(fitted[0])
             return fitted
 
         monkeypatch.setattr(boost, "estimate_centers", recording)
@@ -350,7 +351,7 @@ def test_lockstep_matches_per_restart_oracle(rng, monkeypatch, make_data, kind, 
     batch_rows, sampled_rows = [], []
 
     def recording(values, counts, *args):
-        batch_rows.append(len(counts))
+        batch_rows.append(np.size(counts) // len(values))
         return estimate_centers(values, counts, *args)
 
     def sampling(weights, streams):
@@ -370,15 +371,41 @@ def test_lockstep_matches_per_restart_oracle(rng, monkeypatch, make_data, kind, 
     centers, membership, _ = oracle[result.restart_index]
     assert np.max(np.abs(result.centers - centers)) <= 1e-12
     assert np.max(np.abs(result.membership - membership)) <= 1e-12
-    # stopped restarts are carried, not compacted: every batch has R*K rows;
-    # the sampler draws only the K rows of each restart still running
-    assert batch_rows == [restarts * k] * len(batch_rows)
+    # only the running restarts go through an iteration: the sampler and
+    # the center fit both take the K rows of each restart still running
     running = [sum(len(t.beta) >= it and t.beta[it - 1] >= boost.PERFECT_PARTITION_TOL
                    for t in result.traces) for it in range(1, len(batch_rows) + 1)]
-    assert sampled_rows == [k * r for r in running]
+    assert batch_rows == sampled_rows == [k * r for r in running]
     if kind == DistanceKind.EUCLIDEAN and k == 2:
         lengths = {trace.beta.shape[0] for trace in result.traces}
         assert min(lengths) < config.maxiter and len(lengths) > 1
+
+
+@pytest.mark.parametrize("criterion", pspline.CRITERIA)
+@pytest.mark.parametrize("kind, n_points, maxiter", [
+    (DistanceKind.PENROSE_SHAPE, 10, 15), (DistanceKind.PERIODOGRAM, 24, 10),
+    (DistanceKind.EUCLIDEAN, 10, 15), (DistanceKind.EUCLIDEAN, None, 12),
+], ids=["penrose", "periodogram", "euclidean", "early-stop"])
+def test_restart_depends_only_on_its_key(kind, n_points, maxiter, criterion):
+    # restarts 0..R'-1 of an R'-restart run are those of an R = 10 run, bit
+    # for bit: every product takes one restart's (K, .) slice, and a stopped
+    # restart goes through no further iteration. In the early-stop case most
+    # restarts stop at iteration 1 and two run on
+    if n_points is None:
+        data, k = _early_stop_dataset(), 2
+    else:
+        data, k = simgen.generate(simgen.SimConfig(seed=1, n_points=n_points))[0], 6
+
+    def run(restarts):
+        return run_boost(data, BoostConfig(n_clusters=k, maxiter=maxiter, restarts=restarts,
+                                           distance=kind, seed=1, criterion=criterion))
+
+    full = run(10)
+    for fewer in (1, 3):
+        part = run(fewer)
+        for r in range(fewer):
+            assert np.array_equal(part.traces[r].beta, full.traces[r].beta), (fewer, r)
+        assert np.array_equal(part.restart_final_bc, full.restart_final_bc[:fewer]), fewer
 
 
 def test_loop_ends_when_every_restart_has_stopped(monkeypatch):

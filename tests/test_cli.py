@@ -267,6 +267,25 @@ class TestCluster:
         for name in ("membership.csv", "centers.csv", "assignments.csv", "trace.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_paper_size_boost_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the paper's benchmark size (N = 360, n = 10, K = 6, 10 restarts), 20
+        # iterations, in one child process with one OpenBLAS thread and one
+        # with two: both write the same membership and center bytes
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--out", str(sim), "--seed", "0"]) == 0
+        paths = [str(Path(tsboost.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "tsboost.cli", "cluster", "--input", str(sim / "series.csv"),
+                 "--out", str(tmp_path / threads), "--k", "6", "--distance", "penrose",
+                 "--iters", "20", "--restarts", "10", "--seed", "0"],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        for name in ("membership.csv", "centers.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_fcm_path(self, tmp_path, toy_csv):
         out = tmp_path / "fcm"
         code = main(["cluster", "--input", str(toy_csv), "--out", str(out),

@@ -223,14 +223,15 @@ def kernel_bound(m):
     (360, 10, 10, 6), (360, 100, 2, 6), (360, 10, 10, 12), (3600, 200, 2, 6),
 ])
 def test_batched_kernel_within_bound_of_exact_tensor(n_series, m, restarts, k):
-    # the boosted loop's call: all R*K centers in one matrix product, read as
-    # the cluster-first (R, K, N) stack
+    # the boosted loop's call: the (R, K, m) stack of centers in one kernel
+    # call, one matrix product per restart, giving the cluster-first
+    # (R, K, N) stack
     rng = np.random.default_rng(m + k)
     points = rng.normal(size=(n_series, m))
     centers = rng.normal(size=(restarts, k, m))
     centers[0, 1] = points[3]
-    d2 = _sq_distances(points, centers.reshape(restarts * k, m), _sq_norms(points))
-    stacked = np.sqrt(d2).reshape(restarts, k, n_series)
+    stacked = np.sqrt(_sq_distances(points, centers, _sq_norms(points)))
+    assert stacked.shape == (restarts, k, n_series)
     exact = exact_distances(points, centers.reshape(restarts * k, m)).reshape(stacked.shape)
     assert np.all(np.abs(stacked - exact) <= kernel_bound(m) * exact)
     assert stacked[0, 1, 3] == 0.0 and np.count_nonzero(stacked == 0.0) == 1
@@ -262,6 +263,26 @@ def test_row_blocks_equal_one_unblocked_tensor(kind, center_shape):
     assert np.all(np.abs(blocked - exact) <= bound)
 
 
+@pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
+def test_stack_slices_equal_their_own_calls(kind):
+    # each (K, N) slice of an (R, K, m) stack's distances has the bits of its
+    # own 2-D call, guarded entries included. At level 50 the Euclidean
+    # entries fail the guard; in every space a center within 1e-9 of a
+    # series fails it, and a center equal to a series is at exactly 0
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(40, 12)) + 50.0
+    centers = rng.normal(size=(5, 3, 12)) + 50.0
+    centers[0, 0] = values[3] + 1e-9
+    centers[2, 1] = values[7]
+    points = distance_space(values, kind)
+    mapped = distance_space(centers, kind)
+    stacked = _sq_distances(points, mapped, _sq_norms(points))
+    assert stacked.shape == (5, 3, 40)
+    for r in range(5):
+        assert np.array_equal(stacked[r], _sq_distances(points, mapped[r])), r
+    assert stacked[2, 1, 7] == 0.0
+
+
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(list(DistanceKind)), n=st.integers(4, 40),
        n_series=st.integers(1, 30), k=st.integers(1, 7), restarts=st.sampled_from([None, 1, 3]),
@@ -270,14 +291,15 @@ def test_row_blocks_equal_one_unblocked_tensor(kind, center_shape):
 def test_distance_matrix_within_kernel_bound(kind, n, n_series, k, restarts, level, spread, seed):
     # every distance is within the kernel's bound of the difference form in
     # the mapped space, and a center equal to a series is at exactly 0; a
-    # stack of centers goes in as its rows, as the boosted loop's does
+    # stack of centers goes in as a stack, as the boosted loop's does
     rng = np.random.default_rng(seed)
     values = level + spread * rng.normal(size=(n_series, n))
     shape = (k, n) if restarts is None else (restarts, k, n)
     centers = level + spread * rng.normal(size=shape)
     centers[..., 0, :] = values[0]
-    centers = centers.reshape(-1, n)
     D = mapped_distances(values, centers, kind)
+    assert D.shape == shape[:-1] + (n_series,)
+    D, centers = D.reshape(-1, n_series), centers.reshape(-1, n)
     points = distance_space(values, kind)
     mapped = distance_space(centers, kind)
     exact = exact_distances(points, mapped)

@@ -37,9 +37,8 @@ def nk_weights(D, P, beta):
 
 
 def kernel_distances(points, centers):
-    """(R, N, K) distances from the shared kernel, one call on all R*K centers."""
-    d2 = _sq_distances(points, centers.reshape(-1, centers.shape[-1]))
-    return np.ascontiguousarray(np.sqrt(d2).reshape(centers.shape[:-1] + (-1,)).swapaxes(-1, -2))
+    """(R, N, K) distances from the shared kernel, one call on the (R, K, m) stack of centers."""
+    return np.ascontiguousarray(np.sqrt(_sq_distances(points, centers)).swapaxes(-1, -2))
 
 
 def exact_distances(points, centers):
@@ -116,8 +115,10 @@ def test_reference_partition_equals_nk_oracle(kind, k):
 def nk_run_boost(data, config, distances=kernel_distances):
     """``run_boost``'s loop on (R, N, K) stacks with the nk arithmetic.
 
-    Returns the final centers, memberships and BC indices of every restart
-    and the number of iterations each one ran.
+    Only the running restarts go through an iteration, and every product
+    takes them one restart at a time. Returns the final centers,
+    memberships and BC indices of every restart and the number of
+    iterations each one ran.
     """
     values = data.values
     n_series, k, restarts = values.shape[0], config.n_clusters, config.restarts
@@ -131,28 +132,25 @@ def nk_run_boost(data, config, distances=kernel_distances):
         for r in range(restarts)
     ])
     sums = np.zeros_like(centers)
-    active = np.ones(restarts, dtype=bool)
+    run = np.arange(restarts)
     iterations = np.zeros(restarts, dtype=int)
     for iteration in range(1, config.maxiter + 1):
-        D = distances(points, distance_space(centers, config.distance))
+        D = distances(points, distance_space(centers[run], config.distance))
         P = nk_probabilities(D)
         beta = nk_loss(P)
-        iterations += active
-        active &= ~(beta < boost.PERFECT_PARTITION_TOL)
-        if not active.any():
+        iterations[run] += 1
+        going = ~(beta < boost.PERFECT_PARTITION_TOL)
+        run, D, P, beta = run[going], D[going], P[going], beta[going]
+        if not run.size:
             break
-        W = nk_weights(D, P, np.where(active, beta, 1.0))
-        columns = W.transpose(0, 2, 1).reshape(restarts * k, n_series)
-        drawn = np.repeat(active, k)
-        counts = np.ones_like(columns)
-        counts[drawn] = resample_counts(columns[drawn], [
+        W = nk_weights(D, P, beta)
+        counts = resample_counts(W.transpose(0, 2, 1).reshape(-1, n_series), [
             np.random.default_rng(np.random.SeedSequence((config.seed, r, iteration, cluster)))
-            for r in np.flatnonzero(active) for cluster in range(k)
+            for r in run for cluster in range(k)
         ])
-        fitted = estimate_centers(values, counts, B, spectrum, criterion)
-        live = active[:, None, None]
-        np.add(sums, fitted.reshape(centers.shape), out=sums, where=live)
-        np.divide(sums, iteration, out=centers, where=live)
+        fitted = estimate_centers(values, counts.reshape(run.size, k, n_series), B, spectrum, criterion)
+        sums[run] += fitted
+        centers[run] = sums[run] / iteration
     P = nk_probabilities(distances(points, distance_space(centers, config.distance)))
     return centers, P, nk_loss(P) / n_series, iterations
 

@@ -415,6 +415,29 @@ class TestSelectLambda:
             tracemalloc.stop()
         assert peak < Y.nbytes * criterion.grid.size / 5
 
+    @pytest.mark.parametrize("name", pspline.CRITERIA)
+    def test_stack_slices_equal_their_own_calls(self, rng, name):
+        # the boosted loop selects an (R, K, n) stack of pooled means in one
+        # call; each (K, n) slice gives the bits of its own call, a flat row
+        # and a row scored on a scaled copy included
+        x = np.linspace(0, 1, 10)
+        B = build_basis(x)
+        spectrum = pspline._spectrum(B, difference_penalty(B.shape[1], 2))
+        criterion = LambdaCriterion(name)
+        Y = rng.normal(0, 0.3, size=(4, 6, 10)) + np.sin(2 * np.pi * x)
+        Y[1, 2] = 3.0
+        Y[2, 4] = np.ldexp(Y[2, 4], 500)
+        assert np.abs(Y[2, 4]).max() >= pspline._HUGE
+        stack = select_rows(Y, spectrum, criterion)
+        assert stack.coef.shape == (4, 6, B.shape[1]) and stack.flat[1, 2]
+        for r in range(4):
+            own = select_rows(Y[r], spectrum, criterion)
+            assert np.array_equal(stack.lam[r], own.lam), r
+            assert np.array_equal(stack.coef[r], own.coef), r
+            assert np.array_equal(stack.flat[r], own.flat), r
+            assert np.array_equal(stack.scores[r], own.scores), r
+            assert np.array_equal(stack.lambdas, own.lambdas)
+
     def test_loocv_chunks_match_the_residual_tensor(self, rng):
         # 12 rows of n = 2000 span several chunks; the scores are those of
         # the whole (rows, G, n) residual tensor, and the pick is the same
