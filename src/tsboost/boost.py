@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import Dataset
 from .distance import DistanceKind, _sq_distances, _sq_norms, distance_space
-from .errors import ConfigError, DegenerateBeta
+from .errors import ConfigError
 from .pdclust import _loss, _probabilities
 from .streams import keyed_streams
 from . import pspline
@@ -91,8 +91,6 @@ def _raw_weights(D, P, beta):
     and -1 elsewhere.
     """
     beta = np.asarray(beta, dtype=float)
-    if np.any(beta <= 0):
-        raise DegenerateBeta("beta must be positive; a zero loss means a perfect partition")
     rowmax = D.max(axis=-2, keepdims=True)
     gamma = np.where(rowmax > 0, D / np.where(rowmax > 0, rowmax, 1.0), 1.0)
     own = np.arange(D.shape[-2])[:, None] == np.argmax(P, axis=-2)[..., None, :]
@@ -149,10 +147,7 @@ def estimate_centers(values, counts, B, spectrum, criterion):
     a stack of counts takes one product per (K, N) slice.
     """
     counts = np.asarray(counts, dtype=float)
-    total = counts.sum(axis=-1, keepdims=True)
-    if not np.all(total > 0):
-        raise ValueError("every sample must be nonempty")
-    pooled = (counts @ values) / total
+    pooled = (counts @ values) / counts.sum(axis=-1, keepdims=True)
     return pspline.select_rows(pooled, spectrum, criterion).coef @ B.T
 
 

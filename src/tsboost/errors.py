@@ -60,10 +60,6 @@ class NegativeDistance(DataError):
     """A distance is negative or not finite, as when squared distances overflow."""
 
 
-class DegenerateBeta(TsboostError):
-    """Loss reached 0: the partition is already perfect."""
-
-
 class EmptyCluster(TsboostError):
     pass
 

@@ -32,8 +32,6 @@ def _probabilities(D, power=1):
     squared distances with power 1 / (m - 1).
     """
     _check_distances(D)
-    if D.shape[-2] < 2:
-        raise ValueError("need at least 2 clusters")
     # prod_{h != k} d_h = exp(sum_h log d_h - log d_k); the per-series
     # constant cancels in the normalization. A series with a zero distance
     # takes log 1 here and is replaced by its uniform split below. Every

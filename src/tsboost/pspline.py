@@ -136,8 +136,9 @@ def _spectrum(B, penalty):
     return np.clip(mu, 0.0, 1.0), V, B @ V, penalty @ V
 
 
-# select_rows scores a row whose largest magnitude reaches this on a copy
-# scaled by a power of two: its squares and their sums would overflow
+# select_rows scores a row whose largest magnitude lies outside [1/_HUGE,
+# _HUGE) on a copy scaled by a power of two: its squares and their sums
+# would overflow, or underflow against the 1e-300 floors of the scores
 _HUGE = 2.0**400
 
 
@@ -148,7 +149,7 @@ class RowSelection(NamedTuple):
     coef: np.ndarray     # (..., m) spline coefficients at lam
     flat: np.ndarray     # (...) True where the criterion profile is flat
     lambdas: np.ndarray  # points at which scores are attributed
-    scores: np.ndarray   # (..., len(lambdas)); a huge row's are its scaled copy's
+    scores: np.ndarray   # (..., len(lambdas)); a rescaled row's are its scaled copy's
 
 
 def select_rows(Y, spectrum, criterion):
@@ -173,17 +174,19 @@ def select_rows(Y, spectrum, criterion):
     (``_loocv_scores``). A stack such as the boosted loop's (R, K, n) goes
     through every product one (K, n) slice at a time, so no slice's
     selection depends on the rest of the stack. A row whose largest
-    magnitude reaches ``_HUGE`` is scored as its copy scaled by 2**-e, with
-    e the binary exponent of that magnitude, and its coefficients are
-    multiplied by 2**e, so such a row and its multiples by powers of two
-    select alike; a row whose coefficients would overflow there raises
-    ``NonFiniteValue``.
+    magnitude lies outside [1/_HUGE, _HUGE) is scored as its copy scaled by
+    2**-e, with e the binary exponent of that magnitude, and its
+    coefficients are multiplied by 2**e, so such a row and its multiples by
+    powers of two select alike; a row whose coefficients would overflow
+    there raises ``NonFiniteValue``.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    shift = None
-    if Y.max() >= _HUGE or Y.min() <= -_HUGE:
-        magnitude = np.abs(Y).max(axis=-1)
-        shift = np.where(magnitude >= _HUGE, np.frexp(magnitude)[1], 0)
+    magnitude = np.abs(Y).max(axis=-1)
+    # an all-zero row has binary exponent 0, so it is not shifted
+    shift = np.where((magnitude >= _HUGE) | (magnitude < 1.0 / _HUGE),
+                     np.frexp(magnitude)[1], 0)
+    scaled = shift.any()
+    if scaled:
         Y = np.ldexp(Y, -shift[..., None])
     grid = criterion.grid
     n = Y.shape[-1]
@@ -240,7 +243,7 @@ def select_rows(Y, spectrum, criterion):
     flat |= rss.max(axis=-1) <= n * np.finfo(float).eps * np.sum(Y**2, axis=-1)
     lam = np.where(flat, grid[-1], lambdas[pick])
     coef = (Qty / (mu + lam[..., None] * (1.0 - mu))) @ V.T
-    if shift is not None:
+    if scaled:
         # a fit near the float limit can need coefficients beyond it
         if np.any(np.frexp(np.abs(coef).max(axis=-1))[1] + shift > np.finfo(float).maxexp):
             raise NonFiniteValue("the series' spline coefficients overflow the float range")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tsboost
+from tsboost import pspline
 from tsboost.cli import (
     _digest, _read_csv_matrix, _write_matrix, main, read_dataset, read_long, read_membership,
     read_wide,
@@ -51,6 +52,33 @@ def slow_fcm_csv(tmp_path):
     path = tmp_path / "slow.csv"
     write_wide(path, np.random.default_rng(11).normal(size=(30, 4)))
     return path
+
+
+@pytest.fixture(scope="module")
+def sim(tmp_path_factory):
+    """The paper's simulated benchmark at seed 0 (360 series, 10 points):
+    series.csv and labels.csv, shared by the tests of a module, which only
+    read them."""
+    out = tmp_path_factory.mktemp("sim")
+    assert main(["simulate", "--out", str(out), "--seed", "0"]) == 0
+    return out
+
+
+def bom_crlf_copy(path, copy):
+    """A copy of path with a byte order mark and CRLF line ends, which the
+    csv-module reader reads, since a carriage return is not plain text."""
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n"))
+    return copy
+
+
+def long_copy(path, copy):
+    """A long (id,t,value) copy of the wide table at path: the series in the
+    wide order, each series' points in reverse time order."""
+    data = read_wide(path)
+    copy.write_text("id,t,value\n" + "".join(
+        f"{sid},{t!r},{v!r}\n" for sid, row in zip(data.ids, data.values.tolist())
+        for t, v in reversed(list(zip(data.domain.tolist(), row)))))
+    return copy
 
 
 class TestReaders:
@@ -229,21 +257,27 @@ class TestSimulate:
         assert len(labels) == 13
 
     def test_rerun_byte_identical(self, tmp_path):
-        args = ["simulate", "--sizes", "3,3,3,3,3,3", "--seed", "9"]
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2)]) == 0
-        for name in ("series.csv", "labels.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        assert (manifest_without_timings(out1 / "manifest.json")
-                == manifest_without_timings(out2 / "manifest.json"))
+        # 2**64 + 5 is a seed of three 32-bit words, which keys every stream
+        # with a multi-word seed
+        for seed in ("9", str(2**64 + 5)):
+            args = ["simulate", "--sizes", "3,3,3,3,3,3", "--seed", seed]
+            out1, out2 = tmp_path / seed / "a", tmp_path / seed / "b"
+            assert main(args + ["--out", str(out1)]) == 0
+            assert main(args + ["--out", str(out2)]) == 0
+            for name in ("series.csv", "labels.csv"):
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), seed
+            assert (manifest_without_timings(out1 / "manifest.json")
+                    == manifest_without_timings(out2 / "manifest.json")), seed
 
 
 class TestCluster:
-    def test_boost_outputs(self, tmp_path, toy_csv):
+    @pytest.mark.parametrize("criterion", pspline.CRITERIA)
+    def test_boost_outputs(self, tmp_path, toy_csv, criterion):
+        # a short boosted run under each lambda criterion
         out = tmp_path / "run"
         code = main(["cluster", "--input", str(toy_csv), "--out", str(out),
-                     "--k", "3", "--iters", "5", "--restarts", "2", "--seed", "1"])
+                     "--k", "3", "--iters", "5", "--restarts", "2", "--seed", "1",
+                     "--lambda-criterion", criterion])
         assert code == 0
         ids, membership = read_membership(out / "membership.csv")
         assert membership.shape == (12, 3)
@@ -257,22 +291,45 @@ class TestCluster:
         manifest = manifest_without_timings(out / "manifest.json")
         assert manifest["algorithm"] == "boost"
         assert manifest["k"] == 3
+        assert manifest["lambda_criterion"] == criterion
 
     def test_rerun_byte_identical(self, tmp_path, toy_csv):
-        args = ["cluster", "--input", str(toy_csv), "--k", "3",
-                "--iters", "4", "--restarts", "2", "--seed", "2"]
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2)]) == 0
-        for name in ("membership.csv", "centers.csv", "assignments.csv", "trace.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # 2**64 + 5 is a seed of three 32-bit words, which keys every stream
+        # with a multi-word seed
+        for seed in ("2", str(2**64 + 5)):
+            args = ["cluster", "--input", str(toy_csv), "--k", "3",
+                    "--iters", "4", "--restarts", "2", "--seed", seed]
+            out1, out2 = tmp_path / seed / "r1", tmp_path / seed / "r2"
+            assert main(args + ["--out", str(out1)]) == 0
+            assert main(args + ["--out", str(out2)]) == 0
+            for name in ("membership.csv", "centers.csv", "assignments.csv", "trace.csv"):
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), seed
 
-    def test_paper_size_boost_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+    @pytest.mark.parametrize("algorithm", ["fcm", "boost"])
+    @pytest.mark.parametrize("copy", ["bom-crlf", "long"])
+    def test_input_copy_writes_the_same_bytes(self, tmp_path, sim, copy, algorithm):
+        # a copy of the simulated series with a byte order mark and CRLF line
+        # ends, and a long copy in reverse time order, give the wide run's
+        # bytes; FCM runs to convergence, the boosted run is short
+        args = ["--k", "6", "--algorithm", algorithm, "--seed", "0"]
+        if algorithm == "boost":
+            args += ["--iters", "3", "--restarts", "2"]
+        series = sim / "series.csv"
+        if copy == "bom-crlf":
+            args_copy = ["--input", str(bom_crlf_copy(series, tmp_path / "crlf.csv"))]
+        else:
+            args_copy = ["--input", str(long_copy(series, tmp_path / "long.csv")),
+                         "--format", "long"]
+        plain, other = tmp_path / "plain", tmp_path / "copy"
+        assert main(["cluster", "--input", str(series), "--out", str(plain)] + args) == 0
+        assert main(["cluster", "--out", str(other)] + args_copy + args) == 0
+        for name in ("membership.csv", "centers.csv"):
+            assert (plain / name).read_bytes() == (other / name).read_bytes(), name
+
+    def test_paper_size_boost_bytes_do_not_depend_on_blas_threads(self, tmp_path, sim):
         # the paper's benchmark size (N = 360, n = 10, K = 6, 10 restarts), 20
         # iterations, in one child process with one OpenBLAS thread and one
         # with two: both write the same membership and center bytes
-        sim = tmp_path / "sim"
-        assert main(["simulate", "--out", str(sim), "--seed", "0"]) == 0
         paths = [str(Path(tsboost.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
@@ -296,11 +353,9 @@ class TestCluster:
         assert membership.shape == (12, 3)
         assert np.max(np.abs(membership.sum(axis=1) - 1.0)) < 1e-9
 
-    def test_fcm_fuzzifier_near_one(self, tmp_path):
+    def test_fcm_fuzzifier_near_one(self, tmp_path, sim):
         # at m = 1.01 the membership powers d2 ** -100 of the simulated
         # series overflow or underflow; every membership must stay finite
-        sim = tmp_path / "sim"
-        assert main(["simulate", "--out", str(sim), "--seed", "0"]) == 0
         out = tmp_path / "fcm"
         assert main(["cluster", "--input", str(sim / "series.csv"), "--out", str(out),
                      "--k", "6", "--algorithm", "fcm", "--fuzzifier", "1.01",
@@ -517,6 +572,23 @@ class TestEvaluate:
         assert report["classic_rand"] == 1.0
         assert report["fuzzy_rand"] > 0.7
         assert "reference_bc" in report
+
+    def test_bom_crlf_copies_write_the_same_report(self, tmp_path, sim):
+        # evaluate reads the membership and the series of such copies through
+        # the csv-module reader; its report equals the plain run's byte for byte
+        run = tmp_path / "fcm"
+        assert main(["cluster", "--input", str(sim / "series.csv"), "--out", str(run),
+                     "--k", "6", "--algorithm", "fcm", "--seed", "0"]) == 0
+        membership, series = run / "membership.csv", sim / "series.csv"
+        copies = (bom_crlf_copy(membership, tmp_path / "membership-crlf.csv"),
+                  bom_crlf_copy(series, tmp_path / "series-crlf.csv"))
+        reports = []
+        for name, (member, data) in (("plain", (membership, series)), ("crlf", copies)):
+            reports.append(tmp_path / f"{name}.json")
+            assert main(["evaluate", "--membership", str(member),
+                         "--reference-labels", str(sim / "labels.csv"),
+                         "--input", str(data), "--out", str(reports[-1])]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
     def test_single_reference_label_exit_code(self, tmp_path, toy_csv, capsys):
         out = tmp_path / "run"
@@ -772,13 +844,18 @@ class TestSmooth:
         assert main(["smooth", "--input", str(path), "--out", str(tmp_path / "o"),
                      "--series-id", "missing"]) == 1
 
-    def test_series_id_picks_its_row(self, tmp_path):
-        sim, out = tmp_path / "sim", tmp_path / "fit"
-        assert main(["simulate", "--out", str(sim), "--seed", "0"]) == 0
+    @pytest.mark.parametrize("criterion", pspline.CRITERIA)
+    def test_series_id_picks_its_row(self, tmp_path, sim, criterion):
+        # a simulated series under each lambda criterion: its lambda is one
+        # of the points of the profile written beside the fit
+        out = tmp_path / "fit"
         assert main(["smooth", "--input", str(sim / "series.csv"), "--out", str(out),
-                     "--series-id", "s0003"]) == 0
+                     "--series-id", "s0003", "--criterion", criterion]) == 0
         data = read_wide(sim / "series.csv")
-        rows = (out / "fit.csv").read_text().strip().splitlines()[1:]
-        y = [float(row.split(",")[1]) for row in rows]
-        assert y == data.values[data.ids.index("s0003")].tolist()
-        assert manifest_without_timings(out / "manifest.json")["series_id"] == "s0003"
+        rows = [row.split(",") for row in (out / "fit.csv").read_text().strip().splitlines()[1:]]
+        assert [float(row[1]) for row in rows] == data.values[data.ids.index("s0003")].tolist()
+        assert np.all(np.isfinite([float(row[2]) for row in rows]))
+        manifest = manifest_without_timings(out / "manifest.json")
+        assert (manifest["series_id"], manifest["criterion"]) == ("s0003", criterion)
+        profile = (out / "profile.csv").read_text().strip().splitlines()[1:]
+        assert manifest["lambda"] in [float(row.split(",")[0]) for row in profile]
